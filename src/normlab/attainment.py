@@ -27,6 +27,8 @@ from .normcomp import (
     EvalPool,
     NormResult,
     UncertifiedNormError,
+    _angle_values,
+    _bisect,
     _golden_max,
     _multistart,
     _start_coords,
@@ -93,8 +95,10 @@ def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
     """Distance from each column of X to the nearest representative."""
     if not reps:
         return np.full(X.shape[1], INF)
-    stacked = [space.norm_cols(X - r[:, None]) for r in reps]
-    return np.min(np.vstack(stacked), axis=0)
+    if X.shape[1] < len(reps):  # one norm call per point, not per representative
+        R = np.column_stack(reps)
+        return np.array([np.min(space.norm_cols(R - x[:, None])) for x in X.T])
+    return np.min(np.vstack([space.norm_cols(X - r[:, None]) for r in reps]), axis=0)
 
 
 def _structural_seeds(T: OperatorPQ, value_tol, cluster_tol, tol, seed) -> list[np.ndarray]:
@@ -188,26 +192,16 @@ def na_set(
     )
 
     refined: list[tuple[np.ndarray, float]] = []
-    if T.domain.dim == 2:
-        h = TWO_PI / (pool.base_count - 1)
-        for x, _v in reps:
-            if _v >= nr.value - 1e-12:  # already exact; polishing is a no-op
-                refined.append((x, _v))
-                continue
-            t0 = _theta_of(T.domain, x)
-            t_ref, v_ref = _golden_max(
-                lambda t: float(T.range_values(T.domain.sphere_grid(np.asarray([t])))[0]),
-                t0 - 2 * h,
-                t0 + 2 * h,
-            )
-            refined.append((T.domain.sphere_grid(np.asarray([t_ref]))[:, 0], v_ref))
-    else:
-        for x, _v in reps:
-            if _v >= nr.value - 1e-12:
-                refined.append((x, _v))
-                continue
-            xr, vr = polish(T, x)
-            refined.append((xr, vr))
+    for x, v in reps:
+        if v >= nr.value - 1e-12:  # already exact; polishing is a no-op
+            refined.append((x, v))
+        elif T.domain.dim == 2:
+            # one bracket per call: a position placed to ~sqrt(u) must not follow the others
+            t0, h = _theta_of(T.domain, x), TWO_PI / (pool.base_count - 1)
+            t_ref, v_ref = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
+            refined.append((T.domain.sphere_grid(t_ref)[:, 0], float(v_ref[0])))
+        else:
+            refined.append(polish(T, x))
 
     # re-merge after refinement and drop anything that drifted below the band
     final: list[tuple[np.ndarray, float]] = []
@@ -239,9 +233,8 @@ def dist_to_set(x, S: AttainmentSet) -> float:
         raise TypeError("dist_to_set expects a UnitVector")
     if S.na_empty:
         return INF
-    sp0 = S.points[0].space
-    if sp0.dim != space.dim or getattr(sp0, "p", None) != getattr(space, "p", None):
-        raise ValueError(f"space mismatch: {space} vs {sp0}")
+    if S.points[0].space != space:
+        raise ValueError(f"space mismatch: {space} vs {S.points[0].space}")
     return float(min(space.norm(coords - pt.coords) for pt in S.points))
 
 
@@ -377,67 +370,46 @@ def _profile_pool(T, na: AttainmentSet, nr: NormResult, epsilons, seed, grid=DEF
         repaired += len(add)
         dists = _min_dists(T.domain, coords, reps)
 
-    R = np.column_stack(reps) if reps else None
-
-    def dist_of(x: np.ndarray) -> float:
-        if R is None:
-            return INF
-        return float(np.min(T.domain.norm_cols(R - x[:, None])))
-
-    new_c: list[np.ndarray] = []
-    new_v: list[float] = []
-    new_d: list[float] = []
-
     if T.domain.dim == 2:
         thetas = pool.thetas[: pool.base_count]
         base_d = dists[: pool.base_count]
         base_v = values[: pool.base_count]
-
-        def gval(t: float) -> float:
-            return float(T.range_values(T.domain.sphere_grid(np.asarray([t])))[0])
-
-        def dval(t: float) -> float:
-            return dist_of(T.domain.sphere_grid(np.asarray([t]))[:, 0])
-
         h = TWO_PI / (pool.base_count - 1)
+        # the feasibility boundary cells and top-10 feasible local maxima of
+        # every eps, refined together: one bisection call and one golden call
+        cut, cut_lv, peak, peak_lv = [], [], [], []
         for eps in epsilons:
             feas = base_d >= eps - FEAS_SLACK
-            if not np.any(feas) or np.all(feas):
-                boundary_idx = []
-            else:
-                boundary_idx = np.nonzero(feas[:-1] != feas[1:])[0]
-            for i in boundary_idx:
-                lo, hi = thetas[i], thetas[i + 1]
-                flo = base_d[i] >= eps - FEAS_SLACK
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if (dval(mid) >= eps - FEAS_SLACK) == flo:
-                        lo = mid
-                    else:
-                        hi = mid
-                t_star = lo if flo else hi
-                x_star = T.domain.sphere_grid(np.asarray([t_star]))[:, 0]
-                d_star = dist_of(x_star)
-                if d_star >= eps - FEAS_SLACK:
-                    new_c.append(x_star)
-                    new_v.append(gval(t_star))
-                    new_d.append(d_star)
-            # interior feasible local maxima, refined within their bracket
+            i = np.nonzero(feas[:-1] != feas[1:])[0].tolist()
+            cut += i
+            cut_lv += [eps - FEAS_SLACK] * len(i)
             vmask = np.where(feas, base_v, -np.inf)
             local = np.nonzero(
                 (vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1]
             )[0] + 1
-            if local.size:
-                top = local[np.argsort(-base_v[local])][:10]
-                for i in top:
-                    t_ref, _ = _golden_max(gval, thetas[i] - h, thetas[i] + h)
-                    x_ref = T.domain.sphere_grid(np.asarray([t_ref]))[:, 0]
-                    d_ref = dist_of(x_ref)
-                    if d_ref >= eps - FEAS_SLACK:
-                        new_c.append(x_ref)
-                        new_v.append(gval(t_ref))
-                        new_d.append(d_ref)
+            top = local[np.argsort(-base_v[local])][:10].tolist()
+            peak += top
+            peak_lv += [eps - FEAS_SLACK] * len(top)
+        cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
+        level = np.array(cut_lv + peak_lv)
+        t_cut = _bisect(
+            lambda t: _min_dists(T.domain, T.domain.sphere_grid(t), reps),
+            thetas[cut], thetas[cut + 1], level[: cut.size], base_d[cut] >= level[: cut.size],
+        )
+        t_peak, _ = _golden_max(_angle_values(T), thetas[peak] - h, thetas[peak] + h)
+        X_new = T.domain.sphere_grid(np.concatenate([t_cut, t_peak]))
+        d_new = _min_dists(T.domain, X_new, reps)
+        keep = d_new >= level
+        coords = np.hstack([coords, X_new[:, keep]])
+        values = np.concatenate([values, T.range_values(X_new[:, keep])])
+        dists = np.concatenate([dists, d_new[keep]])
     else:
+        def dist_of(x: np.ndarray) -> float:
+            return float(_min_dists(T.domain, x[:, None], reps)[0])
+
+        new_c: list[np.ndarray] = []
+        new_v: list[float] = []
+        new_d: list[float] = []
         for eps in epsilons:
             feas_idx = np.nonzero(dists >= eps - FEAS_SLACK)[0]
             if feas_idx.size == 0:
@@ -451,11 +423,10 @@ def _profile_pool(T, na: AttainmentSet, nr: NormResult, epsilons, seed, grid=DEF
                 new_c.append(x_ref)
                 new_v.append(v_ref)
                 new_d.append(dist_of(x_ref))
-
-    if new_c:
-        coords = np.hstack([coords, np.column_stack(new_c)])
-        values = np.concatenate([values, np.asarray(new_v)])
-        dists = np.concatenate([dists, np.asarray(new_d)])
+        if new_c:
+            coords = np.hstack([coords, np.column_stack(new_c)])
+            values = np.concatenate([values, np.asarray(new_v)])
+            dists = np.concatenate([dists, np.asarray(new_d)])
     return _ProfilePool(coords, values, dists, reps, repaired)
 
 

@@ -160,12 +160,6 @@ def _delta_2d(space, epsilons, grid, refine):
     ti = thetas[iu]
     tj = thetas[ju]
 
-    def pair_of(t1, t2):
-        P = space.sphere_grid(np.asarray([t1, t2]))
-        d = space.norm(P[:, 0] - P[:, 1])
-        v = 1.0 - space.norm((P[:, 0] + P[:, 1]) / 2.0)
-        return P, d, v
-
     pool_t1 = [ti]
     pool_t2 = [tj]
     pool_d = [dist]
@@ -326,12 +320,8 @@ def _dual_norm_2d(space, f) -> float:
     vals = np.abs(f @ X)
     k = int(np.argmax(vals))
     h = thetas[1] - thetas[0]
-    _, v = _golden_max(
-        lambda t: float(abs(f @ space.sphere_grid(np.asarray([t]))[:, 0])),
-        thetas[k] - h,
-        thetas[k] + h,
-    )
-    return max(float(vals[k]), v)
+    _, v = _golden_max(lambda t: np.abs(f @ space.sphere_grid(t)), thetas[k] - h, thetas[k] + h)
+    return max(float(vals[k]), float(v[0]))
 
 
 def auerbach_2d(norm_handle) -> AuerbachSystem:
@@ -360,13 +350,13 @@ def auerbach_2d(norm_handle) -> AuerbachSystem:
     i, j = divmod(k, grid)
     t1, t2 = float(thetas[i]), float(thetas[j])
 
-    def det_at(a: float, b: float) -> float:
-        P = norm_handle.sphere_grid(np.asarray([a, b]))
-        return abs(P[0, 0] * P[1, 1] - P[1, 0] * P[0, 1])
+    def dets(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        return np.abs(P[0] * Q[1] - P[1] * Q[0])
 
+    sphere = norm_handle.sphere_grid
     for _ in range(6):  # alternating 1D refinements converge fast here
-        t1, _ = _golden_max(lambda t: det_at(t, t2), t1 - 0.01, t1 + 0.01)
-        t2, _ = _golden_max(lambda t: det_at(t1, t), t2 - 0.01, t2 + 0.01)
+        t1 = float(_golden_max(lambda t: dets(sphere(t), sphere(t2)), t1 - 0.01, t1 + 0.01)[0][0])
+        t2 = float(_golden_max(lambda t: dets(sphere(t1), sphere(t)), t2 - 0.01, t2 + 0.01)[0][0])
     P = norm_handle.sphere_grid(np.asarray([t1, t2]))
     E = P.copy()
     F = np.linalg.inv(E)

@@ -105,24 +105,59 @@ class EvalPool:
     base_count: int = 0  # leading columns forming the uniform base grid/sample
 
 
-def _golden_max(f, a: float, b: float, iters: int = 48):
-    """Golden-section maximization of a scalar function on [a, b]."""
+def _golden_max(f, a, b, iters: int = 48):
+    """Golden-section maximization on every bracket [a_i, b_i] at once.
+
+    `f` maps an array of angles to an array of values; it is called once per
+    step on the probes of all live brackets.  Each bracket takes exactly the
+    steps it would take alone and is frozen once b - a < 1e-15.  Bookkeeping
+    is in plain floats: cheaper than arrays for the usual one to few brackets.
+    Returns the arrays (argmax, max).
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    # one state [a, b, c, d, f(c), f(d)] per bracket
+    brackets = [list(s) for s in zip(*(x.tolist() for x in (a, b, c, d, f(c), f(d))))]
+    live = brackets
     for _ in range(iters):
-        if b - a < 1e-15:
+        live = [s for s in live if s[1] - s[0] >= 1e-15]
+        if not live:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        slots = []  # 2: a new c is probed, 3: a new d
+        for s in live:
+            lo, hi, c, d, fc, fd = s
+            if fc >= fd:  # the maximum lies in [lo, d]
+                s[1], s[3], s[5] = d, c, fc
+                s[2] = d - invphi * (d - lo)
+                slots.append(2)
+            else:
+                s[0], s[2], s[4] = c, d, fd
+                s[3] = c + invphi * (hi - c)
+                slots.append(3)
+        values = f(np.array([s[k] for s, k in zip(live, slots)])).tolist()
+        for s, k, v in zip(live, slots, values):
+            s[k + 2] = v
+    best = [(s[2], s[4]) if s[4] >= s[5] else (s[3], s[5]) for s in brackets]
+    return np.array([t for t, _ in best]), np.array([v for _, v in best])
+
+
+def _bisect(f, lo, hi, level, lo_in):
+    """Bisect every bracket [lo_i, hi_i] across which f crosses level_i, at once.
+
+    `lo_in[i]` tells whether f(lo_i) >= level_i.  Returns the final end on the
+    side where f >= level.
+    """
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    for _ in range(60):  # 60 halvings take any angle bracket below one ulp
+        mid = 0.5 * (lo + hi)
+        to_lo = (f(mid) >= level) == lo_in
+        lo = np.where(to_lo, mid, lo)
+        hi = np.where(to_lo, hi, mid)
+    return np.where(lo_in, lo, hi)
 
 
 def _column_lipschitz(T: OperatorPQ) -> float:
@@ -145,11 +180,6 @@ class _Sweep:
 
 def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
     space = T.domain
-    A = T.matrix
-
-    def gval(theta: float) -> float:
-        x = space.sphere_grid(np.asarray([theta]))
-        return float(T.range_values(x)[0])
 
     grid = max(grid, 20000)
     grid += (-grid) % 8  # keep quadrant/octant breakpoints on the grid
@@ -173,22 +203,25 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
     best = int(np.argmax(g))
     lb = float(g[best])
     theta_best = float(thetas[best])
+    # Rounding allowance: a computed ||A x||_q, or a cell bound, errs by at most
+    # (32 + m) u ||T|| for an m-dimensional range (u = 2^-53; sphere coordinates,
+    # products and slack 32 u, the q-norm's sum one u per term).  Bounds move out
+    # by twice that (at least 2^-46), so the bracket holds the exact norm of the
+    # float matrix.  A tol below twice it never prunes the top cell: use the floor.
+    rnd = (64 + 2 * max(T.range.dim, 32)) * 2.0 ** -53
+    up, down = 1.0 + rnd, 1.0 - rnd
+    prune_tol = max(tol, 2.0 * rnd * lb)
 
-    ub_cells = np.maximum(g[:-1], g[1:]) + cell_slack
-    order = np.nonzero(ub_cells > lb + 2.0 * tol)[0]
-    heap = []
-    for i in order:
-        heap.append(
-            (
-                -float(ub_cells[i]),
-                float(thetas[i]),
-                float(thetas[i + 1]),
-                float(g[i]),
-                float(g[i + 1]),
-                (float(X[0, i]), float(X[1, i])),
-                (float(X[0, i + 1]), float(X[1, i + 1])),
-            )
-        )
+    # cells whose rounded-up bound cannot beat the rounded-down lower bound by
+    # more than 2 tol are pruned; the largest pruned bound stays in the bracket
+    ub_cells = (np.maximum(g[:-1], g[1:]) + cell_slack) * up
+    live = ub_cells > lb * down + 2.0 * prune_tol
+    pruned = float(np.max(ub_cells[~live], initial=0.0))
+    heap = [
+        (-float(ub_cells[i]), float(thetas[i]), float(thetas[i + 1]), float(g[i]), float(g[i + 1]),
+         (float(X[0, i]), float(X[1, i])), (float(X[0, i + 1]), float(X[1, i + 1])))
+        for i in np.nonzero(live)[0]
+    ]
     heapq.heapify(heap)
 
     extra_t: list[float] = []
@@ -202,7 +235,7 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
     while heap and splits < budget:
         batch = []
         while heap and len(batch) < 64:
-            if -heap[0][0] <= lb + 2.0 * tol:
+            if -heap[0][0] <= lb * down + 2.0 * prune_tol:
                 break
             batch.append(heapq.heappop(heap))
         if not batch:
@@ -229,15 +262,18 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
                     slack = lip * (abs(x1[0] - x0[0]) + abs(x1[1] - x0[1]))
                 else:
                     slack = slack_rate * (t1 - t0)
-                ub = max(g0, g1) + slack
-                if ub > lb + 2.0 * tol:
+                ub = (max(g0, g1) + slack) * up
+                if ub > lb * down + 2.0 * prune_tol:
                     heapq.heappush(heap, (-ub, t0, t1, g0, g1, x0, x1))
+                else:
+                    pruned = max(pruned, ub)
 
-    upper = max(lb, -heap[0][0]) if heap else lb
+    upper = max(lb, pruned, -heap[0][0] if heap else 0.0)
 
     # sharpen the maximizer within its bracket
     h = TWO_PI / grid
-    t_star, g_star = _golden_max(gval, theta_best - h, theta_best + h)
+    t_star, g_star = _golden_max(_angle_values(T), theta_best - h, theta_best + h)
+    t_star, g_star = float(t_star[0]), float(g_star[0])
     n_evals += 100
     if g_star > lb:
         lb = g_star
@@ -246,17 +282,18 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
     extra_t.append(t_star)
     extra_g.append(g_star)
 
-    pool_t = np.concatenate([thetas, np.asarray(extra_t)]) if extra_t else thetas
-    pool_g = np.concatenate([g, np.asarray(extra_g)]) if extra_g else g
-    pool_X = np.hstack([X, space.sphere_grid(np.asarray(extra_t))]) if extra_t else X
-    achieved = max(tol, 0.5 * (upper - lb))
+    pool_t = np.concatenate([thetas, np.asarray(extra_t)])
+    pool_g = np.concatenate([g, np.asarray(extra_g)])
+    pool_X = np.hstack([X, space.sphere_grid(np.asarray(extra_t))])
+    lower = lb * down
+    achieved = max(tol, 0.5 * (upper - lower))
     if achieved > tol:
         notes = (notes + "; " if notes else "") + (
-            f"tolerance relaxed to {achieved:.2e} (plateau or refinement budget)"
+            f"tolerance relaxed to {achieved:.2e} (plateau, refinement budget or rounding floor)"
         )
     return _Sweep(
         value=lb,
-        lower=lb,
+        lower=lower,
         upper=upper,
         theta_best=theta_best,
         pool=EvalPool(pool_X, pool_g, pool_t, base_count=grid + 1),
@@ -479,17 +516,13 @@ def _opnorm_sweep(T, tol, grid, budget):
         sw.value - sw.achieved_tol,
         cluster_tol=0.1,
     )
-    witnesses = []
     h = TWO_PI / max(sw.pool.base_count - 1, 1)
+    witnesses = []
     for x, _v in reps[:16]:
-        # polish each representative within its own bracket
+        # one bracket per call: an argmax placed to ~sqrt(u) follows batch rounding
         t0 = _theta_of(T.domain, x)
-        t_ref, _ = _golden_max(
-            lambda t: float(T.range_values(T.domain.sphere_grid(np.asarray([t])))[0]),
-            t0 - 2 * h,
-            t0 + 2 * h,
-        )
-        witnesses.append(unit(T.domain.sphere_grid(np.asarray([t_ref]))[:, 0], T.domain))
+        t_ref, _ = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
+        witnesses.append(unit(T.domain.sphere_grid(t_ref)[:, 0], T.domain))
     witnesses.sort(key=lambda w: _theta_of(T.domain, w.coords))
     result = NormResult(
         value=sw.value,
@@ -504,6 +537,11 @@ def _opnorm_sweep(T, tol, grid, budget):
         notes=sw.notes,
     )
     return result, sw.pool
+
+
+def _angle_values(T: OperatorPQ):
+    """theta -> ||T x(theta)||_range over an array of sweep angles."""
+    return lambda ts: T.range_values(T.domain.sphere_grid(ts))
 
 
 def _theta_of(space, x) -> float:

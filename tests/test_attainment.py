@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import INF, OperatorPQ, SequenceSpace, UncertifiedNormError
+from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormError
 from normlab.attainment import default_epsilons
 
 
@@ -79,6 +79,12 @@ def test_dist_space_mismatch_and_empty():
     other = nl.unit([1, 0, 0], SequenceSpace(3, 2))
     with pytest.raises(ValueError):
         nl.dist_to_set(other, na)
+    # two different block spaces of equal dimension
+    l2 = SequenceSpace(2, 2)
+    na_block = nl.AttainmentSet([nl.unit([1, 0, 0, 0], BlockSpace(1, (l2, l2)))], 1e-6, 0.1,
+                                False, 1.0)
+    with pytest.raises(ValueError):
+        nl.dist_to_set(nl.unit([1, 0, 0, 0], BlockSpace(2, (l2, l2))), na_block)
     empty = nl.AttainmentSet([], 1e-6, 0.1, False, 1.0)
     assert nl.dist_to_set(nl.unit([1, 0], T.domain), empty) == INF
 
@@ -96,6 +102,21 @@ def test_profile_empty_feasible_convention():
     prof = nl.sbpb_profile(T, [4.0])
     assert prof.rho[0] == 0.0
     assert prof.eta[0] == pytest.approx(prof.norm_value)
+
+
+def test_profile_l2_functionals_closed_form():
+    """eta(eps, x*) of a unit functional on l_2^2 is eps^2/2 up to sqrt(2), and
+    ||x*|| = 1 beyond, where the feasible set is empty."""
+    space = SequenceSpace(2, 2)
+    rng = np.random.default_rng(11)
+    eps = default_epsilons(space)
+    for _ in range(6):
+        f = rng.standard_normal(2)
+        T = OperatorPQ((f / np.linalg.norm(f)).reshape(1, 2), space, SequenceSpace(1, 2))
+        prof = nl.sbpb_profile(T, eps)
+        assert prof.epsilons == eps
+        for e, h in zip(prof.epsilons, prof.eta):
+            assert h == pytest.approx(e * e / 2 if e <= math.sqrt(2) else 1.0, abs=1e-9)
 
 
 def test_profile_validates_epsilons():

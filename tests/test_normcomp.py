@@ -1,11 +1,19 @@
 import itertools
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
-from normlab.normcomp import METHOD_MULTISTART, METHOD_ORACLE, METHOD_SWEEP2D
+from normlab.normcomp import (
+    METHOD_MULTISTART,
+    METHOD_ORACLE,
+    METHOD_SWEEP2D,
+    _bisect,
+    _golden_max,
+)
 from normlab.spaces import pnorm
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
@@ -45,6 +53,105 @@ def test_opnorm_bounds_and_witnesses_contract():
         for w in r.witnesses:
             assert T.domain.norm(w.coords) == pytest.approx(1.0, abs=1e-10)
             assert T.range.norm(T.apply(w.coords)) >= r.value - r.tol
+
+
+def _golden_one(f, a, b, iters=48):
+    """Reference: golden-section maximization of one bracket, one probe at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if b - a < 1e-15:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def test_batched_refiners_match_one_bracket_at_a_time():
+    """Each bracket of a batched call takes exactly the steps it takes alone."""
+    f = lambda t: np.cos(3.0 * t) + 0.3 * np.sin(7.0 * t)  # elementwise: same bits in any batch
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-3.0, 3.0, 300)
+    b = a + rng.uniform(0.0, 0.5, 300)
+    b[:30] = a[:30] + 1e-16  # frozen from the start
+    t, v = _golden_max(f, a, b)
+    for i in range(a.size):
+        assert (t[i], v[i]) == _golden_one(lambda x: float(f(np.float64(x))), a[i], b[i])
+    level = rng.uniform(-0.5, 0.5, 300)
+    lo_in = f(a) >= level
+    t = _bisect(f, a, b, level, lo_in)
+    for i in range(a.size):
+        lo, hi = a[i], b[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (f(mid) >= level[i]) == lo_in[i]:
+                lo = mid
+            else:
+                hi = mid
+        assert t[i] == (lo if lo_in[i] else hi)
+
+
+def _dec_pnorm(xs, r) -> Decimal:
+    """l_r norm of floats (converted exactly) in the current decimal context."""
+    a = [Decimal(float(v)).copy_abs() for v in xs]
+    if r == INF:
+        return max(a)
+    R = Decimal(r)
+    return sum(v ** R for v in a) ** (1 / R)
+
+
+def _closed_form_norm(M, p, q) -> Decimal:
+    """||M||_{p->q} of a 2x2 float matrix: the largest singular value for
+    p = q = 2, the largest column q-norm for p = 1, the largest row p'-norm
+    for q = inf."""
+    if p == 1.0:
+        return max(_dec_pnorm(M[:, j], q) for j in range(2))
+    if q == INF:
+        pd = INF if p == 1.0 else (1.0 if p == INF else p / (p - 1.0))
+        return max(_dec_pnorm(M[i], pd) for i in range(2))
+    (a, b), (c, d) = [[Decimal(float(v)) for v in row] for row in M]
+    S = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    return ((S + (S * S - 4 * det * det).sqrt()) / 2).sqrt()
+
+
+def test_sweep_bracket_contains_closed_form_norms():
+    """The certified 2D bracket contains the exact norm of the float matrix."""
+    rng = np.random.default_rng(2016)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k in range(405):
+            M = rng.standard_normal((2, 2))
+            r = EXPONENTS[(k // 3) % len(EXPONENTS)]
+            p, q = [(2.0, 2.0), (1.0, r), (r, INF)][k % 3]
+            ref = _closed_form_norm(M, p, q)
+            nr = nl.opnorm(OperatorPQ(M, SequenceSpace(2, p), SequenceSpace(2, q)))
+            assert nr.certified and nr.upper_bound - nr.lower_bound <= 2 * nr.tol
+            assert Decimal(nr.lower_bound) <= ref <= Decimal(nr.upper_bound), (M.tolist(), p, q)
+
+
+def test_sweep_bracket_tall_range_and_tol_floor():
+    """A 40-dimensional range widens the rounding allowance and the bracket
+    still holds; a tol below the rounding floor ends relaxed, not in the budget."""
+    rng = np.random.default_rng(40)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for q in (1.0, 1.5, 2.0):
+            M = rng.standard_normal((40, 2))
+            nr = nl.opnorm(OperatorPQ(M, SequenceSpace(2, 1.0), SequenceSpace(40, q)))
+            assert nr.certified
+            assert Decimal(nr.lower_bound) <= _closed_form_norm(M, 1.0, q) <= Decimal(nr.upper_bound)
+    T = OperatorPQ(rng.standard_normal((2, 2)), SequenceSpace(2, 1.0), SequenceSpace(2, 3.0))
+    nr = nl.opnorm(T, tol=1e-15)
+    assert nr.tol > 1e-15 and "rounding floor" in nr.notes
+    assert nr.upper_bound - nr.lower_bound <= 2 * nr.tol
 
 
 def test_opnorm_rejects_bad_tol():
