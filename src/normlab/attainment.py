@@ -16,7 +16,7 @@ exactly as computed: feasible sets nest within one pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,7 +167,13 @@ def na_set(
             "norm attainment needs a certified operator norm; got a heuristic one"
         )
 
-    pool = _base_pool(T, seed, grid)
+    return _na_from_pool(T, _base_pool(T, seed, grid), nr, value_tol, cluster_tol, tol, seed)
+
+
+def _na_from_pool(
+    T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol, tol, seed
+) -> AttainmentSet:
+    """The attainment set of T from its base evaluation pool and certified norm."""
     coords = pool.coords
     values = pool.values
     extra: list[np.ndarray] = [w.coords for w in nr.witnesses]
@@ -327,16 +333,65 @@ def _constrained_ascend(T, x0, dist_fn, eps, iters=200):
 
 
 @dataclass
-class _ProfilePool:
-    coords: np.ndarray
-    values: np.ndarray
-    dists: np.ndarray
+class _ProfilePart:
+    """One operator's share of a profile, before and after 2D refinement.
+
+    `best` holds, per eps, (value, point) of the first largest evaluation
+    with dist >= eps found so far, or None.  On a 2D domain `cuts` and
+    `peaks` are the brackets `_refine_2d` still has to refine.
+    """
+
+    T: OperatorPQ
+    nr: NormResult
+    na: AttainmentSet
     reps: list  # possibly repaired representative coords
     repaired: int
+    best: list
+    cuts: tuple = ()  # (lo, hi, level, lo_in): feasibility-boundary cells
+    peaks: tuple = ()  # (lo, hi, level): top feasible local maxima
+
+    def profile(self, epsilons) -> SbpbProfile:
+        value = self.nr.value
+        if self.na.na_empty:
+            return SbpbProfile(
+                epsilons=epsilons,
+                rho=[value] * len(epsilons),
+                eta=[0.0] * len(epsilons),
+                na_empty=True,
+                norm_value=value,
+                continuum_flag=self.na.continuum_flag,
+                notes="diagnostic: empty attainment set in finite dimension "
+                "(numerical artifact); eta forced to 0",
+            )
+        notes = ""
+        if self.repaired:
+            notes = f"diagnostic: {self.repaired} missed attainment cluster(s) absorbed during profiling"
+        return SbpbProfile(
+            epsilons=epsilons,
+            rho=[0.0 if b is None else b[0] for b in self.best],
+            eta=[value if b is None else max(0.0, value - b[0]) for b in self.best],
+            na_empty=False,
+            norm_value=value,
+            continuum_flag=self.na.continuum_flag,
+            notes=notes,
+        )
 
 
-def _profile_pool(T, na: AttainmentSet, nr: NormResult, epsilons, seed, grid=DEFAULT_GRID) -> _ProfilePool:
-    pool = _base_pool(T, seed, grid)
+def _best_feasible(coords, values, dists, epsilons) -> list:
+    """Per eps: (value, point) of the first largest value with dist >= eps, or None."""
+    best = []
+    for eps in epsilons:
+        v = np.where(dists >= eps - FEAS_SLACK, values, -np.inf)
+        j = int(np.argmax(v))
+        best.append((float(v[j]), coords[:, j].copy()) if v[j] > -np.inf else None)
+    return best
+
+
+def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, seed, pool: EvalPool) -> _ProfilePart:
+    """Distances, repair and the best feasible evaluations of T's pool; on a
+    2D domain also the brackets to refine, on higher ones the ascent."""
+    if na.na_empty:
+        return _ProfilePart(T, nr, na, [], 0, [])
     coords = pool.coords
     values = pool.values
     extras: list[np.ndarray] = [w.coords for w in nr.witnesses]
@@ -370,40 +425,7 @@ def _profile_pool(T, na: AttainmentSet, nr: NormResult, epsilons, seed, grid=DEF
         repaired += len(add)
         dists = _min_dists(T.domain, coords, reps)
 
-    if T.domain.dim == 2:
-        thetas = pool.thetas[: pool.base_count]
-        base_d = dists[: pool.base_count]
-        base_v = values[: pool.base_count]
-        h = TWO_PI / (pool.base_count - 1)
-        # the feasibility boundary cells and top-10 feasible local maxima of
-        # every eps, refined together: one bisection call and one golden call
-        cut, cut_lv, peak, peak_lv = [], [], [], []
-        for eps in epsilons:
-            feas = base_d >= eps - FEAS_SLACK
-            i = np.nonzero(feas[:-1] != feas[1:])[0].tolist()
-            cut += i
-            cut_lv += [eps - FEAS_SLACK] * len(i)
-            vmask = np.where(feas, base_v, -np.inf)
-            local = np.nonzero(
-                (vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1]
-            )[0] + 1
-            top = local[np.argsort(-base_v[local])][:10].tolist()
-            peak += top
-            peak_lv += [eps - FEAS_SLACK] * len(top)
-        cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
-        level = np.array(cut_lv + peak_lv)
-        t_cut = _bisect(
-            lambda t: _min_dists(T.domain, T.domain.sphere_grid(t), reps),
-            thetas[cut], thetas[cut + 1], level[: cut.size], base_d[cut] >= level[: cut.size],
-        )
-        t_peak, _ = _golden_max(_angle_values(T), thetas[peak] - h, thetas[peak] + h)
-        X_new = T.domain.sphere_grid(np.concatenate([t_cut, t_peak]))
-        d_new = _min_dists(T.domain, X_new, reps)
-        keep = d_new >= level
-        coords = np.hstack([coords, X_new[:, keep]])
-        values = np.concatenate([values, T.range_values(X_new[:, keep])])
-        dists = np.concatenate([dists, d_new[keep]])
-    else:
+    if T.domain.dim != 2:
         def dist_of(x: np.ndarray) -> float:
             return float(_min_dists(T.domain, x[:, None], reps)[0])
 
@@ -427,7 +449,132 @@ def _profile_pool(T, na: AttainmentSet, nr: NormResult, epsilons, seed, grid=DEF
             coords = np.hstack([coords, np.column_stack(new_c)])
             values = np.concatenate([values, np.asarray(new_v)])
             dists = np.concatenate([dists, np.asarray(new_d)])
-    return _ProfilePool(coords, values, dists, reps, repaired)
+        return _ProfilePart(T, nr, na, reps, repaired, _best_feasible(coords, values, dists, epsilons))
+
+    thetas = pool.thetas[: pool.base_count]
+    base_d = dists[: pool.base_count]
+    base_v = values[: pool.base_count]
+    h = TWO_PI / (pool.base_count - 1)
+    # the feasibility boundary cells and top-10 feasible local maxima of every eps
+    cut, cut_lv, peak, peak_lv = [], [], [], []
+    for eps in epsilons:
+        feas = base_d >= eps - FEAS_SLACK
+        i = np.nonzero(feas[:-1] != feas[1:])[0].tolist()
+        cut += i
+        cut_lv += [eps - FEAS_SLACK] * len(i)
+        vmask = np.where(feas, base_v, -np.inf)
+        local = np.nonzero(
+            (vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1]
+        )[0] + 1
+        top = local[np.argsort(-base_v[local])][:10].tolist()
+        peak += top
+        peak_lv += [eps - FEAS_SLACK] * len(top)
+    cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
+    cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
+    return _ProfilePart(
+        T, nr, na, reps, repaired, _best_feasible(coords, values, dists, epsilons),
+        cuts=(thetas[cut], thetas[cut + 1], cut_lv, base_d[cut] >= cut_lv),
+        peaks=(thetas[peak] - h, thetas[peak] + h, peak_lv),
+    )
+
+
+def _runs(owner: np.ndarray) -> list[tuple[int, int, int]]:
+    """(owner, start, end) of each run of one owner in a sorted owner array."""
+    if not owner.size:
+        return []
+    if owner[0] == owner[-1]:  # one run: the batch of one
+        return [(int(owner[0]), 0, owner.size)]
+    ends = (np.flatnonzero(np.diff(owner)) + 1).tolist() + [owner.size]
+    own = owner.tolist()
+    return [(own[s], s, e) for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _grid_by_owner(space, t: np.ndarray, runs) -> np.ndarray:
+    """space.sphere_grid(t) as if each owner's run of angles were gridded alone:
+    sphere_grid takes a scalar path for one angle, which rounds differently."""
+    X = space.sphere_grid(t)
+    for _j, s, e in runs:
+        if e - s == 1:
+            X[:, s] = space.sphere_grid(t[s:e])[:, 0]
+    return X
+
+
+def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
+    """Refine the brackets of operators sharing a 2D domain and range, in one
+    bisection and one golden-section call, and fold each operator's refined
+    points into its `best` as they would enter its evaluation pool.
+
+    Every probe is evaluated as the operator's own probes alone would be, a
+    product `T.matrix @ X` and a lone angle's sphere point per operator (the
+    last bits of a product depend on its width and layout), so a part's
+    result does not depend on the batch: one operator is the batch of one.
+    """
+    parts = [p for p in parts if p.cuts]  # higher dimensions and empty NA have none
+    if not parts:
+        return
+    space, rng = parts[0].T.domain, parts[0].T.range
+    # operator j's representatives are the columns first[j] : first[j] + count[j] of R
+    count = np.array([len(p.reps) for p in parts])
+    first = np.cumsum(count) - count
+    R = np.column_stack([r for p in parts for r in p.reps])
+
+    def pairing(own):
+        """Each column paired with each representative of its operator: (columns, reps, run starts)."""
+        n = count[own]
+        start = np.cumsum(n) - n
+        col = np.repeat(np.arange(own.size), n)
+        return col, first[own][col] + np.arange(col.size) - start[col], start
+
+    def dists(X, pairs):
+        """Distance from each column of X to the nearest representative of its operator."""
+        col, rep, start = pairs
+        D = space.norm_cols(X[:, col] - R[:, rep])
+        return np.minimum.reduceat(D, start) if start.size else D
+
+    ids = np.arange(len(parts))
+    c_own = np.repeat(ids, [p.cuts[0].size for p in parts])
+    p_own = np.repeat(ids, [p.peaks[0].size for p in parts])
+    lo, hi, c_lv, lo_in = (np.concatenate([p.cuts[k] for p in parts]) for k in range(4))
+    c_runs, c_pairs = _runs(c_own), pairing(c_own)
+    t_cut = _bisect(lambda t: dists(_grid_by_owner(space, t, c_runs), c_pairs), lo, hi, c_lv, lo_in)
+
+    mats = [p.T.matrix for p in parts]
+
+    def values(t, idx):
+        runs = _runs(p_own[idx])
+        X = _grid_by_owner(space, t, runs)
+        Y = np.empty((rng.dim, t.size))
+        for j, s, e in runs:
+            Y[:, s:e] = mats[j] @ X[:, s:e]
+        return rng.norm_cols(Y)
+
+    a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
+    t_peak, _ = _golden_max(values, a, b)
+
+    # each operator's refined cuts, then its peaks, as one pool extension
+    own = np.concatenate([c_own, p_own])
+    order = np.argsort(own, kind="stable")
+    own = own[order]
+    level = np.concatenate([c_lv, p_lv])[order]
+    runs = _runs(own)
+    X_new = _grid_by_owner(space, np.concatenate([t_cut, t_peak])[order], runs)
+    d_new = dists(X_new, pairing(own))
+    keep = d_new >= level
+    for j, s, e in runs:
+        k = keep[s:e]
+        if not k.any():
+            continue
+        part, X = parts[j], X_new[:, s:e][:, k]
+        new = _best_feasible(X, part.T.range_values(X), d_new[s:e][k], epsilons)
+        part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
+
+
+def _checked_epsilons(epsilons) -> list[float]:
+    epsilons = sorted(float(e) for e in epsilons)
+    for e in epsilons:
+        if not (0.0 < e <= 4.2):
+            raise ValueError(f"eps must lie in (0, 2 * max diameter]; got {e}")
+    return epsilons
 
 
 def sbpb_profile(
@@ -454,50 +601,35 @@ def sbpb_profile(
         raise UncertifiedNormError("profile computation requires a certified norm")
     if na is None:
         na = na_set(T, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=nr)
+    epsilons = _checked_epsilons(default_epsilons(T.domain) if epsilons is None else epsilons)
+    part = _profile_part(T, na, nr, epsilons, seed, _base_pool(T, seed, grid))
+    _refine_2d([part], epsilons)
+    return part.profile(epsilons)
 
-    if epsilons is None:
-        epsilons = default_epsilons(T.domain)
-    epsilons = sorted(float(e) for e in epsilons)
-    for e in epsilons:
-        if not (0.0 < e <= 4.2):
-            raise ValueError(f"eps must lie in (0, 2 * max diameter]; got {e}")
 
-    if na.na_empty:
-        return SbpbProfile(
-            epsilons=epsilons,
-            rho=[nr.value] * len(epsilons),
-            eta=[0.0] * len(epsilons),
-            na_empty=True,
-            norm_value=nr.value,
-            continuum_flag=na.continuum_flag,
-            notes="diagnostic: empty attainment set in finite dimension "
-            "(numerical artifact); eta forced to 0",
-        )
+def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID) -> list[SbpbProfile]:
+    """`sbpb_profile(T, epsilons, seed=seed, grid=grid)` for each T of `ops`,
+    operators sharing a 2D domain and a range, in one pass.
 
-    pp = _profile_pool(T, na, nr, epsilons, seed, grid)
-    rho: list[float] = []
-    eta: list[float] = []
-    for eps in epsilons:
-        feas = pp.dists >= eps - FEAS_SLACK
-        if not np.any(feas):
-            rho.append(0.0)
-            eta.append(nr.value)
-        else:
-            r = float(np.max(pp.values[feas]))
-            rho.append(r)
-            eta.append(max(0.0, nr.value - r))
-    notes = ""
-    if pp.repaired:
-        notes = f"diagnostic: {pp.repaired} missed attainment cluster(s) absorbed during profiling"
-    return SbpbProfile(
-        epsilons=epsilons,
-        rho=rho,
-        eta=eta,
-        na_empty=False,
-        norm_value=nr.value,
-        continuum_flag=na.continuum_flag,
-        notes=notes,
-    )
+    The base grid is built once; each operator in turn evaluates it, takes
+    its attainment set and its brackets from it, and keeps only those; one
+    refinement then serves all of them.  Results are the same, bit for bit,
+    as one `sbpb_profile` call per operator.
+    """
+    epsilons = _checked_epsilons(epsilons)
+    parts = []
+    base = None
+    for T in ops:
+        nr = opnorm(T, seed=seed)
+        if not nr.certified:
+            raise UncertifiedNormError("profile computation requires a certified norm")
+        if base is None:
+            base = _base_pool(T, seed, grid)
+        pool = replace(base, values=T.range_values(base.coords))
+        na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1, tol=1e-4, seed=seed)
+        parts.append(_profile_part(T, na, nr, epsilons, seed, pool))
+    _refine_2d(parts, epsilons)
+    return [p.profile(epsilons) for p in parts]
 
 
 def sbpb_witness(
@@ -524,11 +656,9 @@ def sbpb_witness(
     na = na_set(T, value_tol, cluster_tol, tol=tol, seed=seed, norm_result=nr)
     if na.na_empty:
         return None
-    pp = _profile_pool(T, na, nr, [float(eps)], seed)
-    feas = pp.dists >= eps - FEAS_SLACK
-    if not np.any(feas):
-        return None
-    j = int(np.argmax(np.where(feas, pp.values, -np.inf)))
-    if pp.values[j] > nr.value - eta:
-        return unit(pp.coords[:, j], T.domain)
+    part = _profile_part(T, na, nr, [float(eps)], seed, _base_pool(T, seed))
+    _refine_2d([part], [float(eps)])
+    best = part.best[0]
+    if best is not None and best[0] > nr.value - eta:
+        return unit(best[1], T.domain)
     return None

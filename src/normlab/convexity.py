@@ -22,7 +22,7 @@ from .spaces import (
     sample_sphere_coords,
 )
 from .operators import OperatorPQ
-from .attainment import sbpb_profile
+from .attainment import _sbpb_profiles_2d, sbpb_profile
 from .normcomp import _golden_max
 
 # Thresholds for the functional-case verdicts, at the default sampler
@@ -173,37 +173,49 @@ def _delta_2d(space, epsilons, grid, refine):
     pool_v.append(1.0 - np.zeros(anti.shape[1]))
 
     if refine:
-        span0 = TWO_PI / grid
+        # chains: the six best feasible pairs of each eps, refined on shrinking
+        # 9x9 angle grids around their best pair, all chains one level at a time
+        chains = []
         for eps in epsilons:
             feas = dist >= eps - 1e-12
-            if not np.any(feas):
-                continue
-            order = np.argsort(np.where(feas, val, np.inf))[:6]
-            for k in order:
-                if not feas[k]:
-                    continue
-                t1, t2 = float(ti[k]), float(tj[k])
-                span = span0
-                best = (val[k], t1, t2)
-                for _ in range(7):
-                    g1 = np.linspace(best[1] - span, best[1] + span, 9)
-                    g2 = np.linspace(best[2] - span, best[2] + span, 9)
-                    for a in g1:
-                        P = space.sphere_grid(np.concatenate([[a], g2]))
-                        x0 = P[:, :1]
-                        Y = P[:, 1:]
-                        dloc = space.norm_cols(Y - x0)
-                        vloc = 1.0 - space.norm_cols((Y + x0) / 2.0)
-                        ok = dloc >= eps - 1e-12
-                        if np.any(ok):
-                            m = int(np.argmin(np.where(ok, vloc, np.inf)))
-                            pool_t1.append(np.full(1, a))
-                            pool_t2.append(np.asarray([g2[m]]))
-                            pool_d.append(np.asarray([dloc[m]]))
-                            pool_v.append(np.asarray([vloc[m]]))
-                            if vloc[m] < best[0]:
-                                best = (float(vloc[m]), float(a), float(g2[m]))
-                    span /= 2.0
+            if np.any(feas):
+                order = np.argsort(np.where(feas, val, np.inf))[:6]
+                chains += [(eps, k) for k in order if feas[k]]
+        n = len(chains)
+        rows = np.arange(n)
+        eps_lo = np.array([e for e, _ in chains]) - 1e-12
+        k = np.array([k for _, k in chains], dtype=int)
+        best_v, best_1, best_2 = val[k], ti[k], tj[k]
+        span = TWO_PI / grid
+        found = []  # per level: (a, b, dist, value, row has a feasible pair), each (n, 9)
+        for _ in range(7 if n else 0):
+            g1 = np.linspace(best_1 - span, best_1 + span, 9, axis=1)
+            g2 = np.linspace(best_2 - span, best_2 + span, 9, axis=1)
+            P = space.sphere_grid(np.hstack([g1, g2]).ravel()).reshape(2, n, 18)
+            x0, Y = P[:, :, :9, None], P[:, :, None, 9:]  # row a, column b
+            dloc = space.norm_cols((Y - x0).reshape(2, -1)).reshape(n, 9, 9)
+            vloc = 1.0 - space.norm_cols(((Y + x0) / 2.0).reshape(2, -1)).reshape(n, 9, 9)
+            ok = dloc >= eps_lo[:, None, None]
+            m = np.argmin(np.where(ok, vloc, np.inf), axis=2)[:, :, None]
+            v_row = np.take_along_axis(vloc, m, axis=2)[:, :, 0]
+            b_row = np.take_along_axis(g2, m[:, :, 0], axis=1)
+            row_ok = ok.any(axis=2)
+            found.append((g1, b_row, np.take_along_axis(dloc, m, axis=2)[:, :, 0], v_row, row_ok))
+            # the first strict improvement in row order, as a sequential scan takes it
+            cand = np.where(row_ok, v_row, np.inf)
+            i = np.argmin(cand, axis=1)
+            better = cand[rows, i] < best_v
+            best_v = np.where(better, cand[rows, i], best_v)
+            best_1 = np.where(better, g1[rows, i], best_1)
+            best_2 = np.where(better, b_row[rows, i], best_2)
+            span /= 2.0
+        if found:
+            # pool order: chain, then level, then row
+            a, b, d, v, ok = (np.stack(f, axis=1).ravel() for f in zip(*found))
+            pool_t1.append(a[ok])
+            pool_t2.append(b[ok])
+            pool_d.append(d[ok])
+            pool_v.append(v[ok])
 
     T1 = np.concatenate(pool_t1)
     T2 = np.concatenate(pool_t2)
@@ -320,7 +332,7 @@ def _dual_norm_2d(space, f) -> float:
     vals = np.abs(f @ X)
     k = int(np.argmax(vals))
     h = thetas[1] - thetas[0]
-    _, v = _golden_max(lambda t: np.abs(f @ space.sphere_grid(t)), thetas[k] - h, thetas[k] + h)
+    _, v = _golden_max(lambda t, _: np.abs(f @ space.sphere_grid(t)), thetas[k] - h, thetas[k] + h)
     return max(float(vals[k]), float(v[0]))
 
 
@@ -355,8 +367,8 @@ def auerbach_2d(norm_handle) -> AuerbachSystem:
 
     sphere = norm_handle.sphere_grid
     for _ in range(6):  # alternating 1D refinements converge fast here
-        t1 = float(_golden_max(lambda t: dets(sphere(t), sphere(t2)), t1 - 0.01, t1 + 0.01)[0][0])
-        t2 = float(_golden_max(lambda t: dets(sphere(t1), sphere(t)), t2 - 0.01, t2 + 0.01)[0][0])
+        t1 = float(_golden_max(lambda t, _: dets(sphere(t), sphere(t2)), t1 - 0.01, t1 + 0.01)[0][0])
+        t2 = float(_golden_max(lambda t, _: dets(sphere(t1), sphere(t)), t2 - 0.01, t2 + 0.01)[0][0])
     P = norm_handle.sphere_grid(np.asarray([t1, t2]))
     E = P.copy()
     F = np.linalg.inv(E)
@@ -408,7 +420,8 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
 
     Functionals are sampled on the dual sphere (a grid for 2D); each one is
     treated as a rank-one operator into the scalars and profiled with the
-    same machinery as full operators.
+    same machinery as full operators.  On 2D spaces all of them are profiled
+    in one batched pass, with the same results as one profile each.
     """
     if space.dim not in (2, 3):
         raise ValueError("functional scan supports dimensions 2 and 3")
@@ -416,17 +429,19 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
     dual = space.dual()
     F = sample_sphere_coords(dual, functional_samples, seed)
     scalar = SequenceSpace(1, 2.0)  # all q-norms agree on the scalars
+    ops = [OperatorPQ(F[:, j].reshape(1, space.dim), space, scalar) for j in range(F.shape[1])]
+    if space.dim == 2:
+        profiles = _sbpb_profiles_2d(ops, epsilons, seed=seed, grid=8192)
+    else:  # the nD profile ascends per operator
+        profiles = [sbpb_profile(T, epsilons, seed=seed, grid=8192) for T in ops]
 
     min_eta = [INF] * len(epsilons)
     witnesses = [F[:, 0]] * len(epsilons)
-    for j in range(F.shape[1]):
-        row = F[:, j]
-        T = OperatorPQ(row.reshape(1, space.dim), space, scalar)
-        prof = sbpb_profile(T, epsilons, seed=seed, grid=8192)
+    for j, prof in enumerate(profiles):
         for i, h in enumerate(prof.eta):
             if h < min_eta[i]:
                 min_eta[i] = h
-                witnesses[i] = row
+                witnesses[i] = F[:, j]
 
     p = getattr(space, "p", 2.0)
     expected_uc = (p != 1.0) and (p != INF)

@@ -108,8 +108,9 @@ class EvalPool:
 def _golden_max(f, a, b, iters: int = 48):
     """Golden-section maximization on every bracket [a_i, b_i] at once.
 
-    `f` maps an array of angles to an array of values; it is called once per
-    step on the probes of all live brackets.  Each bracket takes exactly the
+    `f(t, idx)` maps the angles `t` probed in the live brackets `idx` (an
+    increasing index array) to their values; it is called once per step, so
+    each bracket may have its own objective.  Each bracket takes exactly the
     steps it would take alone and is frozen once b - a < 1e-15.  Bookkeeping
     is in plain floats: cheaper than arrays for the usual one to few brackets.
     Returns the arrays (argmax, max).
@@ -119,16 +120,19 @@ def _golden_max(f, a, b, iters: int = 48):
     b = np.array(b, dtype=float, ndmin=1)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    # one state [a, b, c, d, f(c), f(d)] per bracket
-    brackets = [list(s) for s in zip(*(x.tolist() for x in (a, b, c, d, f(c), f(d))))]
+    idx = np.arange(a.size)
+    # one state [a, b, c, d, f(c), f(d), index] per bracket
+    brackets = [list(s) for s in zip(*(x.tolist() for x in (a, b, c, d, f(c, idx), f(d, idx), idx)))]
     live = brackets
     for _ in range(iters):
-        live = [s for s in live if s[1] - s[0] >= 1e-15]
+        still = [s for s in live if s[1] - s[0] >= 1e-15]
+        if len(still) < len(live):
+            live, idx = still, np.array([s[6] for s in still], dtype=int)
         if not live:
             break
         slots = []  # 2: a new c is probed, 3: a new d
         for s in live:
-            lo, hi, c, d, fc, fd = s
+            lo, hi, c, d, fc, fd, _i = s
             if fc >= fd:  # the maximum lies in [lo, d]
                 s[1], s[3], s[5] = d, c, fc
                 s[2] = d - invphi * (d - lo)
@@ -137,7 +141,7 @@ def _golden_max(f, a, b, iters: int = 48):
                 s[0], s[2], s[4] = c, d, fd
                 s[3] = c + invphi * (hi - c)
                 slots.append(3)
-        values = f(np.array([s[k] for s, k in zip(live, slots)])).tolist()
+        values = f(np.array([s[k] for s, k in zip(live, slots)]), idx).tolist()
         for s, k, v in zip(live, slots, values):
             s[k + 2] = v
     best = [(s[2], s[4]) if s[4] >= s[5] else (s[3], s[5]) for s in brackets]
@@ -540,8 +544,8 @@ def _opnorm_sweep(T, tol, grid, budget):
 
 
 def _angle_values(T: OperatorPQ):
-    """theta -> ||T x(theta)||_range over an array of sweep angles."""
-    return lambda ts: T.range_values(T.domain.sphere_grid(ts))
+    """theta -> ||T x(theta)||_range over an array of sweep angles (a `_golden_max` objective)."""
+    return lambda ts, _live: T.range_values(T.domain.sphere_grid(ts))
 
 
 def _theta_of(space, x) -> float:

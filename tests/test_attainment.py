@@ -5,7 +5,7 @@ import pytest
 
 import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormError
-from normlab.attainment import default_epsilons
+from normlab.attainment import _grid_by_owner, _runs, default_epsilons
 
 
 def test_na_diag_is_plus_minus_e2():
@@ -246,3 +246,17 @@ def test_attainment_set_json_round_trip():
     back = nl.AttainmentSet.from_json_dict(na.to_json_dict())
     assert len(back.points) == len(na.points)
     assert back.norm_value == na.norm_value
+
+
+def test_batched_sphere_points_match_each_operator_alone():
+    """A batch of probes gets, per operator, the sphere points of its probes alone."""
+    space = SequenceSpace(2, 1.5)
+    t = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, 400)
+    lone = np.column_stack([space.sphere_grid(t[i:i + 1]) for i in range(t.size)])
+    t = t[np.any(lone != space.sphere_grid(t), axis=0)][:12]  # one angle alone rounds differently
+    owner = np.array([0, 1, 1, 2] + [3] * 7 + [4])
+    runs = _runs(owner)
+    assert t.size == 12 and runs == [(0, 0, 1), (1, 1, 3), (2, 3, 4), (3, 4, 11), (4, 11, 12)]
+    X = _grid_by_owner(space, t, runs)
+    for _j, s, e in runs:
+        assert np.array_equal(X[:, s:e], space.sphere_grid(t[s:e]))

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import INF, SequenceSpace
-from normlab.spaces import pnorm_cols
+from normlab import INF, OperatorPQ, SequenceSpace
+from normlab.attainment import _sbpb_profiles_2d
+from normlab.convexity import _pair_tables_2d
+from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords
+
+EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
 
 
 def test_delta_circle_values():
@@ -112,6 +116,95 @@ def test_kim_lee_coherence_with_delta():
         rep = nl.kim_lee_check(space, [eps], functional_samples=48, seed=1)
         if d > 1e-6:
             assert rep.min_eta[0] > 1e-6
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_kim_lee_batch_matches_one_profile_per_functional(p):
+    """Reference: the scan as one sbpb_profile per rank-one functional, first minimum kept."""
+    space, eps = SequenceSpace(2, p), [0.5, 0.9]
+    F = sample_sphere_coords(space.dual(), 64, 0)
+    ops = [OperatorPQ(F[:, j].reshape(1, 2), space, SequenceSpace(1, 2.0)) for j in range(64)]
+    profiles = [nl.sbpb_profile(T, eps, seed=0, grid=8192) for T in ops]
+    min_eta, witnesses = [INF] * len(eps), [F[:, 0]] * len(eps)
+    for j, prof in enumerate(profiles):
+        for i, h in enumerate(prof.eta):
+            if h < min_eta[i]:
+                min_eta[i], witnesses[i] = h, F[:, j]
+    rep = nl.kim_lee_check(space, eps, functional_samples=64, seed=0)
+    assert rep.min_eta == min_eta
+    assert all(np.array_equal(w, r) for w, r in zip(rep.witness_functionals, witnesses))
+    batch = _sbpb_profiles_2d(ops, eps, seed=0, grid=8192)
+    assert [b.to_json_dict() for b in batch] == [r.to_json_dict() for r in profiles]
+
+
+def _delta_2d_sequential(space, epsilons, grid=640):
+    """Reference: the 2D modulus sweep refining one (eps, pair) chain and one row at a time."""
+    thetas, X, iu, ju, dist, val = _pair_tables_2d(space, grid)
+    ti, tj = thetas[iu], thetas[ju]
+    pool = [(ti, tj, dist, val),
+            (thetas, (thetas + math.pi) % TWO_PI, 2.0 * space.norm_cols(X), 1.0 - np.zeros(X.shape[1]))]
+    for eps in epsilons:
+        feas = dist >= eps - 1e-12
+        if not np.any(feas):
+            continue
+        for k in np.argsort(np.where(feas, val, np.inf))[:6]:
+            if not feas[k]:
+                continue
+            span, best = TWO_PI / grid, (val[k], float(ti[k]), float(tj[k]))
+            for _ in range(7):
+                g1 = np.linspace(best[1] - span, best[1] + span, 9)
+                g2 = np.linspace(best[2] - span, best[2] + span, 9)
+                for a in g1:
+                    P = space.sphere_grid(np.concatenate([[a], g2]))
+                    dloc = space.norm_cols(P[:, 1:] - P[:, :1])
+                    vloc = 1.0 - space.norm_cols((P[:, 1:] + P[:, :1]) / 2.0)
+                    ok = dloc >= eps - 1e-12
+                    if np.any(ok):
+                        m = int(np.argmin(np.where(ok, vloc, np.inf)))
+                        pool.append(([a], [g2[m]], [dloc[m]], [vloc[m]]))
+                        if vloc[m] < best[0]:
+                            best = (float(vloc[m]), float(a), float(g2[m]))
+                span /= 2.0
+    T1, T2, D, V = (np.concatenate([np.asarray(c[i]) for c in pool]) for i in range(4))
+    deltas, witnesses = [], []
+    for eps in epsilons:
+        feas = D >= eps - 1e-12
+        vmin = float(np.min(V[feas]))
+        cand = np.nonzero(feas & (V <= vmin + 1e-9))[0]
+        order = np.lexsort((np.round(T2[cand] % TWO_PI, 12), np.round(T1[cand] % TWO_PI, 12)))
+        k = cand[order][0]
+        P = space.sphere_grid(np.asarray([T1[k], T2[k]]))
+        deltas.append(max(vmin, 0.0))
+        witnesses.append((P[:, 0], P[:, 1]))
+    return deltas, witnesses
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_delta_batch_matches_sequential_refinement(p):
+    space, eps = SequenceSpace(2, p), [0.3, 0.6, 1.0, 1.4, 1.8]
+    mod = nl.delta_numeric(space, eps)
+    deltas, witnesses = _delta_2d_sequential(space, eps)
+    assert mod.delta == deltas
+    for (x, y), (rx, ry) in zip(mod.witness_pairs, witnesses):
+        assert np.array_equal(x, rx) and np.array_equal(y, ry)
+
+
+def test_kim_lee_rejects_bad_inputs():
+    space = SequenceSpace(2, 3.0)
+    for eps in (0.0, -1.0, 5.0):
+        with pytest.raises(ValueError):
+            nl.kim_lee_check(space, [0.5, eps], functional_samples=8)
+    with pytest.raises(ValueError):
+        nl.kim_lee_check(space, [0.5], functional_samples=0)
+    for p, consistent in ((3.0, True), (1.0, False)):
+        rep = nl.kim_lee_check(SequenceSpace(2, p), [], functional_samples=8)
+        assert rep.min_eta == [] and rep.consistent is consistent
+
+
+def test_kim_lee_dim3_functionals():
+    """The 3D scan profiles each functional by ascent; on l_2^3 min eta is eps^2/2."""
+    rep = nl.kim_lee_check(SequenceSpace(3, 2.0), [0.5], functional_samples=8)
+    assert rep.min_eta[0] == pytest.approx(0.125, abs=1e-9)
 
 
 def test_kim_lee_rejects_high_dim():

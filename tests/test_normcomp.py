@@ -81,9 +81,23 @@ def test_batched_refiners_match_one_bracket_at_a_time():
     a = rng.uniform(-3.0, 3.0, 300)
     b = a + rng.uniform(0.0, 0.5, 300)
     b[:30] = a[:30] + 1e-16  # frozen from the start
-    t, v = _golden_max(f, a, b)
+    b[30:60] = a[30:60] + rng.uniform(1e-14, 1e-11, 30)  # frozen after 5 to 20 steps
+    t, v = _golden_max(lambda x, _live: f(x), a, b)
     for i in range(a.size):
         assert (t[i], v[i]) == _golden_one(lambda x: float(f(np.float64(x))), a[i], b[i])
+    # one objective per bracket: f is told which brackets it probes
+    phase = rng.uniform(0.0, 2.0 * math.pi, 300)
+    probed = []
+
+    def g(x, live):
+        probed.append(live)
+        return np.cos(3.0 * x + phase[live]) + 0.3 * np.sin(7.0 * x)
+
+    t, v = _golden_max(g, a, b)
+    for i in range(a.size):
+        assert (t[i], v[i]) == _golden_one(lambda x: float(g(np.float64(x), i)), a[i], b[i])
+    assert all(np.array_equal(live, np.arange(300)) for live in probed[:2])
+    assert all(np.all(np.diff(live) > 0) and live[0] >= 60 for live in probed[22:50])
     level = rng.uniform(-0.5, 0.5, 300)
     lo_in = f(a) >= level
     t = _bisect(f, a, b, level, lo_in)
