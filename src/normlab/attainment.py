@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, unit, sample_sphere_coords
-from .operators import OperatorPQ
+from .spaces import INF, TWO_PI, UnitVector, unit, sample_sphere_coords
+from .operators import OperatorPQ, norm_dual_vector, space_from_json, space_to_json
 from .normcomp import (
     DEFAULT_GRID,
     EvalPool,
@@ -31,8 +31,8 @@ from .normcomp import (
     _bisect,
     _golden_max,
     _multistart,
+    _reduce,
     _start_coords,
-    _structure_paths,
     _theta_of,
     cluster_representatives,
     opnorm,
@@ -63,25 +63,18 @@ class AttainmentSet:
         return np.column_stack([p.coords for p in self.points])
 
     def to_json_dict(self) -> dict:
-        space = self.points[0].space if self.points else None
-        p = getattr(space, "p", getattr(space, "outer_p", None)) if space else None
         return {
-            "points": [p_.coords.tolist() for p_ in self.points],
+            "points": [p.coords.tolist() for p in self.points],
             "value_tol": self.value_tol,
             "cluster_tol": self.cluster_tol,
             "continuum_flag": self.continuum_flag,
             "norm_value": self.norm_value,
-            "space": {
-                "dim": space.dim if space else 0,
-                "p": ("inf" if p == INF else p) if p is not None else None,
-            },
+            "space": space_to_json(self.points[0].space) if self.points else {"dim": 0, "p": None},
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "AttainmentSet":
-        sp = d["space"]
-        p = sp["p"]
-        space = SequenceSpace(sp["dim"], INF if p == "inf" else float(p))
+        space = space_from_json(d["space"]) if d["points"] else None
         return AttainmentSet(
             points=[UnitVector(np.asarray(c), space) for c in d["points"]],
             value_tol=float(d["value_tol"]),
@@ -102,31 +95,20 @@ def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
 
 
 def _structural_seeds(T: OperatorPQ, value_tol, cluster_tol, tol, seed) -> list[np.ndarray]:
-    """Exact attainers inherited from a reducible structure, embedded."""
-    reduced = _structure_paths(T)
+    """Exact attainers inherited from a reducible structure: the attainment
+    sets of the parts within value_tol of the norm, embedded at their offsets."""
+    reduced = _reduce(T)
     if reduced is None:
         return []
-    seeds: list[np.ndarray] = []
-    if reduced[0] == "pad":
-        R = reduced[1]
-        sub = na_set(R, value_tol, cluster_tol, tol=tol, seed=seed)
-        for pt in sub.points:
-            v = np.zeros(T.domain.dim)
-            v[:2] = pt.coords
-            seeds.append(v)
-        return seeds
-    ops = reduced[1]
-    block_dim = ops[0].domain.dim
-    values = [opnorm(op, tol=tol, seed=seed).value for op in ops]
-    vmax = max(values)
-    for i, op in enumerate(ops):
-        if values[i] >= vmax - value_tol:
-            sub = na_set(op, value_tol, cluster_tol, tol=tol, seed=seed)
-            for pt in sub.points:
-                v = np.zeros(T.domain.dim)
-                v[i * block_dim:(i + 1) * block_dim] = pt.coords
-                seeds.append(v)
-    return seeds
+    parts, offsets = reduced[:2]
+    nrs = [opnorm(R, tol=tol, seed=seed) for R in parts]
+    top = max(nr.value for nr in nrs)
+    n = T.domain.dim
+    return [
+        np.pad(pt.coords, (off, n - off - pt.coords.size))
+        for R, off, nr in zip(parts, offsets, nrs) if nr.value >= top - value_tol
+        for pt in na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, norm_result=nr).points
+    ]
 
 
 def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID) -> EvalPool:
@@ -178,7 +160,7 @@ def _na_from_pool(
     values = pool.values
     extra: list[np.ndarray] = [w.coords for w in nr.witnesses]
     if T.domain.dim != 2:
-        _best, ms_pool = _multistart(T, tol, seed)
+        _best, ms_pool = _multistart(T, seed)
         extra.extend(
             ms_pool.coords[:, j]
             for j in range(ms_pool.coords.shape[1])
@@ -306,8 +288,6 @@ def _constrained_ascend(T, x0, dist_fn, eps, iters=200):
         return None
     f = rng.norm(A @ x)
     a = 0.25
-    from .operators import norm_dual_vector
-
     for _ in range(iters):
         u = norm_dual_vector(rng, A @ x)
         z = A.T @ u

@@ -17,11 +17,12 @@ from .spaces import (
     INF,
     TWO_PI,
     SequenceSpace,
+    _sphere_grid_3d,
     dual_exponent,
     pnorm,
     sample_sphere_coords,
 )
-from .operators import OperatorPQ
+from .operators import OperatorPQ, space_from_json, space_to_json
 from .attainment import _sbpb_profiles_2d, sbpb_profile
 from .normcomp import _golden_max
 
@@ -98,12 +99,8 @@ class ConvexityModulus:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        p = getattr(self.space, "p", None)
         return {
-            "space": {
-                "dim": self.space.dim,
-                "p": "inf" if p == INF else p,
-            },
+            "space": space_to_json(self.space),
             "epsilons": list(map(float, self.epsilons)),
             "delta": list(map(float, self.delta)),
             "witness_pairs": [
@@ -114,11 +111,8 @@ class ConvexityModulus:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ConvexityModulus":
-        sp = d["space"]
-        p = sp["p"]
-        space = SequenceSpace(sp["dim"], INF if p == "inf" else float(p))
         return ConvexityModulus(
-            space=space,
+            space=space_from_json(d["space"]),
             epsilons=[float(v) for v in d["epsilons"]],
             delta=[float(v) for v in d["delta"]],
             witness_pairs=[(np.asarray(x), np.asarray(y)) for x, y in d["witness_pairs"]],
@@ -244,19 +238,7 @@ def _delta_2d(space, epsilons, grid, refine):
 
 
 def _delta_3d(space, epsilons):
-    m = 26
-    phi = np.linspace(0.0, TWO_PI, 2 * m, endpoint=False)
-    psi = np.linspace(0.0, math.pi, m)
-    P, S = np.meshgrid(phi, psi, indexing="ij")
-    U = np.vstack(
-        [
-            (np.cos(P) * np.sin(S)).ravel(),
-            (np.sin(P) * np.sin(S)).ravel(),
-            np.cos(S).ravel(),
-        ]
-    )
-    norms = space.norm_cols(U)
-    X = U / np.where(norms > 0.0, norms, 1.0)
+    X = _sphere_grid_3d(space, 26)
     n = X.shape[1]
     iu, ju = np.triu_indices(n, k=1)
     dist = space.norm_cols(X[:, iu] - X[:, ju])
@@ -301,24 +283,18 @@ class AuerbachSystem:
         return float(max(r, rd))
 
     def to_json_dict(self) -> dict:
-        p = getattr(self.space, "p", None)
         return {
             "vectors": [np.asarray(v).tolist() for v in self.vectors],
             "functionals": [np.asarray(f).tolist() for f in self.functionals],
-            "space": {
-                "dim": self.space.dim,
-                "p": ("inf" if p == INF else p) if p is not None else "custom",
-            },
+            "space": space_to_json(self.space),
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "AuerbachSystem":
-        sp = d["space"]
-        space = SequenceSpace(sp["dim"], INF if sp["p"] == "inf" else float(sp["p"]))
         return AuerbachSystem(
             vectors=tuple(np.asarray(v) for v in d["vectors"]),
             functionals=tuple(np.asarray(f) for f in d["functionals"]),
-            space=space,
+            space=space_from_json(d["space"]),
         )
 
 
@@ -401,9 +377,8 @@ class KimLeeReport:
     near_zero_ceil: float = ETA_NEAR_ZERO_CEIL
 
     def to_json_dict(self) -> dict:
-        p = getattr(self.space, "p", None)
         return {
-            "space": {"dim": self.space.dim, "p": "inf" if p == INF else p},
+            "space": space_to_json(self.space),
             "epsilons": list(map(float, self.epsilons)),
             "min_eta": list(map(float, self.min_eta)),
             "witness_functionals": [np.asarray(w).tolist() for w in self.witness_functionals],

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .spaces import (
     TWO_PI,
     SequenceSpace,
     UnitVector,
+    _sphere_grid_3d,
     pnorm,
     sample_sphere_coords,
     sphere_param_2d,
@@ -175,7 +176,6 @@ class _Sweep:
     value: float
     lower: float
     upper: float
-    theta_best: float
     pool: EvalPool
     n_evals: int
     achieved_tol: float
@@ -281,7 +281,6 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
     n_evals += 100
     if g_star > lb:
         lb = g_star
-        theta_best = t_star
         upper = max(upper, lb)
     extra_t.append(t_star)
     extra_g.append(g_star)
@@ -299,7 +298,6 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
         value=lb,
         lower=lower,
         upper=upper,
-        theta_best=theta_best,
         pool=EvalPool(pool_X, pool_g, pool_t, base_count=grid + 1),
         n_evals=n_evals,
         achieved_tol=achieved,
@@ -393,7 +391,7 @@ def _start_coords(T: OperatorPQ, n_starts: int, seed: int) -> np.ndarray:
     return X / T.domain.norm_cols(X)
 
 
-def _multistart(T: OperatorPQ, tol: float, seed: int, n_starts: int = 64):
+def _multistart(T: OperatorPQ, seed: int, n_starts: int = 64):
     starts = _start_coords(T, n_starts, seed)
     finals = []
     values = []
@@ -441,31 +439,46 @@ def cluster_representatives(
     return reps
 
 
-def _structure_paths(T: OperatorPQ):
-    """Yield (kind, payload) if the operator's norm reduces exactly to 2D parts."""
-    if T.structure is None:
+def _reduce(T: OperatorPQ):
+    """T's exact 2D parts, if its norm is exactly the max of theirs.
+
+    Returns (parts, offsets, note, oracle note), where part i acts on the
+    coordinates from offsets[i] on, or None.  A zero-padded [R | 0] on l_p^n
+    with R's domain exponent p is one part at offset 0; a block diagonal
+    between outer l_P / l_Q sums with P <= Q has one part per block.  A 2D
+    operator is its own part and is not reduced.
+    """
+    if T.structure is None or T.domain.dim == 2:
         return None
-    kind = T.structure[0]
-    if kind == "pad":
-        R = T.structure[1]
-        dom_p = getattr(T.domain, "p", None)
-        if isinstance(T.domain, SequenceSpace) and dom_p == getattr(R.domain, "p", None):
-            return ("pad", R)
-        return None
-    if kind == "blockdiag":
-        ops = T.structure[1]
-        P = getattr(T.domain, "p", getattr(T.domain, "outer_p", None))
-        Q = getattr(T.range, "p", getattr(T.range, "outer_p", None))
-        if P is not None and Q is not None and P <= Q:
-            return ("blockdiag", ops)
-        return None
+    kind, payload = T.structure
+    P = getattr(T.domain, "p", getattr(T.domain, "outer_p", None))
+    Q = getattr(T.range, "p", getattr(T.range, "outer_p", None))
+    if kind == "pad" and isinstance(T.domain, SequenceSpace) and P == getattr(payload.domain, "p", None):
+        return ((payload,), (0,), "zero-padded block: norm equals the 2D block norm exactly",
+                "oracle of the zero-padded 2D block")
+    if kind == "blockdiag" and P is not None and Q is not None and P <= Q:
+        offsets = np.cumsum([0] + [op.domain.dim for op in payload[:-1]]).tolist()
+        return (payload, offsets, "block diagonal: norm equals the max block norm exactly "
+                "(outer domain exponent <= outer range exponent)",
+                "oracle composed over diagonal blocks (max of block oracles)")
     return None
 
 
-def _embed_block(x: np.ndarray, i: int, block_dim: int, total: int) -> np.ndarray:
-    v = np.zeros(total)
-    v[i * block_dim:(i + 1) * block_dim] = x
-    return v
+def _max_of(subs: list[NormResult]) -> NormResult:
+    """The result of a reduced operator from its parts' results: the largest
+    value and bounds, the combined cost, no witnesses."""
+    k = int(np.argmax([s.value for s in subs]))
+    return NormResult(
+        value=subs[k].value,
+        witnesses=[],
+        method=subs[k].method,
+        grid_size=max(s.grid_size for s in subs),
+        tol=max(s.tol for s in subs),
+        lower_bound=max(s.lower_bound for s in subs),
+        upper_bound=max(s.upper_bound for s in subs),
+        certified=all(s.certified for s in subs),
+        n_evals=sum(s.n_evals for s in subs),
+    )
 
 
 def opnorm(
@@ -501,8 +514,8 @@ def _opnorm_full(T, tol, *, grid=DEFAULT_GRID, budget=DEFAULT_BUDGET, seed=0, me
     if method is not None:
         raise ValueError(f"unknown method {method!r}")
 
-    reduced = _structure_paths(T)
-    if reduced is not None and T.domain.dim != 2:
+    reduced = _reduce(T)
+    if reduced is not None:
         return _opnorm_structured(T, reduced, tol, grid, budget, seed)
     if T.range.dim == 1 and isinstance(T.domain, SequenceSpace):
         return _opnorm_rank1(T, tol)
@@ -581,59 +594,21 @@ def _opnorm_rank1(T, tol):
 
 
 def _opnorm_structured(T, reduced, tol, grid, budget, seed):
-    kind = reduced[0]
-    if kind == "pad":
-        R = reduced[1]
-        sub, _ = _opnorm_full(R, tol, grid=grid, budget=budget, seed=seed)
-        witnesses = []
-        for w in sub.witnesses:
-            v = np.zeros(T.domain.dim)
-            v[:2] = w.coords
-            witnesses.append(unit(v, T.domain))
-        result = NormResult(
-            value=sub.value,
-            witnesses=witnesses,
-            method=sub.method,
-            grid_size=sub.grid_size,
-            tol=sub.tol,
-            lower_bound=sub.lower_bound,
-            upper_bound=sub.upper_bound,
-            certified=sub.certified,
-            n_evals=sub.n_evals,
-            notes="zero-padded block: norm equals the 2D block norm exactly",
-        )
-        return result, None
-
-    ops = reduced[1]
-    subs = [_opnorm_full(op, tol, grid=grid, budget=budget, seed=seed)[0] for op in ops]
-    values = np.array([s.value for s in subs])
-    k = int(np.argmax(values))
-    block_dim = ops[0].domain.dim
-    witnesses = []
-    for i, s in enumerate(subs):
-        if s.value >= values[k] - s.tol:
-            for w in s.witnesses:
-                witnesses.append(
-                    unit(_embed_block(w.coords, i, block_dim, T.domain.dim), T.domain)
-                )
-    result = NormResult(
-        value=float(values[k]),
-        witnesses=witnesses[:16],
-        method=METHOD_SWEEP2D,
-        grid_size=max(s.grid_size for s in subs),
-        tol=max(s.tol for s in subs),
-        lower_bound=float(max(s.lower_bound for s in subs)),
-        upper_bound=float(max(s.upper_bound for s in subs)),
-        certified=all(s.certified for s in subs),
-        n_evals=sum(s.n_evals for s in subs),
-        notes="block diagonal: norm equals the max block norm exactly "
-        "(outer domain exponent <= outer range exponent)",
-    )
-    return result, None
+    parts, offsets, note, _ = reduced
+    subs = [_opnorm_full(R, tol, grid=grid, budget=budget, seed=seed)[0] for R in parts]
+    result = _max_of(subs)
+    # the attainers of every part within its tol of the norm, embedded at its offset
+    n = T.domain.dim
+    witnesses = [
+        unit(np.pad(w.coords, (off, n - off - w.coords.size)), T.domain)
+        for s, off in zip(subs, offsets) if s.value >= result.value - s.tol
+        for w in s.witnesses
+    ]
+    return replace(result, witnesses=witnesses[:16], notes=note), None
 
 
 def _opnorm_multistart(T, tol, seed):
-    value, pool = _multistart(T, tol, seed)
+    value, pool = _multistart(T, seed)
     reps = cluster_representatives(
         pool.coords, pool.values, T.domain, value - tol, cluster_tol=0.1
     )
@@ -663,36 +638,10 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
     if grid < 1000:
         raise ValueError(f"oracle grid must be >= 1000; got {grid}")
 
-    reduced = _structure_paths(T)
-    if reduced is not None and T.domain.dim > 2:
-        if reduced[0] == "pad":
-            sub = opnorm_oracle(reduced[1], grid)
-            return NormResult(
-                value=sub.value,
-                witnesses=[],
-                method=METHOD_ORACLE,
-                grid_size=grid,
-                tol=sub.tol,
-                lower_bound=sub.lower_bound,
-                upper_bound=sub.upper_bound,
-                certified=sub.certified,
-                n_evals=sub.n_evals,
-                notes="oracle of the zero-padded 2D block",
-            )
-        subs = [opnorm_oracle(op, grid) for op in reduced[1]]
-        k = int(np.argmax([s.value for s in subs]))
-        return NormResult(
-            value=subs[k].value,
-            witnesses=[],
-            method=METHOD_ORACLE,
-            grid_size=grid,
-            tol=max(s.tol for s in subs),
-            lower_bound=max(s.lower_bound for s in subs),
-            upper_bound=max(s.upper_bound for s in subs),
-            certified=all(s.certified for s in subs),
-            n_evals=sum(s.n_evals for s in subs),
-            notes="oracle composed over diagonal blocks (max of block oracles)",
-        )
+    reduced = _reduce(T)
+    if reduced is not None:
+        parts, _, _, note = reduced
+        return replace(_max_of([opnorm_oracle(R, grid) for R in parts]), notes=note)
 
     if T.domain.dim == 2:
         thetas = np.linspace(0.0, TWO_PI, grid + 1)
@@ -716,19 +665,7 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
         )
     if T.domain.dim == 3:
         m = int(math.ceil(math.sqrt(grid)))
-        phi = np.linspace(0.0, TWO_PI, 2 * m, endpoint=False)
-        psi = np.linspace(0.0, math.pi, m)
-        P, S = np.meshgrid(phi, psi, indexing="ij")
-        U = np.vstack(
-            [
-                (np.cos(P) * np.sin(S)).ravel(),
-                (np.sin(P) * np.sin(S)).ravel(),
-                np.cos(S).ravel(),
-            ]
-        )
-        norms = T.domain.norm_cols(U)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        X = U / norms
+        X = _sphere_grid_3d(T.domain, m)
         g = T.range_values(X)
         k = int(np.argmax(g))
         value = float(g[k])

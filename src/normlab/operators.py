@@ -89,8 +89,24 @@ class BlockSpace:
         return f"l_{p}({'+'.join(map(repr, self.blocks))})"
 
 
-def dual_space(space):
-    return space.dual()
+def space_to_json(space) -> dict:
+    """{"dim", "p"} of a space: "p" is a float, "inf", or "custom" for a
+    general 2D norm; a BlockSpace adds "blocks", with "p" its outer exponent."""
+    p = getattr(space, "p", getattr(space, "outer_p", None))
+    d = {"dim": space.dim, "p": "custom" if p is None else "inf" if p == INF else p}
+    if isinstance(space, BlockSpace):
+        d["blocks"] = [space_to_json(b) for b in space.blocks]
+    return d
+
+
+def space_from_json(d: dict):
+    """The space whose `space_to_json` form is `d`."""
+    if d["p"] == "custom":
+        raise ValueError("cannot load a custom 2D norm from JSON: its evaluator is not stored")
+    p = INF if d["p"] == "inf" else float(d["p"])
+    if "blocks" in d:
+        return BlockSpace(p, tuple(space_from_json(b) for b in d["blocks"]))
+    return SequenceSpace(int(d["dim"]), p)
 
 
 def norm_dual_vector(space, y) -> np.ndarray:
@@ -220,24 +236,18 @@ class OperatorPQ:
             structure = ("blockdiag", tuple(op.adjoint() for op in self.structure[1]))
         return OperatorPQ(
             self.matrix.T.copy(),
-            domain=dual_space(self.range),
-            range=dual_space(self.domain),
+            domain=self.range.dual(),
+            range=self.domain.dual(),
             structure=structure,
         )
 
     def to_json_dict(self) -> dict:
-        def exp_of(space):
-            p = getattr(space, "p", getattr(space, "outer_p", None))
-            if p is None:
-                return "custom"
-            return "inf" if p == INF else float(p)
-
         return {
             "tag": self.gallery.tag if self.gallery else None,
             "params": self.gallery.as_dict() if self.gallery else {},
             "matrix": self.matrix.tolist(),
-            "p": exp_of(self.domain),
-            "q": exp_of(self.range),
+            "p": space_to_json(self.domain)["p"],
+            "q": space_to_json(self.range)["p"],
         }
 
 
@@ -479,24 +489,16 @@ def make_lplq_fail(p, q, N: int) -> OperatorPQ:
         f"the failing l_p -> l_q family requires 1 < p <= q < inf; got p={p}, q={q}",
     )
     _require(N >= 1, f"need at least one block; got {N}")
-    blocks = tuple(
-        OperatorPQ(
-            np.diag([1.0 - 1.0 / (2.0 * n), 1.0]),
-            SequenceSpace(2, p),
-            SequenceSpace(2, q),
-        )
-        for n in range(1, N + 1)
+    T = make_block(
+        [
+            OperatorPQ(np.diag([1.0 - 1.0 / (2.0 * n), 1.0]), SequenceSpace(2, p), SequenceSpace(2, q))
+            for n in range(1, N + 1)
+        ],
+        p,
+        q,
     )
-    M = np.zeros((2 * N, 2 * N))
-    for i, op in enumerate(blocks):
-        M[2 * i:2 * i + 2, 2 * i:2 * i + 2] = op.matrix
-    return OperatorPQ(
-        M,
-        SequenceSpace(2 * N, p),
-        SequenceSpace(2 * N, q),
-        gallery=GalleryId.make("LPLQ-FAIL-N", p=p, q=q, n_blocks=N),
-        structure=("blockdiag", blocks),
-    )
+    T.gallery = GalleryId.make("LPLQ-FAIL-N", p=p, q=q, n_blocks=N)
+    return T
 
 
 def from_gallery(tag: str, **params) -> OperatorPQ:

@@ -262,9 +262,9 @@ DEFAULT_PARAMS = {
 }
 
 
-def _harness_diag(params, seed):
-    beta, p = params["beta"], params.get("p", 2.0)
-    T = from_gallery(params["_tag"], **{k: v for k, v in params.items() if k != "_tag"})
+def _harness_diag(tag, params, seed):
+    beta = params["beta"]
+    T = from_gallery(tag, **params)
     nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
     q = T.range.p
     checks.append(_eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), q), TOL_EXACT))
@@ -460,16 +460,7 @@ def _harness_lplq(params, seed):
 
 
 def _dispatch_diag(tag):
-    def h(params, seed):
-        params = dict(params)
-        params["_tag"] = tag
-        if tag == "DIAG-2-INF":
-            params.setdefault("p", 2.0)
-        elif tag == "DIAG-2-2":
-            params.setdefault("p", 2.0)
-        return _harness_diag(params, seed)
-
-    return h
+    return lambda params, seed: _harness_diag(tag, params, seed)
 
 
 _HARNESSES = {

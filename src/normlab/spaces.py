@@ -224,6 +224,17 @@ def sphere_param_2d(x, p) -> float:
     return (s / 8.0) * TWO_PI
 
 
+def _sphere_grid_3d(space, m: int) -> np.ndarray:
+    """Unit vectors of a 3D space on the spherical product grid of 2m azimuths
+    and m polar angles, each direction rescaled onto the unit sphere."""
+    phi = np.linspace(0.0, TWO_PI, 2 * m, endpoint=False)
+    psi = np.linspace(0.0, math.pi, m)
+    P, S = np.meshgrid(phi, psi, indexing="ij")
+    U = np.vstack([(np.cos(P) * np.sin(S)).ravel(), (np.sin(P) * np.sin(S)).ravel(), np.cos(S).ravel()])
+    norms = space.norm_cols(U)
+    return U / np.where(norms > 0.0, norms, 1.0)
+
+
 def sample_sphere_coords(space, count: int, seed: int) -> np.ndarray:
     """(dim, count) array of unit vectors of `space`, deterministic in seed.
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormError
+from normlab import attainment
 from normlab.attainment import _grid_by_owner, _runs, default_epsilons
 
 
@@ -241,11 +243,27 @@ def test_profile_json_and_csv():
 
 
 def test_attainment_set_json_round_trip():
-    T = nl.make_diag_beta(0.5, 2, INF)
-    na = nl.na_set(T)
-    back = nl.AttainmentSet.from_json_dict(na.to_json_dict())
-    assert len(back.points) == len(na.points)
-    assert back.norm_value == na.norm_value
+    mixed = nl.make_block(nl.make_shrinking_blocks(2, p=3.0, q=3.0), 2.0, INF)
+    assert isinstance(mixed.domain, BlockSpace)
+    empty = nl.AttainmentSet([], 1e-6, 0.1, False, 1.0)
+    for S in (nl.na_set(nl.make_diag_beta(0.5, 2, INF)), nl.na_set(mixed), empty):
+        back = nl.AttainmentSet.from_json_dict(json.loads(json.dumps(S.to_json_dict())))
+        assert back.to_json_dict() == S.to_json_dict()
+        assert [p.space for p in back.points] == [p.space for p in S.points]
+        if S.points:
+            assert nl.dist_to_set(S.points[-1], back) == 0.0
+    assert empty.to_json_dict()["space"] == {"dim": 0, "p": None}
+
+
+def test_block_attainment_computes_each_block_norm_once(monkeypatch):
+    T = nl.make_lplq_fail(2, 2, 3)
+    nr = nl.opnorm(T)
+    calls = []
+    real = attainment.opnorm
+    monkeypatch.setattr(attainment, "opnorm", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    na = nl.na_set(T, norm_result=nr)
+    assert len(calls) == 3 and [id(R) for R in calls] == [id(R) for R in T.structure[1]]
+    assert len(na.points) >= 6
 
 
 def test_batched_sphere_points_match_each_operator_alone():

@@ -6,7 +6,7 @@ import pytest
 import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
 from normlab.attainment import _sbpb_profiles_2d
-from normlab.convexity import _pair_tables_2d
+from normlab.convexity import _pair_tables_2d, lp_handle
 from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
@@ -225,3 +225,15 @@ def test_auerbach_system_round_trip():
     back = nl.AuerbachSystem.from_json_dict(system.to_json_dict())
     assert np.allclose(np.column_stack(back.vectors), np.column_stack(system.vectors))
     assert back.biorthogonality_residual() <= 1e-8
+
+
+def test_custom_norm_results_refuse_to_load():
+    handle = lp_handle(3.0)
+    for result, load in (
+        (nl.auerbach_2d(handle), nl.AuerbachSystem.from_json_dict),
+        (nl.delta_numeric(handle, [0.5], refine=False), nl.ConvexityModulus.from_json_dict),
+    ):
+        d = result.to_json_dict()
+        assert d["space"] == {"dim": 2, "p": "custom"}
+        with pytest.raises(ValueError, match="custom 2D norm"):
+            load(d)

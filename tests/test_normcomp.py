@@ -316,6 +316,61 @@ def test_structured_norms_certified():
         assert rb.certified and rb.value == pytest.approx(1.0, abs=1e-9)
 
 
+_FIELDS = ("value", "lower_bound", "upper_bound", "tol", "grid_size", "n_evals", "certified", "method")
+
+
+def _fields(r):
+    return tuple(getattr(r, f) for f in _FIELDS)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        nl.make_proj_then(nl.make_diag_beta(0.5, 2, 2), 4),
+        nl.make_biorth_inf(SequenceSpace(3, 1.5), 0.3),
+        nl.make_biorth_inf(SequenceSpace(4, INF), 0.5),
+    ],
+    ids=["proj", "biorth-1.5", "biorth-inf"],
+)
+def test_padded_operator_is_its_block(T):
+    R = T.structure[1]
+    r, rr = nl.opnorm(T), nl.opnorm(R)
+    assert _fields(r) == _fields(rr)
+    pad = (0, T.domain.dim - 2)
+    assert [w.coords.tolist() for w in r.witnesses] == [np.pad(w.coords, pad).tolist() for w in rr.witnesses]
+    assert _fields(nl.opnorm_oracle(T, 5000)) == _fields(nl.opnorm_oracle(R, 5000))
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        nl.make_block(nl.make_shrinking_blocks(3)),
+        nl.make_block(nl.make_shrinking_blocks(2, p=3.0, q=3.0), 2.0, INF),
+        nl.make_block(nl.make_shrinking_blocks(3)).adjoint(),
+    ],
+    ids=["flat", "mixed", "adjoint"],
+)
+def test_block_diagonal_is_the_max_of_its_blocks(T):
+    blocks = T.structure[1]
+    for norm in (nl.opnorm, lambda S: nl.opnorm_oracle(S, 5000)):
+        r, subs = norm(T), [norm(B) for B in blocks]
+        top = subs[int(np.argmax([s.value for s in subs]))]
+        assert (r.value, r.method) == (top.value, top.method)
+        assert r.lower_bound == max(s.lower_bound for s in subs)
+        assert r.upper_bound == max(s.upper_bound for s in subs)
+        assert r.tol == max(s.tol for s in subs)
+        assert r.grid_size == max(s.grid_size for s in subs)
+        assert r.n_evals == sum(s.n_evals for s in subs)
+        assert r.certified
+    # every witness is an attainer of one block, placed on that block's coordinates
+    r = nl.opnorm(T)
+    assert r.witnesses
+    for w in r.witnesses:
+        i = int(np.argmax(np.abs(w.coords))) // 2
+        assert not np.any(np.delete(w.coords, [2 * i, 2 * i + 1]))
+        assert T.range.norm(T.apply(w.coords)) >= r.value - r.tol
+
+
 def test_norm_result_json_round_trip():
     T = nl.make_diag_beta(0.5, 2, 2)
     r = nl.opnorm(T)

@@ -6,7 +6,8 @@ import pytest
 
 import normlab as nl
 from normlab import INF, HypothesisError, OperatorPQ, SequenceSpace
-from normlab.operators import BlockSpace, dual_attainer, norm_dual_vector
+from normlab.convexity import lp_handle
+from normlab.operators import BlockSpace, dual_attainer, norm_dual_vector, space_from_json, space_to_json
 from normlab.spaces import pnorm, sample_sphere_coords
 
 
@@ -151,6 +152,22 @@ def test_lplq_values():
         nl.make_lplq_fail(3, 2, 3)
 
 
+@pytest.mark.parametrize("p, q, N", [(2.0, 2.0, 3), (1.5, 3.0, 2)])
+def test_lplq_is_a_block_assembly(p, q, N):
+    blocks = [
+        OperatorPQ(np.diag([1.0 - 1.0 / (2.0 * n), 1.0]), SequenceSpace(2, p), SequenceSpace(2, q))
+        for n in range(1, N + 1)
+    ]
+    T, B = nl.make_lplq_fail(p, q, N), nl.make_block(blocks, p, q)
+    assert np.array_equal(T.matrix, B.matrix)
+    assert (T.domain, T.range) == (B.domain, B.range) == (SequenceSpace(2 * N, p), SequenceSpace(2 * N, q))
+    assert T.structure[0] == B.structure[0] == "blockdiag"
+    assert len(T.structure[1]) == N
+    for a, b in zip(T.structure[1], B.structure[1]):
+        assert np.array_equal(a.matrix, b.matrix) and (a.domain, a.range) == (b.domain, b.range)
+    assert T.gallery == nl.GalleryId.make("LPLQ-FAIL-N", p=p, q=q, n_blocks=N)
+
+
 def test_lplq_strict_contraction_off_even_coordinates():
     T = nl.make_lplq_fail(2, 2, 3)
     X = sample_sphere_coords(T.domain, 2048, seed=11)
@@ -206,6 +223,16 @@ def test_gallery_serialization_round_trip():
     assert back["q"] == "inf"
     assert np.allclose(np.asarray(back["matrix"]), T.matrix)
     assert back["params"]["beta"] == 0.5
+
+
+def test_space_json_round_trip():
+    nested = BlockSpace(2.0, (SequenceSpace(2, 3.0), BlockSpace(INF, (SequenceSpace(1, 1.0), SequenceSpace(2, 2.0)))))
+    for space in (SequenceSpace(3, 1.5), SequenceSpace(2, INF), nested):
+        assert space_from_json(json.loads(json.dumps(space_to_json(space)))) == space
+    assert space_to_json(SequenceSpace(2, INF)) == {"dim": 2, "p": "inf"}
+    assert space_to_json(nested)["p"] == 2.0 and len(space_to_json(nested)["blocks"]) == 2
+    with pytest.raises(ValueError, match="custom 2D norm"):
+        space_from_json(space_to_json(lp_handle(3.0)))
 
 
 def test_from_gallery_covers_all_tags():
