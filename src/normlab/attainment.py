@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import INF, TWO_PI, UnitVector, unit, sample_sphere_coords
+from .spaces import INF, TWO_PI, UnitVector, unit
 from .operators import OperatorPQ, norm_dual_vector, space_from_json, space_to_json
 from .normcomp import (
     DEFAULT_GRID,
@@ -28,11 +28,11 @@ from .normcomp import (
     NormResult,
     UncertifiedNormError,
     _angle_values,
+    _base_pool,
     _bisect,
     _golden_max,
     _multistart,
     _reduce,
-    _start_coords,
     _theta_of,
     cluster_representatives,
     opnorm,
@@ -94,34 +94,25 @@ def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
     return np.min(np.vstack([space.norm_cols(X - r[:, None]) for r in reps]), axis=0)
 
 
-def _structural_seeds(T: OperatorPQ, value_tol, cluster_tol, tol, seed) -> list[np.ndarray]:
+def _structural_seeds(
+    T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid
+) -> list[np.ndarray]:
     """Exact attainers inherited from a reducible structure: the attainment
-    sets of the parts within value_tol of the norm, embedded at their offsets."""
+    sets of the parts within value_tol of the norm, embedded at their offsets.
+    The parts' norms are `nr.parts`; only a result without them (one loaded
+    from JSON) has them recomputed."""
     reduced = _reduce(T)
     if reduced is None:
         return []
     parts, offsets = reduced[:2]
-    nrs = [opnorm(R, tol=tol, seed=seed) for R in parts]
-    top = max(nr.value for nr in nrs)
+    subs = nr.parts or [opnorm(R, tol=tol, seed=seed, grid=grid) for R in parts]
+    top = max(sub.value for sub in subs)
     n = T.domain.dim
     return [
         np.pad(pt.coords, (off, n - off - pt.coords.size))
-        for R, off, nr in zip(parts, offsets, nrs) if nr.value >= top - value_tol
-        for pt in na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, norm_result=nr).points
+        for R, off, sub in zip(parts, offsets, subs) if sub.value >= top - value_tol
+        for pt in na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=sub).points
     ]
-
-
-def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID) -> EvalPool:
-    """Uniform evaluation pool: 2D angle grid, or samples + starts for n >= 3."""
-    if T.domain.dim == 2:
-        grid += (-grid) % 8
-        thetas = np.linspace(0.0, TWO_PI, grid + 1)
-        X = T.domain.sphere_grid(thetas)
-        return EvalPool(X, T.range_values(X), thetas, base_count=grid + 1)
-    samples = sample_sphere_coords(T.domain, 1024, seed + 7)
-    starts = _start_coords(T, 16, seed + 11)
-    X = np.hstack([samples, starts])
-    return EvalPool(X, T.range_values(X), None, base_count=samples.shape[1])
 
 
 def na_set(
@@ -138,22 +129,23 @@ def na_set(
 
     Requires a certified norm first; refuses otherwise, since attainment is
     relative to ||T||.  Each cluster representative is refined by local
-    ascent before being reported.
+    ascent before being reported.  The norm's own grid and part norms are
+    reused, with the same results as recomputing them.
     """
     for name, v in (("value_tol", value_tol), ("cluster_tol", cluster_tol)):
         if not (0.0 < v <= 0.1):
             raise ValueError(f"{name} must lie in (0, 0.1]; got {v}")
-    nr = norm_result if norm_result is not None else opnorm(T, tol=tol, seed=seed)
+    nr = norm_result if norm_result is not None else opnorm(T, tol=tol, seed=seed, grid=grid)
     if not nr.certified:
         raise UncertifiedNormError(
             "norm attainment needs a certified operator norm; got a heuristic one"
         )
 
-    return _na_from_pool(T, _base_pool(T, seed, grid), nr, value_tol, cluster_tol, tol, seed)
+    return _na_from_pool(T, _base_pool(T, seed, grid, nr), nr, value_tol, cluster_tol, tol, seed, grid)
 
 
 def _na_from_pool(
-    T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol, tol, seed
+    T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol, tol, seed, grid
 ) -> AttainmentSet:
     """The attainment set of T from its base evaluation pool and certified norm."""
     coords = pool.coords
@@ -166,7 +158,7 @@ def _na_from_pool(
             for j in range(ms_pool.coords.shape[1])
             if ms_pool.values[j] >= nr.value - value_tol
         )
-        extra.extend(_structural_seeds(T, value_tol, cluster_tol, tol, seed))
+        extra.extend(_structural_seeds(T, nr, value_tol, cluster_tol, tol, seed, grid))
     if extra:
         E = np.column_stack(extra)
         coords = np.hstack([coords, E])
@@ -324,14 +316,15 @@ class _ProfilePart:
     T: OperatorPQ
     nr: NormResult
     na: AttainmentSet
+    epsilons: list
     reps: list  # possibly repaired representative coords
     repaired: int
     best: list
     cuts: tuple = ()  # (lo, hi, level, lo_in): feasibility-boundary cells
     peaks: tuple = ()  # (lo, hi, level): top feasible local maxima
 
-    def profile(self, epsilons) -> SbpbProfile:
-        value = self.nr.value
+    def profile(self) -> SbpbProfile:
+        epsilons, value = self.epsilons, self.nr.value
         if self.na.na_empty:
             return SbpbProfile(
                 epsilons=epsilons,
@@ -367,18 +360,18 @@ def _best_feasible(coords, values, dists, epsilons) -> list:
     return best
 
 
-def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, seed, pool: EvalPool) -> _ProfilePart:
+def _profile_part(
+    T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool, tol, seed, grid
+) -> _ProfilePart:
     """Distances, repair and the best feasible evaluations of T's pool; on a
     2D domain also the brackets to refine, on higher ones the ascent."""
     if na.na_empty:
-        return _ProfilePart(T, nr, na, [], 0, [])
+        return _ProfilePart(T, nr, na, epsilons, [], 0, [])
     coords = pool.coords
     values = pool.values
     extras: list[np.ndarray] = [w.coords for w in nr.witnesses]
     if T.domain.dim != 2:
-        extras.extend(
-            _structural_seeds(T, na.value_tol, na.cluster_tol, 1e-4, seed)
-        )
+        extras.extend(_structural_seeds(T, nr, na.value_tol, na.cluster_tol, tol, seed, grid))
     if extras:
         E = np.column_stack(extras)
         coords = np.hstack([coords, E])
@@ -429,7 +422,8 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, seed, pool: Ev
             coords = np.hstack([coords, np.column_stack(new_c)])
             values = np.concatenate([values, np.asarray(new_v)])
             dists = np.concatenate([dists, np.asarray(new_d)])
-        return _ProfilePart(T, nr, na, reps, repaired, _best_feasible(coords, values, dists, epsilons))
+        best = _best_feasible(coords, values, dists, epsilons)
+        return _ProfilePart(T, nr, na, epsilons, reps, repaired, best)
 
     thetas = pool.thetas[: pool.base_count]
     base_d = dists[: pool.base_count]
@@ -452,7 +446,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, seed, pool: Ev
     cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
     cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
     return _ProfilePart(
-        T, nr, na, reps, repaired, _best_feasible(coords, values, dists, epsilons),
+        T, nr, na, epsilons, reps, repaired, _best_feasible(coords, values, dists, epsilons),
         cuts=(thetas[cut], thetas[cut + 1], cut_lv, base_d[cut] >= cut_lv),
         peaks=(thetas[peak] - h, thetas[peak] + h, peak_lv),
     )
@@ -557,6 +551,21 @@ def _checked_epsilons(epsilons) -> list[float]:
     return epsilons
 
 
+def _profile_of(T, epsilons, na, nr, *, tol, value_tol, cluster_tol, seed, grid) -> _ProfilePart:
+    """What `sbpb_profile` and `sbpb_witness` share: checked eps, the certified
+    norm, the attainment set, and T's share of the profile, refined."""
+    epsilons = _checked_epsilons(epsilons)
+    if nr is None:
+        nr = opnorm(T, tol=tol, seed=seed, grid=grid)
+    if not nr.certified:
+        raise UncertifiedNormError("profile computation requires a certified norm")
+    if na is None:
+        na = na_set(T, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=nr)
+    part = _profile_part(T, na, nr, epsilons, _base_pool(T, seed, grid, nr), tol, seed, grid)
+    _refine_2d([part], epsilons)
+    return part
+
+
 def sbpb_profile(
     T: OperatorPQ,
     epsilons=None,
@@ -576,15 +585,9 @@ def sbpb_profile(
     NA(T) gives rho = ||T|| and eta = 0 with a diagnostic note, since in
     finite dimension that can only be a numerical artifact.
     """
-    nr = norm_result if norm_result is not None else opnorm(T, tol=tol, seed=seed)
-    if not nr.certified:
-        raise UncertifiedNormError("profile computation requires a certified norm")
-    if na is None:
-        na = na_set(T, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=nr)
-    epsilons = _checked_epsilons(default_epsilons(T.domain) if epsilons is None else epsilons)
-    part = _profile_part(T, na, nr, epsilons, seed, _base_pool(T, seed, grid))
-    _refine_2d([part], epsilons)
-    return part.profile(epsilons)
+    epsilons = default_epsilons(T.domain) if epsilons is None else epsilons
+    return _profile_of(T, epsilons, na, norm_result, tol=tol, value_tol=value_tol,
+                       cluster_tol=cluster_tol, seed=seed, grid=grid).profile()
 
 
 def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID) -> list[SbpbProfile]:
@@ -600,16 +603,16 @@ def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID)
     parts = []
     base = None
     for T in ops:
-        nr = opnorm(T, seed=seed)
+        nr = opnorm(T, seed=seed, grid=grid)
         if not nr.certified:
             raise UncertifiedNormError("profile computation requires a certified norm")
         if base is None:
             base = _base_pool(T, seed, grid)
         pool = replace(base, values=T.range_values(base.coords))
-        na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1, tol=1e-4, seed=seed)
-        parts.append(_profile_part(T, na, nr, epsilons, seed, pool))
+        na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1, tol=1e-4, seed=seed, grid=grid)
+        parts.append(_profile_part(T, na, nr, epsilons, pool, tol=1e-4, seed=seed, grid=grid))
     _refine_2d(parts, epsilons)
-    return [p.profile(epsilons) for p in parts]
+    return [p.profile() for p in parts]
 
 
 def sbpb_witness(
@@ -630,15 +633,9 @@ def sbpb_witness(
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    nr = opnorm(T, tol=tol, seed=seed)
-    if not nr.certified:
-        raise UncertifiedNormError("witness search requires a certified norm")
-    na = na_set(T, value_tol, cluster_tol, tol=tol, seed=seed, norm_result=nr)
-    if na.na_empty:
-        return None
-    part = _profile_part(T, na, nr, [float(eps)], seed, _base_pool(T, seed))
-    _refine_2d([part], [float(eps)])
-    best = part.best[0]
-    if best is not None and best[0] > nr.value - eta:
+    part = _profile_of(T, [eps], None, None, tol=tol, value_tol=value_tol,
+                       cluster_tol=cluster_tol, seed=seed, grid=DEFAULT_GRID)
+    best = part.best[0] if part.best else None  # no best: an empty attainment set
+    if best is not None and best[0] > part.nr.value - eta:
         return unit(best[1], T.domain)
     return None

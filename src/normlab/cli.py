@@ -18,7 +18,7 @@ import numpy as np
 
 from .spaces import INF, SequenceSpace
 from .operators import GALLERY_TAGS, HypothesisError, OperatorPQ, from_gallery
-from .normcomp import UncertifiedNormError, opnorm
+from .normcomp import DEFAULT_GRID, UncertifiedNormError, opnorm
 from .attainment import default_epsilons, na_set, sbpb_profile
 from .convexity import auerbach_2d, delta_numeric
 from . import repro as repro_mod
@@ -142,12 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _analysis_kw(args) -> dict:
+    return {"tol": args.tol, "seed": args.seed, "grid": args.grid or DEFAULT_GRID}
+
+
 def _cmd_opnorm(args) -> int:
     T = _operator_from_args(args)
-    kw = {"tol": args.tol, "seed": args.seed}
-    if args.grid:
-        kw["grid"] = args.grid
-    res = opnorm(T, **kw)
+    res = opnorm(T, **_analysis_kw(args))
     if args.format == "csv":
         raise HypothesisError("opnorm output is JSON only")
     _emit(_json_text(res.to_json_dict()), args.output)
@@ -156,7 +157,7 @@ def _cmd_opnorm(args) -> int:
 
 def _cmd_na(args) -> int:
     T = _operator_from_args(args)
-    res = na_set(T, tol=args.tol, seed=args.seed)
+    res = na_set(T, **_analysis_kw(args))
     if args.format == "csv":
         raise HypothesisError("na output is JSON only")
     _emit(_json_text(res.to_json_dict()), args.output)
@@ -166,7 +167,7 @@ def _cmd_na(args) -> int:
 def _cmd_eta(args) -> int:
     T = _operator_from_args(args)
     eps = args.eps if args.eps else default_epsilons(T.domain)
-    prof = sbpb_profile(T, eps, tol=args.tol, seed=args.seed)
+    prof = sbpb_profile(T, eps, **_analysis_kw(args))
     if args.format == "csv":
         _emit(prof.to_csv_text(), args.output)
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class NormResult:
     certified: bool
     n_evals: int = 0
     notes: str = ""
+    # in memory only, what the result was computed from: a 2D sweep's uniform
+    # base grid, or a reduced operator's part results in `_reduce` order
+    pool: EvalPool | None = field(default=None, repr=False, compare=False)
+    parts: list | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,25 +175,36 @@ def _column_lipschitz(T: OperatorPQ) -> float:
     return float(np.max(cols)) if cols.size else 0.0
 
 
-@dataclass
-class _Sweep:
-    value: float
-    lower: float
-    upper: float
-    pool: EvalPool
-    n_evals: int
-    achieved_tol: float
-    notes: str
+def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResult | None = None) -> EvalPool:
+    """Uniform evaluation pool: 2D angle grid, or samples + starts for n >= 3.
+
+    The 2D grid is rounded up to a multiple of 8 (quadrant and octant
+    breakpoints on the grid) and read-only; it is `nr.pool` when `nr` swept
+    T on a grid of that size.
+    """
+    if T.domain.dim == 2:
+        grid += (-grid) % 8
+        if nr is not None and nr.pool is not None and nr.grid_size == grid:
+            return nr.pool
+        thetas = np.linspace(0.0, TWO_PI, grid + 1)
+        X = T.domain.sphere_grid(thetas)
+        pool = EvalPool(X, T.range_values(X), thetas, base_count=grid + 1)
+        for a in (pool.coords, pool.values, pool.thetas):
+            a.flags.writeable = False
+        return pool
+    samples = sample_sphere_coords(T.domain, 1024, seed + 7)
+    starts = _start_coords(T, 16, seed + 11)
+    X = np.hstack([samples, starts])
+    return EvalPool(X, T.range_values(X), None, base_count=samples.shape[1])
 
 
-def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
+def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
+    """The certified branch-and-bound sweep of a 2D domain, and its witnesses."""
     space = T.domain
 
-    grid = max(grid, 20000)
-    grid += (-grid) % 8  # keep quadrant/octant breakpoints on the grid
-    thetas = np.linspace(0.0, TWO_PI, grid + 1)
-    X = space.sphere_grid(thetas)
-    g = T.range_values(X)
+    base = _base_pool(T, 0, max(grid, 20000))
+    thetas, X, g = base.thetas, base.coords, base.values
+    grid = base.base_count - 1
     n_evals = grid + 1
 
     lip = _column_lipschitz(T)
@@ -285,23 +300,38 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> _Sweep:
     extra_t.append(t_star)
     extra_g.append(g_star)
 
-    pool_t = np.concatenate([thetas, np.asarray(extra_t)])
-    pool_g = np.concatenate([g, np.asarray(extra_g)])
-    pool_X = np.hstack([X, space.sphere_grid(np.asarray(extra_t))])
     lower = lb * down
     achieved = max(tol, 0.5 * (upper - lower))
     if achieved > tol:
         notes = (notes + "; " if notes else "") + (
             f"tolerance relaxed to {achieved:.2e} (plateau, refinement budget or rounding floor)"
         )
-    return _Sweep(
+    reps = cluster_representatives(
+        np.hstack([X, space.sphere_grid(np.asarray(extra_t))]),
+        np.concatenate([g, np.asarray(extra_g)]),
+        space,
+        lb - achieved,
+        cluster_tol=0.1,
+    )
+    witnesses = []
+    for x, _v in reps[:16]:
+        # one bracket per call: an argmax placed to ~sqrt(u) follows batch rounding
+        t0 = _theta_of(space, x)
+        t_ref, _ = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
+        witnesses.append(unit(space.sphere_grid(t_ref)[:, 0], space))
+    witnesses.sort(key=lambda w: _theta_of(space, w.coords))
+    return NormResult(
         value=lb,
-        lower=lower,
-        upper=upper,
-        pool=EvalPool(pool_X, pool_g, pool_t, base_count=grid + 1),
+        witnesses=witnesses,
+        method=METHOD_SWEEP2D,
+        grid_size=grid,
+        tol=achieved,
+        lower_bound=lower,
+        upper_bound=upper,
+        certified=True,
         n_evals=n_evals,
-        achieved_tol=achieved,
         notes=notes,
+        pool=base,
     )
 
 
@@ -497,11 +527,6 @@ def opnorm(
     use the closed-form dual norm; anything else is multistart ascent and is
     flagged heuristic.  `method` forces "SWEEP2D" or "MULTISTART".
     """
-    result, _ = _opnorm_full(T, tol, grid=grid, budget=budget, seed=seed, method=method)
-    return result
-
-
-def _opnorm_full(T, tol, *, grid=DEFAULT_GRID, budget=DEFAULT_BUDGET, seed=0, method=None):
     if not (0.0 < tol <= 1e-2):
         raise ValueError(f"tol must lie in (0, 1e-2]; got {tol}")
 
@@ -510,7 +535,7 @@ def _opnorm_full(T, tol, *, grid=DEFAULT_GRID, budget=DEFAULT_BUDGET, seed=0, me
     if method == METHOD_SWEEP2D:
         if T.domain.dim != 2:
             raise ValueError("SWEEP2D requires a 2-dimensional domain")
-        return _opnorm_sweep(T, tol, grid, budget)
+        return _sweep2d(T, tol, grid, budget)
     if method is not None:
         raise ValueError(f"unknown method {method!r}")
 
@@ -520,40 +545,8 @@ def _opnorm_full(T, tol, *, grid=DEFAULT_GRID, budget=DEFAULT_BUDGET, seed=0, me
     if T.range.dim == 1 and isinstance(T.domain, SequenceSpace):
         return _opnorm_rank1(T, tol)
     if T.domain.dim == 2:
-        return _opnorm_sweep(T, tol, grid, budget)
+        return _sweep2d(T, tol, grid, budget)
     return _opnorm_multistart(T, tol, seed)
-
-
-def _opnorm_sweep(T, tol, grid, budget):
-    sw = _sweep2d(T, tol, grid, budget)
-    reps = cluster_representatives(
-        sw.pool.coords,
-        sw.pool.values,
-        T.domain,
-        sw.value - sw.achieved_tol,
-        cluster_tol=0.1,
-    )
-    h = TWO_PI / max(sw.pool.base_count - 1, 1)
-    witnesses = []
-    for x, _v in reps[:16]:
-        # one bracket per call: an argmax placed to ~sqrt(u) follows batch rounding
-        t0 = _theta_of(T.domain, x)
-        t_ref, _ = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
-        witnesses.append(unit(T.domain.sphere_grid(t_ref)[:, 0], T.domain))
-    witnesses.sort(key=lambda w: _theta_of(T.domain, w.coords))
-    result = NormResult(
-        value=sw.value,
-        witnesses=witnesses,
-        method=METHOD_SWEEP2D,
-        grid_size=sw.pool.base_count - 1,
-        tol=sw.achieved_tol,
-        lower_bound=sw.lower,
-        upper_bound=sw.upper,
-        certified=True,
-        n_evals=sw.n_evals,
-        notes=sw.notes,
-    )
-    return result, sw.pool
 
 
 def _angle_values(T: OperatorPQ):
@@ -578,7 +571,7 @@ def _opnorm_rank1(T, tol):
     value = pnorm(row, pd)
     x = dual_attainer(T.domain, row)
     witnesses = [unit(x, T.domain), unit(-x, T.domain)]
-    result = NormResult(
+    return NormResult(
         value=value,
         witnesses=witnesses,
         method=METHOD_EXACT,
@@ -590,12 +583,11 @@ def _opnorm_rank1(T, tol):
         n_evals=1,
         notes="rank-one closed form (dual norm of the row)",
     )
-    return result, None
 
 
 def _opnorm_structured(T, reduced, tol, grid, budget, seed):
     parts, offsets, note, _ = reduced
-    subs = [_opnorm_full(R, tol, grid=grid, budget=budget, seed=seed)[0] for R in parts]
+    subs = [opnorm(R, tol, grid=grid, budget=budget, seed=seed) for R in parts]
     result = _max_of(subs)
     # the attainers of every part within its tol of the norm, embedded at its offset
     n = T.domain.dim
@@ -604,7 +596,7 @@ def _opnorm_structured(T, reduced, tol, grid, budget, seed):
         for s, off in zip(subs, offsets) if s.value >= result.value - s.tol
         for w in s.witnesses
     ]
-    return replace(result, witnesses=witnesses[:16], notes=note), None
+    return replace(result, witnesses=witnesses[:16], notes=note, parts=subs)
 
 
 def _opnorm_multistart(T, tol, seed):
@@ -613,7 +605,7 @@ def _opnorm_multistart(T, tol, seed):
         pool.coords, pool.values, T.domain, value - tol, cluster_tol=0.1
     )
     witnesses = [unit(x, T.domain) for x, _ in reps[:16]]
-    result = NormResult(
+    return NormResult(
         value=value,
         witnesses=witnesses,
         method=METHOD_MULTISTART,
@@ -625,7 +617,6 @@ def _opnorm_multistart(T, tol, seed):
         n_evals=int(pool.values.size),
         notes="heuristic: multistart ascent; upper bound is not certified",
     )
-    return result, pool
 
 
 def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:

@@ -256,14 +256,70 @@ def test_attainment_set_json_round_trip():
 
 
 def test_block_attainment_computes_each_block_norm_once(monkeypatch):
+    """The block norms come from the norm's result; only a reloaded one, which has none, recomputes them."""
     T = nl.make_lplq_fail(2, 2, 3)
     nr = nl.opnorm(T)
+    reloaded = nl.NormResult.from_json_dict(nr.to_json_dict(), T.domain)
     calls = []
     real = attainment.opnorm
     monkeypatch.setattr(attainment, "opnorm", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
     na = nl.na_set(T, norm_result=nr)
+    assert calls == [] and len(na.points) >= 6
+    assert nl.na_set(T, norm_result=reloaded).to_json_dict() == na.to_json_dict()
     assert len(calls) == 3 and [id(R) for R in calls] == [id(R) for R in T.structure[1]]
-    assert len(na.points) >= 6
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("2D", {}),
+    ("PROJ-N-2", {"beta": 0.5, "dim": 4}),
+    ("BLOCK-N", {"blocks": 3}),
+    ("LPLQ-FAIL-N", {"p": 1.5, "q": 2.0, "blocks": 3}),
+])
+def test_reused_norm_analysis_matches_recomputing_it(tag, params):
+    """na_set and sbpb_profile from the norm's own grid and part norms equal a
+    rebuild from the same result reloaded from JSON (no pool, no parts)."""
+    if tag == "2D":
+        T = OperatorPQ(np.array([[0.3, 0.9], [0.7, -0.2]]), SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))
+        eps = default_epsilons(T.domain)
+    else:
+        T = nl.from_gallery(tag, **params)
+        eps = [0.5, 0.9]
+    nr = nl.opnorm(T)
+    reloaded = nl.NormResult.from_json_dict(json.loads(json.dumps(nr.to_json_dict())), T.domain)
+    assert (nr.pool is not None, nr.parts is not None) == ((True, False) if tag == "2D" else (False, True))
+    assert reloaded.pool is None and reloaded.parts is None
+
+    def analysis(r):
+        na = nl.na_set(T, norm_result=r)
+        return na.to_json_dict(), nl.sbpb_profile(T, eps, norm_result=r).to_json_dict()
+
+    rebuilt = analysis(reloaded)  # first, so that the reuse cannot lean on it
+    assert analysis(nr) == rebuilt
+
+
+def test_norm_analysis_chain_evaluates_its_grid_once(monkeypatch):
+    """On a 2D operator, opnorm -> na_set -> sbpb_profile evaluates the base grid once."""
+    T = OperatorPQ(np.array([[0.3, 0.9], [0.7, -0.2]]), SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))
+    widths = []
+    real = OperatorPQ.range_values
+    monkeypatch.setattr(OperatorPQ, "range_values",
+                        lambda self, X: widths.append(np.shape(X)[1]) or real(self, X))
+    nr = nl.opnorm(T)
+    na = nl.na_set(T, norm_result=nr)
+    nl.sbpb_profile(T, norm_result=nr, na=na)
+    assert widths.count(nr.grid_size + 1) == 1 and max(widths) == nr.grid_size + 1
+    assert not any(a.flags.writeable for a in (nr.pool.coords, nr.pool.values, nr.pool.thetas))
+    widths.clear()
+    nl.sbpb_profile(T)  # computes its own norm and attainment set on the same grid
+    assert widths.count(nr.grid_size + 1) == 1
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, 5.0])
+def test_witness_validates_eps(eps):
+    """eps <= 0 would make an attainer a counterexample; eps past the diameter is refused,
+    as in the profile."""
+    with pytest.raises(ValueError):
+        nl.sbpb_witness(nl.make_diag_beta(0.5, 2, 2), eps, 0.1)
 
 
 def test_batched_sphere_points_match_each_operator_alone():

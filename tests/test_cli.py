@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import normlab as nl
 from normlab import cli
 from normlab.repro import CheckRecord, ReproReport
 
@@ -135,3 +136,20 @@ def test_seed_determinism_bytes(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["na", "eta"])
+def test_grid_option_reaches_the_analysis(capsys, command):
+    """`--grid` reaches na and eta as it reaches opnorm: the output is the library call's at that grid."""
+    M = np.array([[0.3, 0.9], [0.7, -0.2]])
+    T = nl.OperatorPQ(M, nl.SequenceSpace(2, 1.5), nl.SequenceSpace(2, 3.0))
+    argv = [command, "--matrix", "0.3,0.9;0.7,-0.2", "--p", "1.5", "--q", "3", "--grid", "20000"]
+    if command == "na":
+        expected, default = nl.na_set(T, grid=20000), nl.na_set(T)
+    else:
+        expected, default = nl.sbpb_profile(T, [0.5], grid=20000), nl.sbpb_profile(T, [0.5])
+        argv += ["--eps", "0.5"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == cli._json_text(expected.to_json_dict()) + "\n"
+    assert out != cli._json_text(default.to_json_dict()) + "\n"

@@ -372,11 +372,15 @@ def test_block_diagonal_is_the_max_of_its_blocks(T):
 
 
 def test_norm_result_json_round_trip():
-    T = nl.make_diag_beta(0.5, 2, 2)
-    r = nl.opnorm(T)
-    d = r.to_json_dict()
-    back = nl.NormResult.from_json_dict(d, T.domain)
-    assert back.value == r.value
-    assert back.method == r.method
-    assert len(back.witnesses) == len(r.witnesses)
-    assert back.certified == r.certified
+    """JSON keeps the ten result fields and leaves out the in-memory grid and part results."""
+    keys = {"value", "witnesses", "method", "grid_size", "tol", "lower_bound", "upper_bound",
+            "certified", "n_evals", "notes"}
+    rank_one = OperatorPQ(np.ones((1, 3)), SequenceSpace(3, 2), SequenceSpace(1, 2))
+    for T in (nl.make_diag_beta(0.5, 2, 2), nl.make_lplq_fail(2, 2, 2), rank_one):
+        r = nl.opnorm(T)
+        assert (r.pool is not None, r.parts is not None) == (T.domain.dim == 2, T.structure is not None)
+        d = r.to_json_dict()
+        assert set(d) == keys and "pool" not in repr(r) and "parts" not in repr(r)
+        back = nl.NormResult.from_json_dict(d, T.domain)
+        assert back.to_json_dict() == d and back.pool is None and back.parts is None
+        assert [w.space for w in back.witnesses] == [T.domain] * len(r.witnesses)
