@@ -1,12 +1,11 @@
 """Norm-attaining sets, distances to them, and the modulus profile eta(eps, T).
 
-NA(T) is represented by finitely many cluster representatives of the
-near-attaining evaluations; a continuum of maximizers (detected when more
-than 25% of sampled directions nearly attain) is flagged, not silently
-clustered.  Distances to NA are distances to the representatives, which can
-only overestimate the true distance when the set is a continuum; the
-computed eta is then an underestimate, which is the conservative direction
-for failure detection.
+On a 2D domain NA(T) is represented by cluster representatives of the
+near-attaining evaluations; a continuum of maximizers (more than 25% of the
+grid nearly attains) is flagged, and distances to it can only be
+overestimated.  In dimension >= 3 NA(T) is built exactly from the structure
+or the row that certified the norm, with no search; a continuum spanned by
+parts keeps them, and `AttainmentSet.dists` measures the distance to it.
 
 The profile rho(eps) = sup{ ||T x|| : dist(x, NA) >= eps } is computed from
 one shared evaluation pool per operator (base grid/samples plus all refined
@@ -20,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import INF, TWO_PI, UnitVector, unit
+from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
 from .operators import OperatorPQ, norm_dual_vector, space_from_json, space_to_json
 from .normcomp import (
     DEFAULT_GRID,
@@ -31,12 +30,11 @@ from .normcomp import (
     _base_pool,
     _bisect,
     _golden_max,
-    _multistart,
+    _rank1_attainers,
     _reduce,
     _theta_of,
     cluster_representatives,
     opnorm,
-    polish,
 )
 
 FEAS_SLACK = 1e-12  # inclusive feasibility: dist >= eps - FEAS_SLACK
@@ -45,22 +43,37 @@ CONTINUUM_FRACTION = 0.25
 
 @dataclass
 class AttainmentSet:
-    """Clustered unit-vector representatives of NA(T)."""
+    """Unit-vector attainers of NA(T).  `slices`, when set, are the coordinates
+    of T's maximal parts, whose attainers are the points supported there; with
+    P the domain's outer exponent, NA is every x that is t_i a_i on slice i (a_i
+    an attainer there) and 0 elsewhere, t >= 0, ||t||_P = 1; for P = inf, every
+    unit x that is an attainer on one slice."""
 
     points: list
     value_tol: float
     cluster_tol: float
     continuum_flag: bool
     norm_value: float
+    slices: tuple | None = None
 
     @property
     def na_empty(self) -> bool:
         return len(self.points) == 0
 
-    def coords_matrix(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 0))
-        return np.column_stack([p.coords for p in self.points])
+    def dists(self, X) -> np.ndarray:
+        """Distance from each column of X to NA in the domain norm; inf if NA is empty."""
+        if self.na_empty:
+            return np.full(X.shape[1], INF)
+        space, slices = self.points[0].space, self.slices
+        if slices is None:
+            return _min_dists(space, X, [p.coords for p in self.points])
+        P = getattr(space, "p", getattr(space, "outer_p", None))
+        atts = [[p.coords[a:b] for p in self.points if not (p.coords[:a].any() or p.coords[b:].any())]
+                for a, b in slices]
+        if P == INF:  # off its slice, a unit x already lies in the unit ball
+            return np.min([_min_dists(_slice_space(space, a, b), X[a:b], A)
+                           for (a, b), A in zip(slices, atts)], axis=0)
+        return _sphere_dists(space, X, P, slices, atts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,6 +82,7 @@ class AttainmentSet:
             "cluster_tol": self.cluster_tol,
             "continuum_flag": self.continuum_flag,
             "norm_value": self.norm_value,
+            "slices": None if self.slices is None else [list(s) for s in self.slices],
             "space": space_to_json(self.points[0].space) if self.points else {"dim": 0, "p": None},
         }
 
@@ -81,6 +95,7 @@ class AttainmentSet:
             cluster_tol=float(d["cluster_tol"]),
             continuum_flag=bool(d["continuum_flag"]),
             norm_value=float(d["norm_value"]),
+            slices=None if d.get("slices") is None else tuple(tuple(s) for s in d["slices"]),
         )
 
 
@@ -94,25 +109,63 @@ def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
     return np.min(np.vstack([space.norm_cols(X - r[:, None]) for r in reps]), axis=0)
 
 
-def _structural_seeds(
-    T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid
-) -> list[np.ndarray]:
-    """Exact attainers inherited from a reducible structure: the attainment
-    sets of the parts within value_tol of the norm, embedded at their offsets.
-    The parts' norms are `nr.parts`; only a result without them (one loaded
-    from JSON) has them recomputed."""
-    reduced = _reduce(T)
-    if reduced is None:
-        return []
-    parts, offsets = reduced[:2]
-    subs = nr.parts or [opnorm(R, tol=tol, seed=seed, grid=grid) for R in parts]
-    top = max(sub.value for sub in subs)
-    n = T.domain.dim
-    return [
-        np.pad(pt.coords, (off, n - off - pt.coords.size))
-        for R, off, sub in zip(parts, offsets, subs) if sub.value >= top - value_tol
-        for pt in na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=sub).points
-    ]
+def _slice_space(space, a: int, b: int):
+    """The norm of `space` on its coordinates a:b (a block of a BlockSpace)."""
+    if isinstance(space, SequenceSpace):
+        return SequenceSpace(b - a, space.p)
+    return space.blocks[space._offsets().index(a)]
+
+
+def _sphere_dists(space, X, P, slices, atts) -> np.ndarray:
+    """Distance from each column x of X to { t_i a_i on slice i, 0 elsewhere :
+    a_i in atts[i], t >= 0, ||t||_P = 1 }, P < inf: dist^P is ||x off the
+    slices||^P + min over t of sum_i min_a ||x_i - t_i a||^P.  When each slice
+    is l_P and its attainers are exactly +-a for a signed axis a (any a if
+    P = 2), it is exact: with v_i the coordinate (projection) of x_i on a and
+    u the rest of x, dist^P = ||u||^P + |1 - ||v||_P|^P."""
+    rest, V = X.copy(), []
+    for (a, b), A in zip(slices, atts):
+        lp_pair = getattr(_slice_space(space, a, b), "p", None) == P and len(A) == 2
+        if not (lp_pair and np.array_equal(A[0], -A[1]) and (P == 2.0 or np.count_nonzero(A[0]) == 1)):
+            return _multiplier_dists(space, X, P, slices, atts)
+        V.append(A[0] @ X[a:b])
+        rest[a:b] -= np.outer(A[0], V[-1])
+    return (space.norm_cols(rest) ** P + np.abs(1.0 - pnorm_cols(np.array(V), P)) ** P) ** (1.0 / P)
+
+
+def _multiplier_dists(space, X, P, slices, atts, levels: int = 5, grid: int = 65) -> np.ndarray:
+    """`_sphere_dists` for any attainers.  With w_i = t_i^P the constraint is
+    sum w = 1: on a grid of each w_i, cells are taken steepest first (those a
+    multiplier admits) until it holds, and the grid is zoomed in `levels`
+    times.  t is rescaled onto ||t||_P = 1: the distance is never below the
+    true one, and equals it for convex h_i(w_i), as with axis attainers."""
+    k, n = len(slices), X.shape[1]
+    rest = X.copy()
+    for a, b in slices:
+        rest[a:b] = 0.0
+    spaces = [_slice_space(space, a, b) for a, b in slices]
+
+    def f(T):  # (k, g, n) -> min over slice i's attainers a of ||x_i - t a||^P
+        return np.stack([
+            np.min([sp.norm_cols((X[a:b, None, :] - v[:, None, None] * t).reshape(b - a, -1)) for v in A],
+                   axis=0).reshape(t.shape)
+            for (a, b), sp, A, t in zip(slices, spaces, atts, T)
+        ]) ** P
+
+    lo, hi = np.zeros((k, 1, n)), np.ones((k, 1, n))
+    for _ in range(levels):
+        W = lo + (hi - lo) * np.linspace(0.0, 1.0, grid)[:, None]
+        dw = np.diff(W, axis=1).reshape(-1, n)
+        order = np.argsort(np.diff(f(W ** (1.0 / P)), axis=1).reshape(-1, n) / dw, axis=0, kind="stable")
+        take = np.zeros(dw.shape, dtype=bool)
+        filled = lo.sum(axis=0) + np.cumsum(np.take_along_axis(dw, order, axis=0), axis=0)
+        np.put_along_axis(take, order, filled <= 1.0, axis=0)
+        w = lo + (take * dw).reshape(k, grid - 1, n).sum(axis=1, keepdims=True)
+        cell = (hi - lo) / (grid - 1)
+        lo, hi = np.maximum(w - 2.0 * cell, 0.0), np.minimum(w + 2.0 * cell, 1.0)
+    t = w ** (1.0 / P)
+    t = t / pnorm_cols(t[:, 0], P)
+    return (space.norm_cols(rest) ** P + f(t).sum(axis=0)[0]) ** (1.0 / P)
 
 
 def na_set(
@@ -125,12 +178,13 @@ def na_set(
     grid: int = DEFAULT_GRID,
     norm_result: NormResult | None = None,
 ) -> AttainmentSet:
-    """Cluster representatives of { x on the unit sphere : ||Tx|| >= ||T|| - value_tol }.
+    """{ x on the unit sphere : ||Tx|| >= ||T|| - value_tol }.
 
     Requires a certified norm first; refuses otherwise, since attainment is
-    relative to ||T||.  Each cluster representative is refined by local
-    ascent before being reported.  The norm's own grid and part norms are
-    reused, with the same results as recomputing them.
+    relative to ||T||.  On a 2D domain: cluster representatives of the
+    norm's grid, each refined by golden section.  In dimension >= 3 the set
+    is built from T's structure or its row, with no search.  The norm's own
+    grid and part norms are reused, with the same results as recomputing them.
     """
     for name, v in (("value_tol", value_tol), ("cluster_tol", cluster_tol)):
         if not (0.0 < v <= 0.1):
@@ -140,27 +194,57 @@ def na_set(
         raise UncertifiedNormError(
             "norm attainment needs a certified operator norm; got a heuristic one"
         )
+    return _na(T, nr, value_tol, cluster_tol, tol, seed, grid)
 
-    return _na_from_pool(T, _base_pool(T, seed, grid, nr), nr, value_tol, cluster_tol, tol, seed, grid)
+
+def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid, pool=None) -> AttainmentSet:
+    """NA(T) from its certified norm: on a 2D domain from `pool`, its base
+    evaluation pool; in dimension >= 3 from T's structure or its row."""
+    if T.domain.dim == 2:
+        pool = pool if pool is not None else _base_pool(T, seed, grid, nr)
+        return _na_from_pool(T, pool, nr, value_tol, cluster_tol)
+    reduced, spans = _reduce(T), None
+    if reduced is None:
+        if T.range.dim != 1 or not isinstance(T.domain, SequenceSpace):
+            raise ValueError("a certified norm in dimension >= 3 comes from a structure or a rank-one row")
+        points, continuum = _rank1_attainers(T.domain, T.matrix[0], value_tol)
+    else:
+        subs = nr.parts or [opnorm(R, tol=tol, seed=seed, grid=grid) for R in reduced[0]]
+        top = max(sub.value for sub in subs)
+        points, slices, continuum, n = [], [], False, T.domain.dim
+        for R, off, sub in zip(reduced[0], reduced[1], subs):
+            if sub.value >= top - value_tol:
+                na = na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=sub)
+                pts = _axis_attainers(R, na.points, cluster_tol)
+                points += [np.pad(x, (off, n - off - x.size)) for x in pts]
+                slices.append((off, off + R.domain.dim))
+                continuum |= na.continuum_flag
+        P, Q = (getattr(s, "p", getattr(s, "outer_p", None)) for s in (T.domain, T.range))
+        if P == INF or (P == Q and len(slices) > 1):  # free coordinates, or the sphere the parts span
+            spans, continuum = tuple(slices), True
+    points.sort(key=lambda x: tuple(np.round(x, 9)))
+    points = [unit(x, T.domain) for x in points]
+    return AttainmentSet(points, value_tol, cluster_tol, continuum, nr.value, spans)
 
 
-def _na_from_pool(
-    T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol, tol, seed, grid
-) -> AttainmentSet:
-    """The attainment set of T from its base evaluation pool and certified norm."""
+def _axis_attainers(R: OperatorPQ, points: list, cluster_tol) -> list[np.ndarray]:
+    """R's attainers, each replaced by the signed axis vector nearest it when
+    that vector lies in its cluster and attains at least as much: an exact
+    attainer, as the closed-form distance to a spanned sphere needs."""
+    out: dict[tuple, np.ndarray] = {}
+    for x in (p.coords for p in points):
+        e = np.where(np.arange(x.size) == np.argmax(np.abs(x)), np.sign(x), 0.0)
+        snap = R.domain.norm(e - x) < cluster_tol and R.range.norm(R.apply(e)) >= R.range.norm(R.apply(x))
+        out.setdefault(tuple(e if snap else x), e if snap else x)
+    return list(out.values())
+
+
+def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol) -> AttainmentSet:
+    """The attainment set of a 2D operator from its base evaluation pool and certified norm."""
     coords = pool.coords
     values = pool.values
-    extra: list[np.ndarray] = [w.coords for w in nr.witnesses]
-    if T.domain.dim != 2:
-        _best, ms_pool = _multistart(T, seed)
-        extra.extend(
-            ms_pool.coords[:, j]
-            for j in range(ms_pool.coords.shape[1])
-            if ms_pool.values[j] >= nr.value - value_tol
-        )
-        extra.extend(_structural_seeds(T, nr, value_tol, cluster_tol, tol, seed, grid))
-    if extra:
-        E = np.column_stack(extra)
+    if nr.witnesses:
+        E = np.column_stack([w.coords for w in nr.witnesses])
         coords = np.hstack([coords, E])
         values = np.concatenate([values, T.range_values(E)])
 
@@ -173,15 +257,13 @@ def _na_from_pool(
 
     refined: list[tuple[np.ndarray, float]] = []
     for x, v in reps:
-        if v >= nr.value - 1e-12:  # already exact; polishing is a no-op
+        if v >= nr.value - 1e-12:  # already exact; refining is a no-op
             refined.append((x, v))
-        elif T.domain.dim == 2:
+        else:
             # one bracket per call: a position placed to ~sqrt(u) must not follow the others
             t0, h = _theta_of(T.domain, x), TWO_PI / (pool.base_count - 1)
             t_ref, v_ref = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
             refined.append((T.domain.sphere_grid(t_ref)[:, 0], float(v_ref[0])))
-        else:
-            refined.append(polish(T, x))
 
     # re-merge after refinement and drop anything that drifted below the band
     final: list[tuple[np.ndarray, float]] = []
@@ -191,13 +273,9 @@ def _na_from_pool(
         if all(T.domain.norm(x - y) >= cluster_tol for y, _ in final):
             final.append((x, v))
 
-    if T.domain.dim == 2:
-        final.sort(key=lambda t: _theta_of(T.domain, t[0]))
-    else:
-        final.sort(key=lambda t: tuple(np.round(t[0], 9)))
-    points = [unit(x, T.domain) for x, _ in final]
+    final.sort(key=lambda t: _theta_of(T.domain, t[0]))
     return AttainmentSet(
-        points=points,
+        points=[unit(x, T.domain) for x, _ in final],
         value_tol=value_tol,
         cluster_tol=cluster_tol,
         continuum_flag=continuum,
@@ -206,7 +284,7 @@ def _na_from_pool(
 
 
 def dist_to_set(x, S: AttainmentSet) -> float:
-    """min over representatives of ||x - s|| in the domain norm; inf if S is empty."""
+    """dist(x, NA) in the domain norm (`AttainmentSet.dists`); inf if S is empty."""
     if isinstance(x, UnitVector):
         coords, space = x.coords, x.space
     else:
@@ -215,7 +293,7 @@ def dist_to_set(x, S: AttainmentSet) -> float:
         return INF
     if S.points[0].space != space:
         raise ValueError(f"space mismatch: {space} vs {S.points[0].space}")
-    return float(min(space.norm(coords - pt.coords) for pt in S.points))
+    return float(S.dists(coords[:, None])[0])
 
 
 @dataclass
@@ -360,9 +438,7 @@ def _best_feasible(coords, values, dists, epsilons) -> list:
     return best
 
 
-def _profile_part(
-    T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool, tol, seed, grid
-) -> _ProfilePart:
+def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool) -> _ProfilePart:
     """Distances, repair and the best feasible evaluations of T's pool; on a
     2D domain also the brackets to refine, on higher ones the ascent."""
     if na.na_empty:
@@ -371,18 +447,17 @@ def _profile_part(
     values = pool.values
     extras: list[np.ndarray] = [w.coords for w in nr.witnesses]
     if T.domain.dim != 2:
-        extras.extend(_structural_seeds(T, nr, na.value_tol, na.cluster_tol, tol, seed, grid))
+        extras.extend(p.coords for p in na.points)
     if extras:
         E = np.column_stack(extras)
         coords = np.hstack([coords, E])
         values = np.concatenate([values, T.range_values(E)])
 
     reps = [p.coords for p in na.points]
-    dists = _min_dists(T.domain, coords, reps)
+    dists = na.dists(coords)
 
     # repair: a near-attaining point far from every representative means the
     # attainment scan missed a cluster; absorb it instead of rating it feasible
-    repaired = 0
     for _ in range(3):
         mask = (values > nr.value - na.value_tol) & (dists > na.cluster_tol)
         if not np.any(mask):
@@ -394,13 +469,14 @@ def _profile_part(
             nr.value - na.value_tol,
             na.cluster_tol,
         )
-        reps.extend(x for x, _ in add)
-        repaired += len(add)
-        dists = _min_dists(T.domain, coords, reps)
+        reps += [x for x, _ in add]
+        dists = np.minimum(dists, _min_dists(T.domain, coords, [x for x, _ in add]))
+    repaired = len(reps) - len(na.points)
 
     if T.domain.dim != 2:
         def dist_of(x: np.ndarray) -> float:
-            return float(_min_dists(T.domain, x[:, None], reps)[0])
+            x = x[:, None]
+            return float(min(na.dists(x)[0], _min_dists(T.domain, x, reps[len(na.points):])[0]))
 
         new_c: list[np.ndarray] = []
         new_v: list[float] = []
@@ -559,9 +635,10 @@ def _profile_of(T, epsilons, na, nr, *, tol, value_tol, cluster_tol, seed, grid)
         nr = opnorm(T, tol=tol, seed=seed, grid=grid)
     if not nr.certified:
         raise UncertifiedNormError("profile computation requires a certified norm")
+    pool = _base_pool(T, seed, grid, nr)
     if na is None:
-        na = na_set(T, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=nr)
-    part = _profile_part(T, na, nr, epsilons, _base_pool(T, seed, grid, nr), tol, seed, grid)
+        na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool)
+    part = _profile_part(T, na, nr, epsilons, pool)
     _refine_2d([part], epsilons)
     return part
 
@@ -609,8 +686,8 @@ def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID)
         if base is None:
             base = _base_pool(T, seed, grid)
         pool = replace(base, values=T.range_values(base.coords))
-        na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1, tol=1e-4, seed=seed, grid=grid)
-        parts.append(_profile_part(T, na, nr, epsilons, pool, tol=1e-4, seed=seed, grid=grid))
+        na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1)
+        parts.append(_profile_part(T, na, nr, epsilons, pool))
     _refine_2d(parts, epsilons)
     return [p.profile() for p in parts]
 

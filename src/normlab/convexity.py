@@ -389,6 +389,11 @@ class KimLeeReport:
             "near_zero_ceil": self.near_zero_ceil,
         }
 
+    @staticmethod
+    def from_json_dict(d: dict) -> "KimLeeReport":
+        return KimLeeReport(**dict(d, space=space_from_json(d["space"]),
+                                   witness_functionals=[np.asarray(w) for w in d["witness_functionals"]]))
+
 
 def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0) -> KimLeeReport:
     """Scan unit functionals on `space` and profile eta(eps, x*) for each.

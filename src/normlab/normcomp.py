@@ -19,6 +19,7 @@ An independent brute-force grid oracle cross-checks every certified value.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -583,6 +584,28 @@ def _opnorm_rank1(T, tol):
         n_evals=1,
         notes="rank-one closed form (dual norm of the row)",
     )
+
+
+def _rank1_attainers(space: SequenceSpace, row, value_tol) -> tuple[list[np.ndarray], bool]:
+    """The attainers of x -> |<row, x>| on the unit sphere of `space`, and
+    whether they span a continuum: +-`dual_attainer` for 1 < p < inf; for
+    p in {1, inf} the vertices x of the ball (the +-e_i, or the sign vectors)
+    with |<row, x>| >= ||row||_* - value_tol, a continuum when more than one
+    per sign."""
+    if 1.0 < space.p < INF:
+        x = dual_attainer(space, row)
+        return [x, -x], not row.any()
+    X = np.diag(np.where(row >= 0.0, 1.0, -1.0))
+    if space.p == INF:  # sign(row), flipped where |row_i| <= value_tol / 2
+        free = np.flatnonzero(2.0 * np.abs(row) <= value_tol)
+        if free.size > 20:
+            raise ValueError(f"{2 ** free.size} attaining sign vectors are too many to list")
+        X = np.tile(X.sum(axis=0), (2 ** free.size, 1))
+        flips = list(itertools.product((1.0, -1.0), repeat=free.size))
+        X[:, free] *= np.reshape(flips, (len(flips), free.size))
+    v = X @ row
+    X = X[v >= v.max() - value_tol]
+    return list(np.unique(np.vstack([X, -X]), axis=0)), len(X) > 1
 
 
 def _opnorm_structured(T, reduced, tol, grid, budget, seed):

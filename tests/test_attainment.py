@@ -50,6 +50,8 @@ def test_na_refuses_uncertified_norm():
     assert not nr.certified
     with pytest.raises(UncertifiedNormError):
         nl.na_set(T, norm_result=nr)
+    with pytest.raises(ValueError):  # certified in name only: no structure, not a row
+        nl.na_set(T, norm_result=nl.NormResult(**{**nr.to_json_dict(), "witnesses": [], "certified": True}))
 
 
 def test_na_pairwise_separation_and_band():
@@ -334,3 +336,128 @@ def test_batched_sphere_points_match_each_operator_alone():
     X = _grid_by_owner(space, t, runs)
     for _j, s, e in runs:
         assert np.array_equal(X[:, s:e], space.sphere_grid(t[s:e]))
+
+
+def _search_counters(monkeypatch) -> dict:
+    """Count the calls of every nD search routine: multistart, its ascent and polish."""
+    from normlab import normcomp
+
+    calls = {"ascend": 0, "_multistart": 0, "polish": 0}
+    for name in calls:
+        real = getattr(normcomp, name)
+
+        def counted(*a, _name=name, _real=real, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(normcomp, name, counted)
+        if hasattr(attainment, name):
+            monkeypatch.setattr(attainment, name, counted)
+    return calls
+
+
+def test_na_set_runs_no_search_in_higher_dimensions(monkeypatch):
+    """Every certified nD gallery set, and a rank-one set on l_3^3, is built
+    from the structure or the closed form: no multistart, ascent or polish."""
+    from normlab.repro import gallery_default_cases
+
+    ops = [T for T in (nl.from_gallery(tag, **params) for tag, params in gallery_default_cases())
+           if T.domain.dim >= 3]
+    ops.append(OperatorPQ(np.array([[0.3, -1.2, 0.7]]), SequenceSpace(3, 3.0), SequenceSpace(1, 2.0)))
+    assert len(ops) == 23
+    results = [nl.opnorm(T) for T in ops]
+    assert all(nr.certified for nr in results)
+    calls = _search_counters(monkeypatch)
+    for T, nr in zip(ops, results):
+        na = nl.na_set(T, norm_result=nr)
+        assert na.points and all(T.range.norm(T.apply(p.coords)) >= nr.value - na.value_tol for p in na.points)
+    assert calls == {"ascend": 0, "_multistart": 0, "polish": 0}
+
+
+def test_equal_exponent_blocks_attain_on_a_sphere():
+    """LPLQ-FAIL-N with p = q: NA is the unit sphere spanned by the blocks'
+    attainers +-e_2n, so its odd coordinates are exactly 0 and the first axis
+    of any block lies at distance exactly 2^(1/p)."""
+    for p in (2.0, 3.0):
+        T = nl.make_lplq_fail(p, p, 3)
+        na = nl.na_set(T)
+        assert na.continuum_flag and na.slices == ((0, 2), (2, 4), (4, 6))
+        assert len(na.points) == 6 and all(not pt.coords[0::2].any() for pt in na.points)
+        for n in range(3):
+            assert nl.dist_to_set(nl.unit(np.eye(6)[2 * n], T.domain), na) == pytest.approx(2 ** (1 / p), abs=1e-12)
+        mix = nl.unit([0, 1, 0, -1, 0, 1], T.domain)  # on the sphere, far from every point
+        assert nl.dist_to_set(mix, na) <= 1e-15
+
+
+def _brute_sphere_dist(space, x, P, slices, atts) -> float:
+    """min over t >= 0 with ||t||_P = 1 of the distance from x to the t_i a_i,
+    by a grid over the simplex w = t^P zoomed in ten times (three slices)."""
+    rest = x.copy()
+    for a, b in slices:
+        rest[a:b] = 0.0
+    r = space.norm(rest) ** P
+
+    def total(W):  # W: (3, m) points of the simplex
+        T = W ** (1.0 / P)
+        s = np.zeros(W.shape[1])
+        for (a, b), A, t in zip(slices, atts, T):
+            s += np.min([SequenceSpace(b - a, P).norm_cols(x[a:b, None] - np.outer(v, t)) for v in A], axis=0) ** P
+        return s
+
+    c, R = np.array([0.5, 0.5]), 0.5
+    best = (INF, None)
+    for _ in range(10):
+        g1, g2 = np.meshgrid(np.linspace(c[0] - R, c[0] + R, 101), np.linspace(c[1] - R, c[1] + R, 101))
+        w1, w2 = g1.ravel(), g2.ravel()
+        W = np.vstack([w1, w2, 1.0 - w1 - w2])
+        W = W[:, np.all(W >= 0.0, axis=0)]
+        v = total(W)
+        j = int(np.argmin(v))
+        if v[j] < best[0]:
+            best = (float(v[j]), W[:2, j])
+        c, R = best[1], R / 10.0
+    return (r + best[0]) ** (1.0 / P)
+
+
+@pytest.mark.parametrize("P, axis", [(1.5, True), (2.0, True), (3.0, True), (2.0, False)])
+def test_sphere_distance_closed_form_and_multiplier_path(P, axis, monkeypatch):
+    """The closed-form distance to a spanned sphere equals a brute-force
+    minimum over t, and the multiplier path agrees with it on the same input."""
+    rng = np.random.default_rng(int(10 * P) + axis)
+    space = SequenceSpace(7, P)  # the last coordinate lies off the slices
+    slices = ((0, 2), (2, 4), (4, 6))
+    if axis:
+        dirs = [np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([0.0, -1.0])]
+    else:
+        dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 2))]
+    atts = [[v, -v] for v in dirs]
+    X = rng.standard_normal((7, 5))
+    X /= space.norm_cols(X)
+    multiplier = attainment._multiplier_dists(space, X, P, slices, atts)
+    monkeypatch.setattr(attainment, "_multiplier_dists", None)  # the closed form needs no multiplier
+    closed = attainment._sphere_dists(space, X, P, slices, atts)
+    for j in range(X.shape[1]):
+        assert closed[j] == pytest.approx(_brute_sphere_dist(space, X[:, j], P, slices, atts), abs=1e-9)
+    assert np.max(np.abs(multiplier - closed)) <= 1e-9
+
+
+def test_sphere_attainment_set_json_round_trip():
+    T = nl.make_lplq_fail(3, 3, 3)
+    na = nl.na_set(T)
+    back = nl.AttainmentSet.from_json_dict(json.loads(json.dumps(na.to_json_dict())))
+    assert back.slices == na.slices == ((0, 2), (2, 4), (4, 6))
+    assert back.to_json_dict() == na.to_json_dict()
+    x = nl.unit(np.arange(1.0, 7.0), T.domain)
+    assert nl.dist_to_set(x, back) == nl.dist_to_set(x, na) > 0.0
+
+
+def test_profile_below_the_sweep_floor_evaluates_its_grid_once(monkeypatch):
+    """A 2D grid below the sweep's floor of 20,000 serves only the analysis:
+    the profile builds that grid once, for its attainment set and itself."""
+    T = OperatorPQ(np.array([[0.3, 0.9], [0.7, -0.2]]), SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))
+    widths = []
+    real = OperatorPQ.range_values
+    monkeypatch.setattr(OperatorPQ, "range_values",
+                        lambda self, X: widths.append(np.shape(X)[1]) or real(self, X))
+    nl.sbpb_profile(T, [0.5], grid=8192)
+    assert widths.count(8193) == 1

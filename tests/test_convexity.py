@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -237,3 +238,10 @@ def test_custom_norm_results_refuse_to_load():
         assert d["space"] == {"dim": 2, "p": "custom"}
         with pytest.raises(ValueError, match="custom 2D norm"):
             load(d)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kim_lee_report_round_trip(dim):
+    rep = nl.kim_lee_check(SequenceSpace(dim, 1.5), [0.25, 0.5], functional_samples=8)
+    back = nl.KimLeeReport.from_json_dict(json.loads(json.dumps(rep.to_json_dict())))
+    assert back.space == rep.space and back.to_json_dict() == rep.to_json_dict()

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
@@ -384,3 +385,28 @@ def test_norm_result_json_round_trip():
         back = nl.NormResult.from_json_dict(d, T.domain)
         assert back.to_json_dict() == d and back.pool is None and back.parts is None
         assert [w.space for w in back.witnesses] == [T.domain] * len(r.witnesses)
+
+
+# rows on a 1/1024 grid: magnitudes are equal or 1e-3 apart, so the
+# value_tol band of na_set holds exact attainers only
+_rows = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(-8192, 8192), min_size=n, max_size=n)
+).filter(any).map(lambda ks: np.array(ks) / 1024.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rows, st.sampled_from(EXPONENTS))
+def test_rank_one_norm_is_the_dual_norm(row, p):
+    """A functional's norm on l_p^n is the dual norm of its row (60-digit
+    reference), and every attainer na_set reports attains it."""
+    T = OperatorPQ(row.reshape(1, -1), SequenceSpace(row.size, p), SequenceSpace(1, 2.0))
+    nr = nl.opnorm(T)
+    pd = INF if p == 1.0 else (1.0 if p == INF else p / (p - 1.0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = _dec_pnorm(row, pd)
+        assert abs(Decimal(nr.value) - ref) <= Decimal(1e-14) * ref
+    na = nl.na_set(T, norm_result=nr)
+    assert na.points
+    for pt in na.points:
+        assert abs(float(row @ pt.coords)) >= nr.value * (1.0 - 1e-12)
