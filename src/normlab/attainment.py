@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
-from .operators import OperatorPQ, norm_dual_vector, space_from_json, space_to_json
+from .operators import OperatorPQ, apply_cols, norm_dual_vector, space_from_json, space_to_json
 from .normcomp import (
     DEFAULT_GRID,
     EvalPool,
@@ -182,7 +182,8 @@ def na_set(
 
     Requires a certified norm first; refuses otherwise, since attainment is
     relative to ||T||.  On a 2D domain: cluster representatives of the
-    norm's grid, each refined by golden section.  In dimension >= 3 the set
+    norm's grid, refined by golden section, or the signed axis vector of
+    their cluster where that attains as much.  In dimension >= 3 the set
     is built from T's structure or its row, with no search.  The norm's own
     grid and part norms are reused, with the same results as recomputing them.
     """
@@ -215,8 +216,7 @@ def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid, 
         for R, off, sub in zip(reduced[0], reduced[1], subs):
             if sub.value >= top - value_tol:
                 na = na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=sub)
-                pts = _axis_attainers(R, na.points, cluster_tol)
-                points += [np.pad(x, (off, n - off - x.size)) for x in pts]
+                points += [np.pad(x.coords, (off, n - off - x.coords.size)) for x in na.points]
                 slices.append((off, off + R.domain.dim))
                 continuum |= na.continuum_flag
         P, Q = (getattr(s, "p", getattr(s, "outer_p", None)) for s in (T.domain, T.range))
@@ -228,12 +228,13 @@ def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid, 
 
 
 def _axis_attainers(R: OperatorPQ, points: list, cluster_tol) -> list[np.ndarray]:
-    """R's attainers, each replaced by the signed axis vector nearest it when
-    that vector lies in its cluster and attains at least as much: an exact
-    attainer, as the closed-form distance to a spanned sphere needs."""
+    """R's attainers, each replaced by the signed unit axis vector nearest it
+    when that vector lies in its cluster and attains at least as much: an
+    exact attainer, as the closed-form distance to a spanned sphere needs."""
     out: dict[tuple, np.ndarray] = {}
-    for x in (p.coords for p in points):
+    for x in points:
         e = np.where(np.arange(x.size) == np.argmax(np.abs(x)), np.sign(x), 0.0)
+        e = e / R.domain.norm(e)  # 1.0 on every l_p or block space, not on a general norm
         snap = R.domain.norm(e - x) < cluster_tol and R.range.norm(R.apply(e)) >= R.range.norm(R.apply(x))
         out.setdefault(tuple(e if snap else x), e if snap else x)
     return list(out.values())
@@ -255,15 +256,15 @@ def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, clus
         coords, values, T.domain, nr.value - value_tol, cluster_tol
     )
 
-    refined: list[tuple[np.ndarray, float]] = []
-    for x, v in reps:
-        if v >= nr.value - 1e-12:  # already exact; refining is a no-op
-            refined.append((x, v))
-        else:
-            # one bracket per call: a position placed to ~sqrt(u) must not follow the others
-            t0, h = _theta_of(T.domain, x), TWO_PI / (pool.base_count - 1)
-            t_ref, v_ref = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
-            refined.append((T.domain.sphere_grid(t_ref)[:, 0], float(v_ref[0])))
+    # refine, by golden section, the representatives not yet exact
+    refined = list(reps)
+    todo = [i for i, (_x, v) in enumerate(reps) if v < nr.value - 1e-12]
+    if todo:
+        t0 = np.array([_theta_of(T.domain, reps[i][0]) for i in todo])
+        h = TWO_PI / (pool.base_count - 1)
+        t_ref, v_ref = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
+        for i, x, v in zip(todo, T.domain.sphere_grid(t_ref).T, v_ref.tolist()):
+            refined[i] = (x, v)
 
     # re-merge after refinement and drop anything that drifted below the band
     final: list[tuple[np.ndarray, float]] = []
@@ -273,9 +274,10 @@ def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, clus
         if all(T.domain.norm(x - y) >= cluster_tol for y, _ in final):
             final.append((x, v))
 
-    final.sort(key=lambda t: _theta_of(T.domain, t[0]))
+    points = _axis_attainers(T, [x for x, _ in final], cluster_tol)
+    points.sort(key=lambda x: _theta_of(T.domain, x))
     return AttainmentSet(
-        points=[unit(x, T.domain) for x, _ in final],
+        points=[unit(x, T.domain) for x in points],
         value_tol=value_tol,
         cluster_tol=cluster_tol,
         continuum_flag=continuum,
@@ -528,37 +530,10 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     )
 
 
-def _runs(owner: np.ndarray) -> list[tuple[int, int, int]]:
-    """(owner, start, end) of each run of one owner in a sorted owner array."""
-    if not owner.size:
-        return []
-    if owner[0] == owner[-1]:  # one run: the batch of one
-        return [(int(owner[0]), 0, owner.size)]
-    ends = (np.flatnonzero(np.diff(owner)) + 1).tolist() + [owner.size]
-    own = owner.tolist()
-    return [(own[s], s, e) for s, e in zip([0] + ends[:-1], ends)]
-
-
-def _grid_by_owner(space, t: np.ndarray, runs) -> np.ndarray:
-    """space.sphere_grid(t) as if each owner's run of angles were gridded alone:
-    sphere_grid takes a scalar path for one angle, which rounds differently."""
-    X = space.sphere_grid(t)
-    for _j, s, e in runs:
-        if e - s == 1:
-            X[:, s] = space.sphere_grid(t[s:e])[:, 0]
-    return X
-
-
 def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
     """Refine the brackets of operators sharing a 2D domain and range, in one
     bisection and one golden-section call, and fold each operator's refined
-    points into its `best` as they would enter its evaluation pool.
-
-    Every probe is evaluated as the operator's own probes alone would be, a
-    product `T.matrix @ X` and a lone angle's sphere point per operator (the
-    last bits of a product depend on its width and layout), so a part's
-    result does not depend on the batch: one operator is the batch of one.
-    """
+    points into its `best` as they would enter its evaluation pool."""
     parts = [p for p in parts if p.cuts]  # higher dimensions and empty NA have none
     if not parts:
         return
@@ -585,38 +560,25 @@ def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
     c_own = np.repeat(ids, [p.cuts[0].size for p in parts])
     p_own = np.repeat(ids, [p.peaks[0].size for p in parts])
     lo, hi, c_lv, lo_in = (np.concatenate([p.cuts[k] for p in parts]) for k in range(4))
-    c_runs, c_pairs = _runs(c_own), pairing(c_own)
-    t_cut = _bisect(lambda t: dists(_grid_by_owner(space, t, c_runs), c_pairs), lo, hi, c_lv, lo_in)
+    c_pairs = pairing(c_own)
+    t_cut = _bisect(lambda t: dists(space.sphere_grid(t), c_pairs), lo, hi, c_lv, lo_in)
 
-    mats = [p.T.matrix for p in parts]
-
-    def values(t, idx):
-        runs = _runs(p_own[idx])
-        X = _grid_by_owner(space, t, runs)
-        Y = np.empty((rng.dim, t.size))
-        for j, s, e in runs:
-            Y[:, s:e] = mats[j] @ X[:, s:e]
-        return rng.norm_cols(Y)
-
+    mats = np.stack([p.T.matrix for p in parts])
     a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
-    t_peak, _ = _golden_max(values, a, b)
+    t_peak, _ = _golden_max(
+        lambda t, idx: rng.norm_cols(apply_cols(mats[p_own[idx]], space.sphere_grid(t))), a, b)
 
     # each operator's refined cuts, then its peaks, as one pool extension
     own = np.concatenate([c_own, p_own])
-    order = np.argsort(own, kind="stable")
-    own = own[order]
-    level = np.concatenate([c_lv, p_lv])[order]
-    runs = _runs(own)
-    X_new = _grid_by_owner(space, np.concatenate([t_cut, t_peak])[order], runs)
+    X_new = space.sphere_grid(np.concatenate([t_cut, t_peak]))
     d_new = dists(X_new, pairing(own))
-    keep = d_new >= level
-    for j, s, e in runs:
-        k = keep[s:e]
-        if not k.any():
-            continue
-        part, X = parts[j], X_new[:, s:e][:, k]
-        new = _best_feasible(X, part.T.range_values(X), d_new[s:e][k], epsilons)
-        part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
+    keep = d_new >= np.concatenate([c_lv, p_lv])
+    v_new = rng.norm_cols(apply_cols(mats[own], X_new))
+    for j, part in enumerate(parts):
+        k = keep & (own == j)
+        if k.any():
+            new = _best_feasible(X_new[:, k], v_new[k], d_new[k], epsilons)
+            part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
 
 
 def _checked_epsilons(epsilons) -> list[float]:

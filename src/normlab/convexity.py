@@ -64,9 +64,6 @@ class Norm2D:
     def norm_cols(self, X) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
 
-    def sphere_point(self, theta: float) -> np.ndarray:
-        return self.sphere_grid(np.asarray([float(theta)]))[:, 0]
-
     def sphere_grid(self, thetas) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         U = np.vstack([np.cos(thetas), np.sin(thetas)])
@@ -222,7 +219,7 @@ def _delta_2d(space, epsilons, grid, refine):
         feas = D >= eps - 1e-12
         if not np.any(feas):
             deltas.append(1.0)
-            x = space.sphere_point(0.0)
+            x = space.sphere_grid(0.0)[:, 0]
             witnesses.append((x, -x))
             continue
         vmin = float(np.min(V[feas]))

@@ -314,12 +314,9 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
         lb - achieved,
         cluster_tol=0.1,
     )
-    witnesses = []
-    for x, _v in reps[:16]:
-        # one bracket per call: an argmax placed to ~sqrt(u) follows batch rounding
-        t0 = _theta_of(space, x)
-        t_ref, _ = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
-        witnesses.append(unit(space.sphere_grid(t_ref)[:, 0], space))
+    t0 = np.array([_theta_of(space, x) for x, _v in reps[:16]])
+    t_ref, _ = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
+    witnesses = [unit(x, space) for x in space.sphere_grid(t_ref).T]
     witnesses.sort(key=lambda w: _theta_of(space, w.coords))
     return NormResult(
         value=lb,

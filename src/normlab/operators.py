@@ -109,6 +109,18 @@ def space_from_json(d: dict):
     return SequenceSpace(int(d["dim"]), p)
 
 
+def apply_cols(M, X) -> np.ndarray:
+    """M x for each column x of X, with M one (m, n) matrix or an (N, m, n)
+    stack of one matrix per column: sum_k M[:, k] x_k in the order of k, so a
+    column's result does not depend on the other columns (a BLAS product
+    rounds by its width and layout)."""
+    M = M[None] if M.ndim == 2 else M
+    Y = M[:, :, 0].T * X[0]
+    for k in range(1, X.shape[0]):
+        Y += M[:, :, k].T * X[k]
+    return Y
+
+
 def norm_dual_vector(space, y) -> np.ndarray:
     """A norm-one-in-dual vector u with <u, y> = ||y|| (norm subgradient at y)."""
     y = np.asarray(y, dtype=float)
@@ -228,7 +240,7 @@ class OperatorPQ:
 
     def range_values(self, X) -> np.ndarray:
         """||T x||_range for each column x of X."""
-        return self.range.norm_cols(self.matrix @ np.asarray(X, dtype=float))
+        return self.range.norm_cols(apply_cols(self.matrix, np.asarray(X, dtype=float)))
 
     def adjoint(self) -> "OperatorPQ":
         structure = None

@@ -61,14 +61,22 @@ def pnorm(x, p) -> float:
 
 
 def pnorm_cols(X, p) -> np.ndarray:
-    """Column-wise p-norms of a (dim, n) array, overflow-safe."""
+    """Column-wise p-norms of a (dim, n) array, overflow-safe.
+
+    Each column's terms are summed in row order, so a column's norm does not
+    depend on the other columns (numpy sums a lone column pairwise).
+    """
     p = check_exponent(p)
     A = np.abs(np.asarray(X, dtype=float))
     m = A.max(axis=0)
     if p == INF:
         return m
     safe = np.where(m > 0.0, m, 1.0)
-    s = ((A / safe) ** p).sum(axis=0)
+    A /= safe
+    A **= p
+    s = A[0]  # summed into A's first row, in place
+    for row in A[1:]:
+        s += row
     return np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
 
 
@@ -95,9 +103,6 @@ class SequenceSpace:
         return SequenceSpace(self.dim, dual_exponent(self.p))
 
     # 2D only: continuous surjective parametrization of the unit sphere.
-    def sphere_point(self, theta: float) -> np.ndarray:
-        return self.sphere_grid(np.asarray([float(theta)]))[:, 0]
-
     def sphere_grid(self, thetas) -> np.ndarray:
         if self.dim != 2:
             raise ValueError("sphere parametrization by angle requires dim = 2")
@@ -137,18 +142,6 @@ def unit(coords, space) -> UnitVector:
     return UnitVector(coords / r, space)
 
 
-def _square_point(s: float) -> tuple[float, float]:
-    if s < 1.0:
-        return 1.0, s
-    if s < 3.0:
-        return 2.0 - s, 1.0
-    if s < 5.0:
-        return -1.0, 4.0 - s
-    if s < 7.0:
-        return s - 6.0, -1.0
-    return 1.0, s - 8.0
-
-
 def sphere_grid_2d(thetas, p) -> np.ndarray:
     """Images of angles on the unit sphere of l_p^2, as a (2, n) array.
 
@@ -158,16 +151,6 @@ def sphere_grid_2d(thetas, p) -> np.ndarray:
     """
     p = check_exponent(p)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if thetas.size == 1:  # scalar fast path for refinement loops
-        t = float(thetas[0])
-        if p == INF:
-            x, y = _square_point((t % TWO_PI) * (8.0 / TWO_PI))
-            return np.asarray([[x], [y]])
-        c, sn = math.cos(t), math.sin(t)
-        e = 2.0 / p
-        return np.asarray(
-            [[math.copysign(abs(c) ** e, c)], [math.copysign(abs(sn) ** e, sn)]]
-        )
     if p == INF:
         s = (thetas % TWO_PI) * (8.0 / TWO_PI)
         x = np.empty_like(s)
@@ -188,10 +171,15 @@ def sphere_grid_2d(thetas, p) -> np.ndarray:
         x[m] = 1.0
         y[m] = s[m] - 8.0
         return np.vstack([x, y])
-    c = np.cos(thetas)
-    sn = np.sin(thetas)
-    e = 2.0 / p
-    return np.vstack([np.sign(c) * np.abs(c) ** e, np.sign(sn) * np.abs(sn) ** e])
+    # in place: a small call costs fewer numpy calls, a large one fewer temporaries
+    U = np.empty((2, thetas.size))
+    np.cos(thetas, out=U[0])
+    np.sin(thetas, out=U[1])
+    S = np.sign(U)
+    np.abs(U, out=U)
+    U **= 2.0 / p
+    U *= S
+    return U
 
 
 def sphere_point_2d(theta, p) -> UnitVector:

@@ -6,8 +6,9 @@ import pytest
 
 import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormError
-from normlab import attainment
-from normlab.attainment import _grid_by_owner, _runs, default_epsilons
+from normlab import attainment, normcomp
+from normlab.attainment import default_epsilons
+from normlab.spaces import pnorm_cols
 
 
 def test_na_diag_is_plus_minus_e2():
@@ -324,18 +325,68 @@ def test_witness_validates_eps(eps):
         nl.sbpb_witness(nl.make_diag_beta(0.5, 2, 2), eps, 0.1)
 
 
-def test_batched_sphere_points_match_each_operator_alone():
-    """A batch of probes gets, per operator, the sphere points of its probes alone."""
-    space = SequenceSpace(2, 1.5)
-    t = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, 400)
-    lone = np.column_stack([space.sphere_grid(t[i:i + 1]) for i in range(t.size)])
-    t = t[np.any(lone != space.sphere_grid(t), axis=0)][:12]  # one angle alone rounds differently
-    owner = np.array([0, 1, 1, 2] + [3] * 7 + [4])
-    runs = _runs(owner)
-    assert t.size == 12 and runs == [(0, 0, 1), (1, 1, 3), (2, 3, 4), (3, 4, 11), (4, 11, 12)]
-    X = _grid_by_owner(space, t, runs)
-    for _j, s, e in runs:
-        assert np.array_equal(X[:, s:e], space.sphere_grid(t[s:e]))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, INF])
+def test_evaluation_is_column_invariant(p):
+    """sphere_grid, norm_cols and range_values give a column the same bits
+    whichever other columns are evaluated with it."""
+    rng = np.random.default_rng(8)
+    t = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 300)
+    block = BlockSpace(p, (SequenceSpace(3, 1.5), SequenceSpace(5, p)))
+    domains = [SequenceSpace(2, p), nl.Norm2D(lambda X: pnorm_cols(X, p))]
+    ranges = [SequenceSpace(m, p) for m in (1, 2, 8, 40)] + [block]
+    subsets = [J for w in (1, 2, 3, 17) for J in (rng.choice(t.size, w, replace=False), slice(7, 7 + w))]
+    for space in domains:
+        X = space.sphere_grid(t)
+        for J in subsets:
+            assert np.array_equal(space.sphere_grid(t[J]), X[:, J])
+    X = domains[0].sphere_grid(t)
+    for space in ranges:
+        Y = rng.standard_normal((space.dim, t.size)) * 10.0 ** rng.integers(-3, 4, t.size)
+        T = OperatorPQ(rng.standard_normal((space.dim, 2)), domains[0], space)
+        norms, values = space.norm_cols(Y), T.range_values(X)
+        for J in subsets:
+            assert np.array_equal(space.norm_cols(Y[:, J]), norms[J])
+            assert np.array_equal(T.range_values(X[:, J]), values[J])
+
+
+def test_batched_witnesses_and_representatives_match_one_bracket_per_call(monkeypatch):
+    """The sweep's witnesses and na_set's representatives, each refined in one
+    golden-section call, get the bits of one call per bracket."""
+    real, widths = normcomp._golden_max, []
+
+    def checked(f, a, b, iters=48):
+        t, v = real(f, a, b, iters)
+        for i, (a_i, b_i) in enumerate(zip(np.atleast_1d(a), np.atleast_1d(b))):
+            t_i, v_i = real(f, a_i, b_i, iters)
+            assert (t_i[0], v_i[0]) == (t[i], v[i])
+        widths.append(t.size)
+        return t, v
+
+    monkeypatch.setattr(normcomp, "_golden_max", checked)
+    monkeypatch.setattr(attainment, "_golden_max", checked)
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    T = OperatorPQ(R @ np.diag([1.0, 1.0 - 1e-8]) @ R.T, SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))
+    nr = nl.opnorm(T)
+    assert widths == [1, 4]  # the sharpen, then the four witnesses
+    na = nl.na_set(T, norm_result=nr)
+    assert widths[2:] == [2] and len(na.points) == 4  # the two representatives below the norm
+
+
+def test_axis_attainer_is_unit_on_a_general_2d_norm():
+    """On a 2D norm whose axis vectors have norm above 1, an attainer near an
+    axis is replaced only by the unit axis vector, and only if that attains:
+    every point of the set stays within value_tol of the norm."""
+    c, s = math.cos(0.05), math.sin(0.05)
+    R = np.array([[c, -s], [s, c]])
+    domains = [nl.Norm2D(lambda X: pnorm_cols(R @ X, 1.5)), nl.Norm2D(lambda X: 1.05 * pnorm_cols(X, 2.0))]
+    for space, row in zip(domains, ([1.0, 0.0], [1.0, 0.05])):
+        assert space.norm(np.array([1.0, 0.0])) > 1.0
+        T = OperatorPQ(np.array([row]), space, SequenceSpace(1, 2.0))
+        nr = nl.opnorm(T)
+        na = nl.na_set(T, norm_result=nr)
+        assert na.points
+        assert all(T.range.norm(T.apply(x.coords)) >= nr.value - na.value_tol for x in na.points)
 
 
 def _search_counters(monkeypatch) -> dict:

@@ -25,6 +25,15 @@ def test_reproduce_diag_pq():
     assert by_name["attainment_cluster_count"].computed == 2
 
 
+def test_reproduce_diag_p3_attains_exactly_on_the_axis():
+    """On l_3^2 the value falls off only as |x_1|^3 near e2, so golden section
+    alone places the attainer about 5e-6 off the axis; the axis vector is kept."""
+    rep = nl.reproduce("DIAG-P-Q", {"beta": 0.5, "p": 3.0, "q": 3.0})
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["attainment_representative_error"].computed == 0.0
+    assert by_name["dist_e1_to_attainment"].computed == 2.0 ** (1.0 / 3.0)
+
+
 def test_reproduce_rot_refusal_at_q2():
     with pytest.raises(HypothesisError) as err:
         nl.reproduce("ROT-2-Q", {"beta": 1.0, "q": 2.0})
