@@ -27,6 +27,7 @@ from .normcomp import (
     NormResult,
     UncertifiedNormError,
     _angle_values,
+    _backtrack,
     _base_pool,
     _bisect,
     _golden_max,
@@ -350,38 +351,30 @@ def default_epsilons(space) -> list[float]:
     return list(np.geomspace(1e-3, top, 32))
 
 
-def _constrained_ascend(T, x0, dist_fn, eps, iters=200):
-    """Hill climb on ||Tx|| keeping dist(x) >= eps; backtracks on violations."""
-    dom, rng = T.domain, T.range
-    A = T.matrix
-    x = np.asarray(x0, dtype=float)
-    x = x / dom.norm(x)
-    if dist_fn(x) < eps - FEAS_SLACK:
-        return None
-    f = rng.norm(A @ x)
-    a = 0.25
+def _constrained_ascend(T, X0, dist_of, eps, iters=200):
+    """Hill climb on ||Tx|| from each column of X0 at once, keeping column j
+    at dist(x) >= eps[j]; each column backtracks on its own violations and
+    stops once it stops improving.  Returns the final columns and values of
+    the columns that start feasible."""
+    dom, rng, A = T.domain, T.range, T.matrix
+    X = X0 / dom.norm_cols(X0)
+    feasible = dist_of(X) >= eps - FEAS_SLACK
+    X, eps = X[:, feasible], eps[feasible]
+    Y = apply_cols(A, X)
+    f = rng.norm_cols(Y)
+    steps = np.full(X.shape[1], 0.25)  # each column's next first step
+    live = np.arange(X.shape[1])
     for _ in range(iters):
-        u = norm_dual_vector(rng, A @ x)
-        z = A.T @ u
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
+        Z = apply_cols(A.T, norm_dual_vector(rng, Y[:, live]))
+        zn = pnorm_cols(Z, 2.0)
+        back = np.flatnonzero(zn > 0.0)  # into live
+        up = np.zeros(live.size, dtype=bool)
+        up[back] = _backtrack(T, X, Y, f, Z[:, back] / zn[back], live[back], steps, 0.5, 1e-10, 1e-16,
+                              lambda XT, j: dist_of(XT) >= eps[j] - FEAS_SLACK)
+        live = live[up]
+        if not live.size:
             break
-        improved = False
-        step = a
-        while step > 1e-10:
-            xt = x + step * (z / zn)
-            xt = xt / dom.norm(xt)
-            if dist_fn(xt) >= eps - FEAS_SLACK:
-                ft = rng.norm(A @ xt)
-                if ft > f + 1e-16:
-                    x, f = xt, ft
-                    a = min(0.5, 2.0 * step)
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return x, f
+    return X, f
 
 
 @dataclass
@@ -476,30 +469,20 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     repaired = len(reps) - len(na.points)
 
     if T.domain.dim != 2:
-        def dist_of(x: np.ndarray) -> float:
-            x = x[:, None]
-            return float(min(na.dists(x)[0], _min_dists(T.domain, x, reps[len(na.points):])[0]))
+        def dist_of(X: np.ndarray) -> np.ndarray:
+            return np.minimum(na.dists(X), _min_dists(T.domain, X, reps[len(na.points):]))
 
-        new_c: list[np.ndarray] = []
-        new_v: list[float] = []
-        new_d: list[float] = []
+        starts, start_eps = [], []  # the top 8 feasible evaluations of every eps, one column each
         for eps in epsilons:
             feas_idx = np.nonzero(dists >= eps - FEAS_SLACK)[0]
-            if feas_idx.size == 0:
-                continue
             top = feas_idx[np.argsort(-values[feas_idx])][:8]
-            for j in top:
-                out = _constrained_ascend(T, coords[:, j], dist_of, eps)
-                if out is None:
-                    continue
-                x_ref, v_ref = out
-                new_c.append(x_ref)
-                new_v.append(v_ref)
-                new_d.append(dist_of(x_ref))
-        if new_c:
-            coords = np.hstack([coords, np.column_stack(new_c)])
-            values = np.concatenate([values, np.asarray(new_v)])
-            dists = np.concatenate([dists, np.asarray(new_d)])
+            starts += top.tolist()
+            start_eps += [eps] * top.size
+        if starts:
+            X, v = _constrained_ascend(T, coords[:, starts], dist_of, np.array(start_eps))
+            coords = np.hstack([coords, X])
+            values = np.concatenate([values, v])
+            dists = np.concatenate([dists, dist_of(X)])
         best = _best_feasible(coords, values, dists, epsilons)
         return _ProfilePart(T, nr, na, epsilons, reps, repaired, best)
 

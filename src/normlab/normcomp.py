@@ -8,7 +8,8 @@ plus the fact that both sphere coordinates are monotone within a grid cell
 that does not straddle a quadrant (octant for the max-norm square) boundary.
 
 Higher dimensions use multistart ascent (a dual-map fixed point step with a
-projected-gradient fallback); those values are flagged as heuristic unless
+projected-gradient fallback), with every start climbing as one column of a
+single batched `ascend`; those values are flagged as heuristic unless
 the operator carries an exactly reducible structure (block diagonal with
 outer domain exponent <= outer range exponent, or a zero-padded 2D block),
 in which case the certificate composes from certified 2D sweeps.
@@ -32,11 +33,12 @@ from .spaces import (
     UnitVector,
     _sphere_grid_3d,
     pnorm,
+    pnorm_cols,
     sample_sphere_coords,
     sphere_param_2d,
     unit,
 )
-from .operators import OperatorPQ, dual_attainer, norm_dual_vector
+from .operators import OperatorPQ, apply_cols, dual_attainer, norm_dual_vector
 
 METHOD_SWEEP2D = "SWEEP2D"
 METHOD_MULTISTART = "MULTISTART"
@@ -333,48 +335,61 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
     )
 
 
-def ascend(T: OperatorPQ, x0, iters: int = ASCENT_ITERS):
-    """Maximize ||T x||_range over the domain unit sphere from x0.
+def ascend(T: OperatorPQ, X0, iters: int = ASCENT_ITERS):
+    """Maximize ||T x||_range over the domain unit sphere from each column of
+    X0 (a vector is one column) at once; returns the final columns and values.
 
     Primary step is the dual-map fixed point (exact power iteration for
-    p = q = 2); on non-improvement it falls back to a renormalized gradient
-    step with halving, stopping below step 1e-12.
+    p = q = 2); on non-improvement a column falls back to a renormalized
+    gradient step with halving, stopping below step 1e-12.  Each column keeps
+    its own step and stops once it stops improving, and every operation is
+    column-invariant: a column ends with the bits it would reach alone.
     """
-    dom, rng = T.domain, T.range
-    A = T.matrix
-    x = np.asarray(x0, dtype=float)
-    x = x / dom.norm(x)
-    y = A @ x
-    f = rng.norm(y)
-    alpha = 0.5
+    dom, rng, A = T.domain, T.range, T.matrix
+    X = np.array(X0, dtype=float).reshape(dom.dim, -1)
+    X /= dom.norm_cols(X)
+    Y = apply_cols(A, X)
+    f = rng.norm_cols(Y)
+    alpha = np.full(X.shape[1], 0.5)
+    live = np.arange(X.shape[1])
     for _ in range(iters):
-        u = norm_dual_vector(rng, y)
-        z = A.T @ u
-        improved = False
-        cand = dual_attainer(dom, z)
-        yc = A @ cand
-        fc = rng.norm(yc)
-        if fc > f + 1e-15:
-            x, f, y = cand, fc, yc
-            improved = True
-        else:
-            zn = np.linalg.norm(z)
-            if zn > 0.0:
-                a = alpha
-                while a > 1e-12:
-                    xt = x + a * (z / zn)
-                    xt = xt / dom.norm(xt)
-                    yt = A @ xt
-                    ft = rng.norm(yt)
-                    if ft > f + 1e-15:
-                        x, f, y = xt, ft, yt
-                        alpha = min(1.0, 2.0 * a)
-                        improved = True
-                        break
-                    a *= 0.5
-        if not improved:
+        Z = apply_cols(A.T, norm_dual_vector(rng, Y[:, live]))
+        C = dual_attainer(dom, Z)
+        YC = apply_cols(A, C)
+        fc = rng.norm_cols(YC)
+        up = fc > f[live] + 1e-15
+        X[:, live[up]], Y[:, live[up]], f[live[up]] = C[:, up], YC[:, up], fc[up]
+        zn = pnorm_cols(Z, 2.0)
+        back = np.flatnonzero(~up & (zn > 0.0))  # the gradient fallback's columns, into live
+        up[back] = _backtrack(T, X, Y, f, Z[:, back] / zn[back], live[back], alpha, 1.0, 1e-12, 1e-15)
+        live = live[up]
+        if not live.size:
             break
-    return x, f
+    return X, f
+
+
+def _backtrack(T, X, Y, f, D, cols, steps, cap, floor, gain, admits=None):
+    """Renormalized steps from the columns `cols` of X along the directions
+    D, halving from `steps[cols]` (each above `floor`) until a column's value
+    beats f by more than `gain` at a point `admits(XT, cols)` accepts, or its
+    step would fall to `floor`.  Accepted points go into X, Y and f, and
+    twice their step, capped at `cap`, into `steps`; returns which columns
+    were accepted."""
+    dom, rng = T.domain, T.range
+    accepted = np.zeros(cols.size, dtype=bool)
+    idx, step = np.arange(cols.size), steps[cols]
+    while idx.size:
+        j = cols[idx]
+        XT = X[:, j] + step * D[:, idx]
+        XT /= dom.norm_cols(XT)
+        YT = apply_cols(T.matrix, XT)
+        ft = rng.norm_cols(YT)
+        ok = (ft > f[j] + gain) & (True if admits is None else admits(XT, j))
+        X[:, j[ok]], Y[:, j[ok]], f[j[ok]], steps[j[ok]] = XT[:, ok], YT[:, ok], ft[ok], np.minimum(cap, 2.0 * step[ok])
+        accepted[idx[ok]] = True
+        halve = ~ok & (0.5 * step > floor)
+        idx, step = idx[halve], 0.5 * step[halve]
+    return accepted
 
 
 def polish(T: OperatorPQ, x0, steps: int = 120, alpha0: float = 1e-3):
@@ -420,17 +435,10 @@ def _start_coords(T: OperatorPQ, n_starts: int, seed: int) -> np.ndarray:
 
 
 def _multistart(T: OperatorPQ, seed: int, n_starts: int = 64):
-    starts = _start_coords(T, n_starts, seed)
-    finals = []
-    values = []
-    for j in range(starts.shape[1]):
-        x, f = ascend(T, starts[:, j])
-        finals.append(x)
-        values.append(f)
+    finals, values = ascend(T, _start_coords(T, n_starts, seed))
     samples = sample_sphere_coords(T.domain, 512, seed + 1)
-    sample_vals = T.range_values(samples)
-    coords = np.hstack([samples, np.column_stack(finals)])
-    vals = np.concatenate([sample_vals, np.asarray(values)])
+    coords = np.hstack([samples, finals])
+    vals = np.concatenate([T.range_values(samples), values])
     pool = EvalPool(coords, vals, thetas=None, base_count=samples.shape[1])
     k = int(np.argmax(vals))
     return float(vals[k]), pool

@@ -12,7 +12,6 @@ constituents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,83 +108,87 @@ def space_from_json(d: dict):
     return SequenceSpace(int(d["dim"]), p)
 
 
+APPLY_CHUNK = 32768  # columns per pass of apply_cols: its temporaries stay in cache
+
+
 def apply_cols(M, X) -> np.ndarray:
     """M x for each column x of X, with M one (m, n) matrix or an (N, m, n)
     stack of one matrix per column: sum_k M[:, k] x_k in the order of k, so a
     column's result does not depend on the other columns (a BLAS product
-    rounds by its width and layout)."""
+    rounds by its width and layout).  Wide X goes in APPLY_CHUNK columns at a time."""
     M = M[None] if M.ndim == 2 else M
+    if X.shape[1] > APPLY_CHUNK:
+        Y = np.empty((M.shape[1], X.shape[1]))
+        for s in range(0, X.shape[1], APPLY_CHUNK):
+            c = slice(s, s + APPLY_CHUNK)
+            Y[:, c] = apply_cols(M[c] if M.shape[0] > 1 else M, X[:, c])
+        return Y
     Y = M[:, :, 0].T * X[0]
     for k in range(1, X.shape[0]):
         Y += M[:, :, k].T * X[k]
     return Y
 
 
-def norm_dual_vector(space, y) -> np.ndarray:
-    """A norm-one-in-dual vector u with <u, y> = ||y|| (norm subgradient at y)."""
-    y = np.asarray(y, dtype=float)
+def _column_map(flat, dual: bool, space, v) -> np.ndarray:
+    """The image of each column of v (a vector is one column) under a dual
+    map: `flat(p, V, |V| / column max, nonzero columns)` on a flat space,
+    where a zero column goes to e_0; on a BlockSpace each block's image,
+    scaled by the outer space's image of the block norms (the blocks' dual
+    norms if `dual`)."""
+    v = np.asarray(v, dtype=float)
+    V = v.reshape(v.shape[0], -1)
     if isinstance(space, BlockSpace):
         off = space._offsets()
-        inner_norms = np.array(
-            [b.norm(y[off[i]:off[i + 1]]) for i, b in enumerate(space.blocks)]
-        )
-        outer = SequenceSpace(len(space.blocks), space.outer_p)
-        w = norm_dual_vector(outer, inner_norms)
-        u = np.zeros_like(y)
-        for i, b in enumerate(space.blocks):
-            u[off[i]:off[i + 1]] = w[i] * norm_dual_vector(b, y[off[i]:off[i + 1]])
-        return u
-    q = space.p
-    a = np.abs(y)
-    m = a.max()
-    if m == 0.0:
-        u = np.zeros_like(y)
-        u[0] = 1.0
-        return u
+        parts = [(b, V[off[i]:off[i + 1]]) for i, b in enumerate(space.blocks)]
+        norms = np.vstack([(b.dual() if dual else b).norm_cols(P) for b, P in parts])
+        w = _column_map(flat, dual, SequenceSpace(len(parts), space.outer_p), norms)
+        return np.vstack([w[i] * _column_map(flat, dual, b, P) for i, (b, P) in enumerate(parts)]).reshape(v.shape)
+    A = np.abs(V)
+    m = A.max(axis=0)
+    nonzero = m > 0.0
+    U = flat(space.p, V, A / np.where(nonzero, m, 1.0), nonzero)
+    if not nonzero.all():
+        U[:, ~nonzero] = 0.0
+        U[0, ~nonzero] = 1.0
+    return U.reshape(v.shape)
+
+
+def _signed_argmax(V, A) -> np.ndarray:
+    """sign(v_k) e_k per column, k the first index of its largest |v_k|."""
+    U = np.zeros_like(V)
+    k, j = np.argmax(A, axis=0), np.arange(V.shape[1])
+    U[k, j] = np.copysign(1.0, V[k, j])
+    return U
+
+
+def _norm_dual_flat(q, Y, A, nonzero):
     if q == INF:
-        u = np.zeros_like(y)
-        k = int(np.argmax(a))
-        u[k] = math.copysign(1.0, y[k])
-        return u
+        return _signed_argmax(Y, A)
     if q == 1.0:
-        return np.sign(y)
-    v = np.sign(y) * (a / m) ** (q - 1.0)
-    return v / pnorm_cols(v[:, None], dual_exponent(q))[0]
+        return np.sign(Y)
+    U = np.sign(Y) * A ** (q - 1.0)
+    return U / np.where(nonzero, pnorm_cols(U, dual_exponent(q)), 1.0)
+
+
+def _dual_attainer_flat(p, Z, A, nonzero):
+    if p == INF:
+        return np.where(Z >= 0.0, 1.0, -1.0)
+    if p == 1.0:
+        return _signed_argmax(Z, A)
+    X = np.sign(Z) * A ** (dual_exponent(p) - 1.0)
+    return X / np.where(nonzero, pnorm_cols(X, p), 1.0)
+
+
+def norm_dual_vector(space, y) -> np.ndarray:
+    """A norm-one-in-dual vector u with <u, y> = ||y|| (norm subgradient at
+    y), for y a vector or for each column of a (dim, k) array."""
+    return _column_map(_norm_dual_flat, False, space, y)
 
 
 def dual_attainer(space, z) -> np.ndarray:
-    """Unit vector of `space` maximizing <z, x>; the dual-norm attainer."""
-    z = np.asarray(z, dtype=float)
-    if isinstance(space, BlockSpace):
-        off = space._offsets()
-        duals = np.array(
-            [pnorm(z[off[i]:off[i + 1]], dual_exponent(b.p)) if not isinstance(b, BlockSpace)
-             else b.dual().norm(z[off[i]:off[i + 1]])
-             for i, b in enumerate(space.blocks)]
-        )
-        outer = SequenceSpace(len(space.blocks), space.outer_p)
-        t = dual_attainer(outer, duals)
-        x = np.zeros_like(z)
-        for i, b in enumerate(space.blocks):
-            x[off[i]:off[i + 1]] = t[i] * dual_attainer(b, z[off[i]:off[i + 1]])
-        return x
-    p = space.p
-    a = np.abs(z)
-    m = a.max()
-    if m == 0.0:
-        x = np.zeros_like(z)
-        x[0] = 1.0
-        return x
-    if p == INF:
-        return np.where(z >= 0.0, 1.0, -1.0)
-    if p == 1.0:
-        x = np.zeros_like(z)
-        k = int(np.argmax(a))
-        x[k] = math.copysign(1.0, z[k])
-        return x
-    pd = dual_exponent(p)
-    v = np.sign(z) * (a / m) ** (pd - 1.0)
-    return v / pnorm(v, p)
+    """Unit vector of `space` maximizing <z, x> (the dual-norm attainer), for
+    z a vector or for each column of a (dim, k) array."""
+    return _column_map(_dual_attainer_flat, True, space, z)
 
 
 @dataclass(frozen=True)

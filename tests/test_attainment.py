@@ -425,6 +425,16 @@ def test_na_set_runs_no_search_in_higher_dimensions(monkeypatch):
     assert calls == {"ascend": 0, "_multistart": 0, "polish": 0}
 
 
+def test_multistart_ascends_once_per_operator(monkeypatch):
+    """Multistart climbs all its starts in one batched ascent per operator."""
+    rng = np.random.default_rng(12)
+    calls = _search_counters(monkeypatch)
+    for p, q in ((1.5, 3.0), (INF, 2.0), (2.0, 1.0)):
+        nr = nl.opnorm(OperatorPQ(rng.standard_normal((4, 4)), SequenceSpace(4, p), SequenceSpace(4, q)))
+        assert nr.method == "MULTISTART"
+    assert calls == {"ascend": 3, "_multistart": 3, "polish": 0}
+
+
 def test_equal_exponent_blocks_attain_on_a_sphere():
     """LPLQ-FAIL-N with p = q: NA is the unit sphere spanned by the blocks'
     attainers +-e_2n, so its odd coordinates are exactly 0 and the first axis

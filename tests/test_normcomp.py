@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import normlab as nl
-from normlab import INF, OperatorPQ, SequenceSpace
+from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace
 from normlab.normcomp import (
     METHOD_MULTISTART,
     METHOD_ORACLE,
     METHOD_SWEEP2D,
     _bisect,
     _golden_max,
+    _start_coords,
+    ascend,
 )
+from normlab.operators import dual_attainer, norm_dual_vector
 from normlab.spaces import pnorm
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
@@ -226,6 +229,65 @@ def test_sweep_multistart_agreement_2d():
         r2 = nl.opnorm(T, method="MULTISTART", seed=5)
         assert r2.method == METHOD_MULTISTART and not r2.certified
         assert abs(v1 - r2.value) <= 1e-6
+
+
+def test_ascent_is_column_invariant():
+    """Each column of a batched ascent ends with the bits of that start
+    climbing alone, over the exponent grid, on block spaces and from the
+    sign-vector starts of an l_inf domain."""
+    rng = np.random.default_rng(31)
+    block = BlockSpace(2.0, (SequenceSpace(2, 3.0), SequenceSpace(2, INF)))
+    pairs = [(SequenceSpace(4, p), SequenceSpace(3, q)) for p, q in zip(EXPONENTS, EXPONENTS[2:] + EXPONENTS[:2])]
+    pairs += [(block, SequenceSpace(3, 1.5)), (SequenceSpace(3, 1.5), block), (SequenceSpace(3, INF), SequenceSpace(3, 2.0))]
+    for dom, rng_space in pairs:
+        T = OperatorPQ(rng.standard_normal((rng_space.dim, dom.dim)), dom, rng_space)
+        starts = _start_coords(T, 8, seed=3)
+        X, f = ascend(T, starts)
+        assert X.shape == starts.shape and np.all(f >= T.range_values(starts) - 1e-15)
+        for j in range(0, starts.shape[1], 3):
+            x_j, f_j = ascend(T, starts[:, j:j + 1])
+            assert np.array_equal(x_j[:, 0], X[:, j]) and f_j[0] == f[j]
+
+
+def _scalar_ascend(T, x, iters=500):
+    """One start at a time, in scalar steps: the reference for `ascend`."""
+    A, dom, rng = T.matrix, T.domain, T.range
+    x = x / dom.norm(x)
+    y = A @ x
+    f, alpha = rng.norm(y), 0.5
+    for _ in range(iters):
+        z = A.T @ norm_dual_vector(rng, y)
+        cand = dual_attainer(dom, z)
+        fc = rng.norm(A @ cand)
+        if fc > f + 1e-15:
+            x, f, y = cand, fc, A @ cand
+            continue
+        zn, a = np.linalg.norm(z), alpha
+        while zn > 0.0 and a > 1e-12:
+            xt = x + a * (z / zn)
+            xt = xt / dom.norm(xt)
+            yt = A @ xt
+            if rng.norm(yt) > f + 1e-15:
+                x, f, y, alpha = xt, rng.norm(yt), yt, min(1.0, 2.0 * a)
+                break
+            a *= 0.5
+        else:
+            break
+    return f
+
+
+def test_batched_ascent_matches_the_scalar_reference():
+    """Every start of a batched ascent ends at the value it reaches climbing
+    alone in scalar steps, up to the rounding the two orders of summation
+    can carry along one climb."""
+    rng = np.random.default_rng(17)
+    for p, q in itertools.product(EXPONENTS, repeat=2):
+        n = int(rng.integers(3, 6))
+        T = OperatorPQ(rng.standard_normal((n, n)), SequenceSpace(n, p), SequenceSpace(n, q))
+        starts = _start_coords(T, 8, seed=2)
+        _, f = ascend(T, starts)
+        for j in range(0, starts.shape[1], 5):
+            assert abs(f[j] - _scalar_ascend(T, starts[:, j])) <= 1e-9
 
 
 def test_oracle_examples():

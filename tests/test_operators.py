@@ -7,7 +7,7 @@ import pytest
 import normlab as nl
 from normlab import INF, HypothesisError, OperatorPQ, SequenceSpace
 from normlab.convexity import lp_handle
-from normlab.operators import BlockSpace, dual_attainer, norm_dual_vector, space_from_json, space_to_json
+from normlab.operators import APPLY_CHUNK, BlockSpace, apply_cols, dual_attainer, norm_dual_vector, space_from_json, space_to_json
 from normlab.spaces import pnorm, sample_sphere_coords
 
 
@@ -194,12 +194,9 @@ def test_scaling_invariant():
 
 def test_dual_vector_and_attainer_contracts():
     rng = np.random.default_rng(9)
-    spaces = [
-        SequenceSpace(4, 1.0),
-        SequenceSpace(4, 1.5),
-        SequenceSpace(4, 2.0),
-        SequenceSpace(4, INF),
+    spaces = [SequenceSpace(4, p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
         BlockSpace(2.0, (SequenceSpace(2, 2.0), SequenceSpace(2, INF))),
+        BlockSpace(1.5, (SequenceSpace(1, 3.0), BlockSpace(INF, (SequenceSpace(2, 1.0), SequenceSpace(1, 2.0))))),
     ]
     for space in spaces:
         for _ in range(5):
@@ -212,6 +209,33 @@ def test_dual_vector_and_attainer_contracts():
             # no unit vector can beat the dual-norm value <z, x>
             probe = sample_sphere_coords(space, 100, seed=1)
             assert float(z @ x) >= float(np.max(z @ probe)) - 1e-9
+        # on a (dim, n) array each column gets the bits of the 1-D call on it,
+        # also for a zero column, a -0.0 entry and tied maxima (first index wins)
+        Y = rng.standard_normal((space.dim, 40)) * 10.0 ** rng.integers(-3, 4, 40)
+        Y[:, 0] = 0.0
+        Y[:, 1] = -0.0
+        Y[1:, 2] = -0.0
+        Y[:, 3] = [(-1.0) ** i for i in range(space.dim)]
+        Y[:2, 4] = [-2.0, 2.0]
+        for f in (norm_dual_vector, dual_attainer):
+            U = f(space, Y)
+            assert U.shape == Y.shape
+            for j in range(Y.shape[1]):
+                assert np.array_equal(f(space, Y[:, j]), U[:, j])
+        assert np.array_equal(norm_dual_vector(space, Y[:, 0]), np.eye(space.dim)[0])
+        if getattr(space, "p", None) in (1.0, INF):  # the first of the tied maxima, +-1 at index 0
+            f = dual_attainer if space.p == 1.0 else norm_dual_vector
+            assert np.array_equal(f(space, Y)[:, 3], np.eye(space.dim)[0])
+
+
+def test_apply_cols_chunks_are_bit_identical():
+    """A product wider than one chunk equals the in-order sum in one pass."""
+    rng = np.random.default_rng(4)
+    n = 2 * APPLY_CHUNK + 5
+    X = rng.standard_normal((3, n))
+    for M in (rng.standard_normal((2, 3)), rng.standard_normal((n, 2, 3))):
+        Mt = M.T[:, :, None] if M.ndim == 2 else M.transpose(2, 1, 0)  # Mt[k]: column k of each matrix
+        assert np.array_equal(apply_cols(M, X), Mt[0] * X[0] + Mt[1] * X[1] + Mt[2] * X[2])
 
 
 def test_gallery_serialization_round_trip():
