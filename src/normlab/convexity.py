@@ -170,7 +170,11 @@ def _delta_2d(space, epsilons, grid, refine):
         for eps in epsilons:
             feas = dist >= eps - 1e-12
             if np.any(feas):
-                order = np.argsort(np.where(feas, val, np.inf))[:6]
+                # the six smallest by (value, index): no tie at rank six is
+                # left to the order a sort kernel happens to leave it in
+                key = np.where(feas, val, np.inf)
+                cand = np.flatnonzero(key <= np.partition(key, 5)[5])
+                order = cand[np.lexsort((cand, key[cand]))][:6]
                 chains += [(eps, k) for k in order if feas[k]]
         n = len(chains)
         rows = np.arange(n)

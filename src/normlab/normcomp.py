@@ -6,6 +6,12 @@ bracket [lower, upper] closes to the requested tolerance.  The per-cell
 bound uses |g(y) - g(x)| <= L * ||y - x||_1 with L = max column range-norm,
 plus the fact that both sphere coordinates are monotone within a grid cell
 that does not straddle a quadrant (octant for the max-norm square) boundary.
+Refinement goes level by level, each level one array pass over the live
+cells: prune, split (one evaluation call for all midpoints), bound the
+children.  At most DEFAULT_BUDGET cells are split, a constant; the level
+that would pass it splits the highest bounds first, and the bounds of the
+cells left unsplit stay in the bracket.  A result's n_evals counts every
+column the sweep evaluates, golden-section probes included.
 
 Higher dimensions use multistart ascent (a dual-map fixed point step with a
 projected-gradient fallback), with every start climbing as one column of a
@@ -19,7 +25,6 @@ An independent brute-force grid oracle cross-checks every certified value.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -46,7 +51,7 @@ METHOD_ORACLE = "ORACLE"
 METHOD_EXACT = "EXACT"
 
 DEFAULT_GRID = 24576  # multiple of 8: quadrant and square-corner breakpoints on-grid
-DEFAULT_BUDGET = 40000
+DEFAULT_BUDGET = 40000  # cells one 2D sweep splits at most
 ASCENT_ITERS = 500
 
 
@@ -201,8 +206,13 @@ def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResul
     return EvalPool(X, T.range_values(X), None, base_count=samples.shape[1])
 
 
-def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
-    """The certified branch-and-bound sweep of a 2D domain, and its witnesses."""
+def _sweep2d(T: OperatorPQ, tol: float, grid: int) -> NormResult:
+    """The certified branch-and-bound sweep of a 2D domain, and its witnesses.
+
+    The live cells are the columns of one array: rows (t, x_0, x_1, g) of
+    the cell's left end over the same rows of its right end.  Each
+    refinement level prunes, splits and bounds all of them in one pass.
+    """
     space = T.domain
 
     base = _base_pool(T, 0, max(grid, 20000))
@@ -210,21 +220,6 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
     grid = base.base_count - 1
     n_evals = grid + 1
 
-    lip = _column_lipschitz(T)
-    monotone_cells = isinstance(space, SequenceSpace)
-    notes = ""
-    if monotone_cells:
-        cell_slack = lip * (np.abs(np.diff(X[0])) + np.abs(np.diff(X[1])))
-    else:
-        # generic 2D norm handle: estimated theta-Lipschitz bound, safety 2x
-        speed = (np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))) / np.diff(thetas)
-        L_theta = 2.0 * lip * float(np.max(speed))
-        cell_slack = np.full(grid, L_theta) * np.diff(thetas)
-        notes = "cell bounds use a numerically estimated parametrization Lipschitz constant"
-
-    best = int(np.argmax(g))
-    lb = float(g[best])
-    theta_best = float(thetas[best])
     # Rounding allowance: a computed ||A x||_q, or a cell bound, errs by at most
     # (32 + m) u ||T|| for an m-dimensional range (u = 2^-53; sphere coordinates,
     # products and slack 32 u, the q-norm's sum one u per term).  Bounds move out
@@ -232,76 +227,74 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
     # float matrix.  A tol below twice it never prunes the top cell: use the floor.
     rnd = (64 + 2 * max(T.range.dim, 32)) * 2.0 ** -53
     up, down = 1.0 + rnd, 1.0 - rnd
+
+    lip = _column_lipschitz(T)
+    rate = None  # slack per unit theta on a generic 2D norm
+    notes = ""
+    if not isinstance(space, SequenceSpace):
+        # generic 2D norm handle: estimated theta-Lipschitz bound, safety 2x
+        speed = (np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))) / np.diff(thetas)
+        rate = 2.0 * lip * float(np.max(speed))
+        notes = "cell bounds use a numerically estimated parametrization Lipschitz constant"
+
+    def bound(C):
+        """Rounded-up bound of ||T x||_range over each cell (column of the rows C)."""
+        t0, a0, b0, g0, t1, a1, b1, g1 = C
+        if rate is None:  # both sphere coordinates are monotone within a cell
+            slack = lip * (np.abs(a1 - a0) + np.abs(b1 - b0))
+        else:
+            slack = rate * (t1 - t0)
+        return (np.maximum(g0, g1) + slack) * up
+
+    best = int(np.argmax(g))
+    lb = float(g[best])
+    theta_best = float(thetas[best])
     prune_tol = max(tol, 2.0 * rnd * lb)
 
-    # cells whose rounded-up bound cannot beat the rounded-down lower bound by
-    # more than 2 tol are pruned; the largest pruned bound stays in the bracket
-    ub_cells = (np.maximum(g[:-1], g[1:]) + cell_slack) * up
-    live = ub_cells > lb * down + 2.0 * prune_tol
-    pruned = float(np.max(ub_cells[~live], initial=0.0))
-    heap = [
-        (-float(ub_cells[i]), float(thetas[i]), float(thetas[i + 1]), float(g[i]), float(g[i + 1]),
-         (float(X[0, i]), float(X[1, i])), (float(X[0, i + 1]), float(X[1, i + 1])))
-        for i in np.nonzero(live)[0]
-    ]
-    heapq.heapify(heap)
-
-    extra_t: list[float] = []
-    extra_g: list[float] = []
+    pool_X, pool_g = [X], [g]  # every evaluated point and value
+    ends = (thetas, *X, g)
+    C = [r[:-1] for r in ends] + [r[1:] for r in ends]  # the base grid's cells, as views
+    held = 0.0  # the largest bound of a cell left unsplit
     splits = 0
-    slack_rate = None
-    if not monotone_cells:
-        slack_rate = cell_slack[0] / (thetas[1] - thetas[0])  # slack per unit theta
-
-    # midpoints are evaluated in batches to amortize per-call overhead
-    while heap and splits < budget:
-        batch = []
-        while heap and len(batch) < 64:
-            if -heap[0][0] <= lb * down + 2.0 * prune_tol:
-                break
-            batch.append(heapq.heappop(heap))
-        if not batch:
+    while True:
+        # cells whose rounded-up bound cannot beat the rounded-down lower bound
+        # by more than 2 tol are pruned; the rest split in the order highest
+        # bound first, ties to the lower angle, as far as the budget allows
+        ub = bound(C)
+        live = np.flatnonzero(ub > lb * down + 2.0 * prune_tol)
+        split = live[np.lexsort((C[0][live], -ub[live]))][:DEFAULT_BUDGET - splits]
+        held = max(held, float(np.max(np.delete(ub, split), initial=0.0)))
+        if not split.size:
             break
-        tms = np.fromiter((0.5 * (it[1] + it[2]) for it in batch), float, len(batch))
-        Xm = space.sphere_grid(tms)
-        gms = T.range_values(Xm)
-        n_evals += len(batch)
-        splits += len(batch)
-        extra_t.extend(tms.tolist())
-        extra_g.extend(gms.tolist())
-        k = int(np.argmax(gms))
-        if gms[k] > lb:
-            lb, theta_best = float(gms[k]), float(tms[k])
-        for j, (neg_ub, ta, tb, ga, gb, xa, xb) in enumerate(batch):
-            tm = float(tms[j])
-            gm = float(gms[j])
-            xm = (float(Xm[0, j]), float(Xm[1, j]))
-            for (t0, t1, g0, g1, x0, x1) in (
-                (ta, tm, ga, gm, xa, xm),
-                (tm, tb, gm, gb, xm, xb),
-            ):
-                if monotone_cells:
-                    slack = lip * (abs(x1[0] - x0[0]) + abs(x1[1] - x0[1]))
-                else:
-                    slack = slack_rate * (t1 - t0)
-                ub = (max(g0, g1) + slack) * up
-                if ub > lb * down + 2.0 * prune_tol:
-                    heapq.heappush(heap, (-ub, t0, t1, g0, g1, x0, x1))
-                else:
-                    pruned = max(pruned, ub)
+        C = np.vstack([r[split] for r in C])
+        tm = 0.5 * (C[0] + C[4])
+        Xm = space.sphere_grid(tm)
+        gm = T.range_values(Xm)
+        n_evals += tm.size
+        splits += tm.size
+        k = int(np.argmax(gm))
+        if gm[k] > lb:
+            lb, theta_best = float(gm[k]), float(tm[k])
+        pool_X.append(Xm)
+        pool_g.append(gm)
+        mid = np.vstack([tm, Xm, gm])
+        C = np.hstack([np.vstack([C[:4], mid]), np.vstack([mid, C[4:]])])  # the children
+    upper = max(lb, held)
 
-    upper = max(lb, pruned, -heap[0][0] if heap else 0.0)
+    def values(ts, _live):
+        """The golden-section objective, counting its probes."""
+        nonlocal n_evals
+        n_evals += ts.size
+        return T.range_values(space.sphere_grid(ts))
 
     # sharpen the maximizer within its bracket
     h = TWO_PI / grid
-    t_star, g_star = _golden_max(_angle_values(T), theta_best - h, theta_best + h)
-    t_star, g_star = float(t_star[0]), float(g_star[0])
-    n_evals += 100
-    if g_star > lb:
-        lb = g_star
+    t_star, g_star = _golden_max(values, theta_best - h, theta_best + h)
+    if g_star[0] > lb:
+        lb = float(g_star[0])
         upper = max(upper, lb)
-    extra_t.append(t_star)
-    extra_g.append(g_star)
+    pool_X.append(space.sphere_grid(t_star))
+    pool_g.append(g_star)
 
     lower = lb * down
     achieved = max(tol, 0.5 * (upper - lower))
@@ -310,14 +303,10 @@ def _sweep2d(T: OperatorPQ, tol: float, grid: int, budget: int) -> NormResult:
             f"tolerance relaxed to {achieved:.2e} (plateau, refinement budget or rounding floor)"
         )
     reps = cluster_representatives(
-        np.hstack([X, space.sphere_grid(np.asarray(extra_t))]),
-        np.concatenate([g, np.asarray(extra_g)]),
-        space,
-        lb - achieved,
-        cluster_tol=0.1,
+        np.hstack(pool_X), np.concatenate(pool_g), space, lb - achieved, cluster_tol=0.1
     )
     t0 = np.array([_theta_of(space, x) for x, _v in reps[:16]])
-    t_ref, _ = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
+    t_ref, _ = _golden_max(values, t0 - 2 * h, t0 + 2 * h)
     witnesses = [unit(x, space) for x in space.sphere_grid(t_ref).T]
     witnesses.sort(key=lambda w: _theta_of(space, w.coords))
     return NormResult(
@@ -522,7 +511,6 @@ def opnorm(
     tol: float = 1e-4,
     *,
     grid: int = DEFAULT_GRID,
-    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     method: str | None = None,
 ) -> NormResult:
@@ -541,17 +529,17 @@ def opnorm(
     if method == METHOD_SWEEP2D:
         if T.domain.dim != 2:
             raise ValueError("SWEEP2D requires a 2-dimensional domain")
-        return _sweep2d(T, tol, grid, budget)
+        return _sweep2d(T, tol, grid)
     if method is not None:
         raise ValueError(f"unknown method {method!r}")
 
     reduced = _reduce(T)
     if reduced is not None:
-        return _opnorm_structured(T, reduced, tol, grid, budget, seed)
+        return _opnorm_structured(T, reduced, tol, grid, seed)
     if T.range.dim == 1 and isinstance(T.domain, SequenceSpace):
         return _opnorm_rank1(T, tol)
     if T.domain.dim == 2:
-        return _sweep2d(T, tol, grid, budget)
+        return _sweep2d(T, tol, grid)
     return _opnorm_multistart(T, tol, seed)
 
 
@@ -613,9 +601,9 @@ def _rank1_attainers(space: SequenceSpace, row, value_tol) -> tuple[list[np.ndar
     return list(np.unique(np.vstack([X, -X]), axis=0)), len(X) > 1
 
 
-def _opnorm_structured(T, reduced, tol, grid, budget, seed):
+def _opnorm_structured(T, reduced, tol, grid, seed):
     parts, offsets, note, _ = reduced
-    subs = [opnorm(R, tol, grid=grid, budget=budget, seed=seed) for R in parts]
+    subs = [opnorm(R, tol, grid=grid, seed=seed) for R in parts]
     result = _max_of(subs)
     # the attainers of every part within its tol of the norm, embedded at its offset
     n = T.domain.dim

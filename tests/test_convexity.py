@@ -44,6 +44,16 @@ def test_delta_monotone_and_bounded():
         assert np.all((0.0 <= d) & (d <= 1.0))
 
 
+def test_delta_witnesses_on_the_square_are_pinned():
+    """On l_inf^2 every pair at distance >= eps has delta 0, so the witness
+    pair depends only on which chains are refined: the six smallest pairs by
+    (value, index), whatever order a sort kernel leaves ties in."""
+    mod = nl.delta_numeric(SequenceSpace(2, INF), [1.3731377833825171, 1.8998257078325158])
+    assert mod.delta == [0.0, 0.0]
+    pairs = [(x.tolist(), y.tolist()) for x, y in mod.witness_pairs]
+    assert pairs == [([1.0, 0.3734375], [1.0, -1.0]), ([1.0, 0.899853515625], [1.0, -1.0])]
+
+
 def test_delta_dim3_and_rejection():
     mod = nl.delta_numeric(SequenceSpace(3, 2), [1.0])
     assert 0.05 <= mod.delta[0] <= 0.2  # coarse grid around 1 - sqrt(3)/2
@@ -148,7 +158,8 @@ def _delta_2d_sequential(space, epsilons, grid=640):
         feas = dist >= eps - 1e-12
         if not np.any(feas):
             continue
-        for k in np.argsort(np.where(feas, val, np.inf))[:6]:
+        key = np.where(feas, val, np.inf)
+        for k in np.lexsort((np.arange(key.size), key))[:6]:  # the six smallest by (value, index)
             if not feas[k]:
                 continue
             span, best = TWO_PI / grid, (val[k], float(ti[k]), float(tj[k]))

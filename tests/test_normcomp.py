@@ -12,13 +12,14 @@ from normlab.normcomp import (
     METHOD_MULTISTART,
     METHOD_ORACLE,
     METHOD_SWEEP2D,
+    DEFAULT_BUDGET,
     _bisect,
     _golden_max,
     _start_coords,
     ascend,
 )
 from normlab.operators import dual_attainer, norm_dual_vector
-from normlab.spaces import pnorm
+from normlab.spaces import pnorm, pnorm_cols
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
 
@@ -170,6 +171,59 @@ def test_sweep_bracket_tall_range_and_tol_floor():
     nr = nl.opnorm(T, tol=1e-15)
     assert nr.tol > 1e-15 and "rounding floor" in nr.notes
     assert nr.upper_bound - nr.lower_bound <= 2 * nr.tol
+
+
+@pytest.mark.parametrize(
+    "M, p, q, exact",
+    [
+        ([[0.5, 0.0], [0.0, 1.0]], INF, INF, Decimal(1)),
+        ([[1.0, 1.0], [0.0, 0.0]], 2.0, 1.0, Decimal(2).sqrt()),
+    ],
+    ids=["diag-inf-inf", "row-2-1"],
+)
+def test_sweep_budget_exit_keeps_a_sound_bracket(M, p, q, exact):
+    """A plateau or kink at tol 1e-12 exhausts the split budget: every unsplit
+    cell's bound stays in the bracket and the tolerance is relaxed to match."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        nr = nl.opnorm(OperatorPQ(np.array(M), SequenceSpace(2, p), SequenceSpace(2, q)), tol=1e-12)
+        assert nr.n_evals >= nr.grid_size + 1 + DEFAULT_BUDGET
+        assert Decimal(nr.lower_bound) <= exact <= Decimal(nr.upper_bound)
+    assert nr.tol > 1e-12 and f"tolerance relaxed to {nr.tol:.2e}" in nr.notes
+    assert nr.upper_bound - nr.lower_bound <= 2 * nr.tol
+
+
+def test_sweep_bracket_on_general_2d_norms():
+    """The sweep over a Norm2D domain bounds its cells by the estimated
+    parametrization speed; the bracket holds the closed-form norm."""
+    A = np.array([[1.0, 0.4], [-0.3, 0.8]])
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    cases = [
+        (nl.Norm2D(lambda X: 1.05 * pnorm_cols(X, 2.0), name="1.05 l_2"), np.linalg.norm(A, 2) / 1.05),
+        (nl.Norm2D(lambda X: pnorm_cols(R @ X, 2.0), name="rotated l_2"), np.linalg.norm(A @ R.T, 2)),
+    ]
+    for dom, exact in cases:
+        nr = nl.opnorm(OperatorPQ(A, dom, SequenceSpace(2, 2.0)))
+        assert nr.method == METHOD_SWEEP2D and "Lipschitz" in nr.notes
+        assert nr.lower_bound <= exact <= nr.upper_bound
+
+
+def test_sweep_counts_every_evaluated_column(monkeypatch):
+    """n_evals is the number of columns the sweep passes to range_values:
+    base grid, refinement levels, sharpening and witness probes."""
+    real, seen = OperatorPQ.range_values, []
+
+    def counted(self, X):
+        seen.append(np.shape(X)[1])
+        return real(self, X)
+
+    monkeypatch.setattr(OperatorPQ, "range_values", counted)
+    rng = np.random.default_rng(9)
+    for dom in (SequenceSpace(2, 1.5), SequenceSpace(2, INF), nl.Norm2D(lambda X: 1.05 * pnorm_cols(X, 2.0))):
+        seen.clear()
+        nr = nl.opnorm(OperatorPQ(rng.standard_normal((2, 2)), dom, SequenceSpace(2, 3.0)))
+        assert nr.method == METHOD_SWEEP2D and nr.n_evals == sum(seen)
 
 
 def test_opnorm_rejects_bad_tol():
