@@ -612,25 +612,29 @@ def sbpb_profile(
                        cluster_tol=cluster_tol, seed=seed, grid=grid).profile()
 
 
-def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID) -> list[SbpbProfile]:
-    """`sbpb_profile(T, epsilons, seed=seed, grid=grid)` for each T of `ops`,
-    operators sharing a 2D domain and a range, in one pass.
+def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID, norms=None) -> list[SbpbProfile]:
+    """`sbpb_profile(T, epsilons, seed=seed, grid=grid, norm_result=nr)` for
+    each T of `ops`, operators sharing a 2D domain and a range, in one pass;
+    `nr` is T's entry of `norms`, or `opnorm(T, seed=seed, grid=grid)`.
 
-    The base grid is built once; each operator in turn evaluates it, takes
-    its attainment set and its brackets from it, and keeps only those; one
-    refinement then serves all of them.  Results are the same, bit for bit,
-    as one `sbpb_profile` call per operator.
+    An operator's pool is its norm's sweep grid when that has `grid` cells;
+    otherwise the base grid is built once and each operator in turn
+    evaluates it.  Each takes its attainment set and its brackets from its
+    pool and keeps only those; one refinement then serves all of them.
+    Results are the same, bit for bit, as one `sbpb_profile` call per operator.
     """
     epsilons = _checked_epsilons(epsilons)
     parts = []
     base = None
-    for T in ops:
-        nr = opnorm(T, seed=seed, grid=grid)
+    for k, T in enumerate(ops):
+        nr = opnorm(T, seed=seed, grid=grid) if norms is None else norms[k]
         if not nr.certified:
             raise UncertifiedNormError("profile computation requires a certified norm")
-        if base is None:
-            base = _base_pool(T, seed, grid)
-        pool = replace(base, values=T.range_values(base.coords))
+        if nr.pool is not None and nr.grid_size == grid:
+            pool = nr.pool
+        else:
+            base = base or _base_pool(T, seed, grid)
+            pool = replace(base, values=T.range_values(base.coords))
         na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1)
         parts.append(_profile_part(T, na, nr, epsilons, pool))
     _refine_2d(parts, epsilons)

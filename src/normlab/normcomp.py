@@ -11,7 +11,9 @@ cells: prune, split (one evaluation call for all midpoints), bound the
 children.  At most DEFAULT_BUDGET cells are split, a constant; the level
 that would pass it splits the highest bounds first, and the bounds of the
 cells left unsplit stay in the bracket.  A result's n_evals counts every
-column the sweep evaluates, golden-section probes included.
+column the sweep evaluates, golden-section probes included.  Operators
+that share a 2D domain and a range are swept together, each with the
+result of its lone sweep.
 
 Higher dimensions use multistart ascent (a dual-map fixed point step with a
 projected-gradient fallback), with every start climbing as one column of a
@@ -43,7 +45,7 @@ from .spaces import (
     sphere_param_2d,
     unit,
 )
-from .operators import OperatorPQ, apply_cols, dual_attainer, norm_dual_vector
+from .operators import OperatorPQ, apply_cols, dual_attainer, norm_dual_vector, space_from_json, space_to_json
 
 METHOD_SWEEP2D = "SWEEP2D"
 METHOD_MULTISTART = "MULTISTART"
@@ -73,6 +75,7 @@ class NormResult:
     certified: bool
     n_evals: int = 0
     notes: str = ""
+    space: object = None  # the domain
     # in memory only, what the result was computed from: a 2D sweep's uniform
     # base grid, or a reduced operator's part results in `_reduce` order
     pool: EvalPool | None = field(default=None, repr=False, compare=False)
@@ -90,10 +93,12 @@ class NormResult:
             "certified": self.certified,
             "n_evals": self.n_evals,
             "notes": self.notes,
+            "space": space_to_json(self.space),
         }
 
     @staticmethod
-    def from_json_dict(d: dict, space) -> "NormResult":
+    def from_json_dict(d: dict) -> "NormResult":
+        space = space_from_json(d["space"])
         return NormResult(
             value=float(d["value"]),
             witnesses=[UnitVector(np.asarray(w), space) for w in d["witnesses"]],
@@ -105,6 +110,7 @@ class NormResult:
             certified=bool(d["certified"]),
             n_evals=int(d.get("n_evals", 0)),
             notes=d.get("notes", ""),
+            space=space,
         )
 
 
@@ -183,6 +189,27 @@ def _column_lipschitz(T: OperatorPQ) -> float:
     return float(np.max(cols)) if cols.size else 0.0
 
 
+def _owner_runs(keys, counts):
+    """(key, first, end) of consecutive blocks of `counts` columns, empty blocks left out."""
+    return [(k, e - c, e) for k, c, e in zip(keys, counts, itertools.accumulate(counts)) if c]
+
+
+def _angle_grid(space, grid: int):
+    """The read-only uniform angle grid of a 2D space with `grid` cells, and its points."""
+    thetas = np.linspace(0.0, TWO_PI, grid + 1)
+    X = space.sphere_grid(thetas)
+    for a in (thetas, X):
+        a.flags.writeable = False
+    return thetas, X
+
+
+def _grid_pool(T: OperatorPQ, thetas, X) -> EvalPool:
+    """T's evaluation pool on a shared read-only angle grid."""
+    g = T.range_values(X)
+    g.flags.writeable = False
+    return EvalPool(X, g, thetas, base_count=thetas.size)
+
+
 def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResult | None = None) -> EvalPool:
     """Uniform evaluation pool: 2D angle grid, or samples + starts for n >= 3.
 
@@ -194,134 +221,189 @@ def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResul
         grid += (-grid) % 8
         if nr is not None and nr.pool is not None and nr.grid_size == grid:
             return nr.pool
-        thetas = np.linspace(0.0, TWO_PI, grid + 1)
-        X = T.domain.sphere_grid(thetas)
-        pool = EvalPool(X, T.range_values(X), thetas, base_count=grid + 1)
-        for a in (pool.coords, pool.values, pool.thetas):
-            a.flags.writeable = False
-        return pool
+        return _grid_pool(T, *_angle_grid(T.domain, grid))
     samples = sample_sphere_coords(T.domain, 1024, seed + 7)
     starts = _start_coords(T, 16, seed + 11)
     X = np.hstack([samples, starts])
     return EvalPool(X, T.range_values(X), None, base_count=samples.shape[1])
 
 
-def _sweep2d(T: OperatorPQ, tol: float, grid: int) -> NormResult:
-    """The certified branch-and-bound sweep of a 2D domain, and its witnesses.
+def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
+    """The certified branch-and-bound sweeps of operators that share a 2D
+    domain and a range, and their witnesses: one result per operator, each
+    the same, bit for bit, as the sweep of that operator alone.
 
-    The live cells are the columns of one array: rows (t, x_0, x_1, g) of
-    the cell's left end over the same rows of its right end.  Each
-    refinement level prunes, splits and bounds all of them in one pass.
+    The base grid is built once and shared by every result's pool.  Each
+    operator's live cells are the columns of an array: rows (t, x_0, x_1, g)
+    of the cell's left end over the same rows of its right end.  Each
+    refinement level evaluates the midpoints of all operators' cells at once
+    (one `sphere_grid` and one `norm_cols` call, one product per operator),
+    then bounds, prunes and splits each operator's children against its own
+    lower bound, tolerance and budget, as its lone sweep would.
     """
-    space = T.domain
-
-    base = _base_pool(T, 0, max(grid, 20000))
-    thetas, X, g = base.thetas, base.coords, base.values
-    grid = base.base_count - 1
-    n_evals = grid + 1
+    space, rng = ops[0].domain, ops[0].range
+    n = len(ops)
+    mats = [T.matrix for T in ops]
+    grid = max(grid, 20000)
+    grid += (-grid) % 8
+    thetas, X = _angle_grid(space, grid)
+    n_evals = [grid + 1] * n
 
     # Rounding allowance: a computed ||A x||_q, or a cell bound, errs by at most
     # (32 + m) u ||T|| for an m-dimensional range (u = 2^-53; sphere coordinates,
     # products and slack 32 u, the q-norm's sum one u per term).  Bounds move out
     # by twice that (at least 2^-46), so the bracket holds the exact norm of the
     # float matrix.  A tol below twice it never prunes the top cell: use the floor.
-    rnd = (64 + 2 * max(T.range.dim, 32)) * 2.0 ** -53
+    rnd = (64 + 2 * max(rng.dim, 32)) * 2.0 ** -53
     up, down = 1.0 + rnd, 1.0 - rnd
 
-    lip = _column_lipschitz(T)
+    lip = np.empty(n)
     rate = None  # slack per unit theta on a generic 2D norm
     notes = ""
     if not isinstance(space, SequenceSpace):
         # generic 2D norm handle: estimated theta-Lipschitz bound, safety 2x
-        speed = (np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))) / np.diff(thetas)
-        rate = 2.0 * lip * float(np.max(speed))
+        speed = float(np.max((np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))) / np.diff(thetas)))
+        rate = np.empty(n)
         notes = "cell bounds use a numerically estimated parametrization Lipschitz constant"
 
-    def bound(C):
-        """Rounded-up bound of ||T x||_range over each cell (column of the rows C)."""
+    def bound(C, j):
+        """Rounded-up bound of ||T_j x||_range over each cell (column of the rows C)."""
         t0, a0, b0, g0, t1, a1, b1, g1 = C
         if rate is None:  # both sphere coordinates are monotone within a cell
-            slack = lip * (np.abs(a1 - a0) + np.abs(b1 - b0))
+            slack = lip[j] * (np.abs(a1 - a0) + np.abs(b1 - b0))
         else:
-            slack = rate * (t1 - t0)
+            slack = rate[j] * (t1 - t0)
         return (np.maximum(g0, g1) + slack) * up
 
-    best = int(np.argmax(g))
-    lb = float(g[best])
-    theta_best = float(thetas[best])
-    prune_tol = max(tol, 2.0 * rnd * lb)
+    lb, theta_best = np.empty(n), np.empty(n)
+    prune_tol = np.empty(n)
+    held = [0.0] * n  # each operator's largest bound of a cell left unsplit
+    splits = [0] * n
 
-    pool_X, pool_g = [X], [g]  # every evaluated point and value
-    ends = (thetas, *X, g)
-    C = [r[:-1] for r in ends] + [r[1:] for r in ends]  # the base grid's cells, as views
-    held = 0.0  # the largest bound of a cell left unsplit
-    splits = 0
-    while True:
-        # cells whose rounded-up bound cannot beat the rounded-down lower bound
-        # by more than 2 tol are pruned; the rest split in the order highest
-        # bound first, ties to the lower angle, as far as the budget allows
-        ub = bound(C)
-        live = np.flatnonzero(ub > lb * down + 2.0 * prune_tol)
-        split = live[np.lexsort((C[0][live], -ub[live]))][:DEFAULT_BUDGET - splits]
-        held = max(held, float(np.max(np.delete(ub, split), initial=0.0)))
-        if not split.size:
-            break
-        C = np.vstack([r[split] for r in C])
-        tm = 0.5 * (C[0] + C[4])
+    def split(C, j):
+        """Operator j's cells (columns of C) to split: cells whose rounded-up
+        bound cannot beat the rounded-down lower bound by more than 2 tol are
+        pruned; the rest split in the order highest bound first, ties to the
+        lower angle, as far as the budget allows.  The largest bound of the
+        cells not split goes into `held`."""
+        ub = bound(C, j)
+        live = np.flatnonzero(ub > lb[j] * down + 2.0 * prune_tol[j])
+        s = live[np.lexsort((C[0][live], -ub[live]))][:DEFAULT_BUDGET - splits[j]]
+        held[j] = max(held[j], float(np.max(np.delete(ub, s), initial=0.0)))
+        return s
+
+    def values(X, runs):
+        """||T_j x||_range for the columns x of X in each run (j, a, b):
+        columns a to b belong to operator j."""
+        if len(runs) == 1:
+            return rng.norm_cols(apply_cols(mats[runs[0][0]], X))
+        return rng.norm_cols(np.hstack([apply_cols(mats[j], X[:, a:b]) for j, a, b in runs]))
+
+    # the base level, one operator at a time; the cells are views of the grid
+    pools, cells = [], []  # cells: (owner, its cells to split) for each owner with any
+    for j, T in enumerate(ops):
+        pool = _grid_pool(T, thetas, X)
+        lip[j] = _column_lipschitz(T)
+        if rate is not None:
+            rate[j] = 2.0 * lip[j] * speed
+        best = int(np.argmax(pool.values))
+        lb[j], theta_best[j] = pool.values[best], thetas[best]
+        prune_tol[j] = max(tol, 2.0 * rnd * lb[j])
+        ends = (thetas, *X, pool.values)
+        C = [r[:-1] for r in ends] + [r[1:] for r in ends]
+        s = split(C, j)
+        pools.append(pool)
+        if s.size:
+            cells.append((j, np.vstack([r[s] for r in C])))
+
+    levels = []  # every level's runs (owner, first, end), points and values
+    while cells:
+        # all midpoints of the level evaluated at once, each owner's in one run
+        runs = _owner_runs([j for j, _ in cells], [C.shape[1] for _, C in cells])
+        tm = np.concatenate([0.5 * (C[0] + C[4]) for _, C in cells])
         Xm = space.sphere_grid(tm)
-        gm = T.range_values(Xm)
-        n_evals += tm.size
-        splits += tm.size
-        k = int(np.argmax(gm))
-        if gm[k] > lb:
-            lb, theta_best = float(gm[k]), float(tm[k])
-        pool_X.append(Xm)
-        pool_g.append(gm)
-        mid = np.vstack([tm, Xm, gm])
-        C = np.hstack([np.vstack([C[:4], mid]), np.vstack([mid, C[4:]])])  # the children
-    upper = max(lb, held)
+        gm = values(Xm, runs)
+        levels.append((runs, Xm, gm))
+        children = []
+        for (j, C), (_, a, b) in zip(cells, runs):
+            n_evals[j] += b - a
+            splits[j] += b - a
+            k = a + int(np.argmax(gm[a:b]))  # the owner's first maximum of the level
+            if gm[k] > lb[j]:
+                lb[j], theta_best[j] = gm[k], tm[k]
+            mid = np.vstack([tm[a:b], Xm[:, a:b], gm[a:b]])
+            C = np.hstack([np.vstack([C[:4], mid]), np.vstack([mid, C[4:]])])
+            s = split(C, j)
+            if s.size:
+                children.append((j, C[:, s]))
+        cells = children
+    upper = np.maximum(lb, held)
 
-    def values(ts, _live):
-        """The golden-section objective, counting its probes."""
-        nonlocal n_evals
-        n_evals += ts.size
-        return T.range_values(space.sphere_grid(ts))
+    def objective(owner):
+        """The golden-section objective of brackets owned by `owner` (in
+        runs), counting each probe in its owner's n_evals."""
+        live = [None, None, None]  # the live brackets, their owners, and runs of owners
 
-    # sharpen the maximizer within its bracket
+        def f(ts, idx):
+            if idx is not live[0]:  # `_golden_max` makes a new idx when a bracket freezes
+                own = [owner[i] for i in idx.tolist()]
+                live[:] = idx, own, _owner_runs(*zip(*[(j, len(list(g))) for j, g in itertools.groupby(own)]))
+            for j in live[1]:
+                n_evals[j] += 1
+            return values(space.sphere_grid(ts), live[2])
+        return f
+
+    # sharpen each maximizer within its bracket
     h = TWO_PI / grid
-    t_star, g_star = _golden_max(values, theta_best - h, theta_best + h)
-    if g_star[0] > lb:
-        lb = float(g_star[0])
-        upper = max(upper, lb)
-    pool_X.append(space.sphere_grid(t_star))
-    pool_g.append(g_star)
+    t_star, g_star = _golden_max(objective(range(n)), theta_best - h, theta_best + h)
+    better = g_star > lb
+    lb = np.where(better, g_star, lb)
+    upper = np.where(better, np.maximum(upper, lb), upper)
 
     lower = lb * down
-    achieved = max(tol, 0.5 * (upper - lower))
-    if achieved > tol:
-        notes = (notes + "; " if notes else "") + (
-            f"tolerance relaxed to {achieved:.2e} (plateau, refinement budget or rounding floor)"
+    achieved = np.maximum(tol, 0.5 * (upper - lower))
+    X_star = space.sphere_grid(t_star)
+    t0, w_cut = [], []  # the witness brackets, operator j's from w_cut[j] to w_cut[j + 1]
+    for j, pool in enumerate(pools):
+        # the operator's evaluations: base grid, refinement levels, sharpened maximizer
+        mine = [(Xm[:, a:b], gm[a:b]) for runs, Xm, gm in levels for i, a, b in runs if i == j]
+        reps = cluster_representatives(
+            np.hstack([X] + [x for x, _ in mine] + [X_star[:, j:j + 1]]),
+            np.concatenate([pool.values] + [g for _, g in mine] + [g_star[j:j + 1]]),
+            space, lb[j] - achieved[j], cluster_tol=0.1,
         )
-    reps = cluster_representatives(
-        np.hstack(pool_X), np.concatenate(pool_g), space, lb - achieved, cluster_tol=0.1
-    )
-    t0 = np.array([_theta_of(space, x) for x, _v in reps[:16]])
-    t_ref, _ = _golden_max(values, t0 - 2 * h, t0 + 2 * h)
-    witnesses = [unit(x, space) for x in space.sphere_grid(t_ref).T]
-    witnesses.sort(key=lambda w: _theta_of(space, w.coords))
-    return NormResult(
-        value=lb,
-        witnesses=witnesses,
-        method=METHOD_SWEEP2D,
-        grid_size=grid,
-        tol=achieved,
-        lower_bound=lower,
-        upper_bound=upper,
-        certified=True,
-        n_evals=n_evals,
-        notes=notes,
-        pool=base,
-    )
+        w_cut.append(len(t0))
+        t0 += [_theta_of(space, x) for x, _v in reps[:16]]
+    w_cut.append(len(t0))
+    t0 = np.array(t0)
+    w_own = [j for j in range(n) for _ in range(w_cut[j], w_cut[j + 1])]
+    t_ref, _ = _golden_max(objective(w_own), t0 - 2 * h, t0 + 2 * h)
+    W = space.sphere_grid(t_ref)
+
+    results = []
+    for j, pool in enumerate(pools):
+        note = notes
+        if achieved[j] > tol:
+            note = (note + "; " if note else "") + (
+                f"tolerance relaxed to {achieved[j]:.2e} (plateau, refinement budget or rounding floor)"
+            )
+        witnesses = [unit(x, space) for x in W[:, w_cut[j]:w_cut[j + 1]].T]
+        witnesses.sort(key=lambda w: _theta_of(space, w.coords))
+        results.append(NormResult(
+            value=float(lb[j]),
+            witnesses=witnesses,
+            method=METHOD_SWEEP2D,
+            grid_size=grid,
+            tol=float(achieved[j]),
+            lower_bound=float(lower[j]),
+            upper_bound=float(upper[j]),
+            certified=True,
+            n_evals=n_evals[j],
+            notes=note,
+            space=space,
+            pool=pool,
+        ))
+    return results
 
 
 def ascend(T: OperatorPQ, X0, iters: int = ASCENT_ITERS):
@@ -489,9 +571,9 @@ def _reduce(T: OperatorPQ):
     return None
 
 
-def _max_of(subs: list[NormResult]) -> NormResult:
-    """The result of a reduced operator from its parts' results: the largest
-    value and bounds, the combined cost, no witnesses."""
+def _max_of(subs: list[NormResult], space) -> NormResult:
+    """The result of a reduced operator on `space` from its parts' results:
+    the largest value and bounds, the combined cost, no witnesses."""
     k = int(np.argmax([s.value for s in subs]))
     return NormResult(
         value=subs[k].value,
@@ -503,6 +585,7 @@ def _max_of(subs: list[NormResult]) -> NormResult:
         upper_bound=max(s.upper_bound for s in subs),
         certified=all(s.certified for s in subs),
         n_evals=sum(s.n_evals for s in subs),
+        space=space,
     )
 
 
@@ -529,18 +612,41 @@ def opnorm(
     if method == METHOD_SWEEP2D:
         if T.domain.dim != 2:
             raise ValueError("SWEEP2D requires a 2-dimensional domain")
-        return _sweep2d(T, tol, grid)
+        return _sweep2d([T], tol, grid)[0]
     if method is not None:
         raise ValueError(f"unknown method {method!r}")
 
     reduced = _reduce(T)
     if reduced is not None:
         return _opnorm_structured(T, reduced, tol, grid, seed)
+    if _swept(T):
+        return _sweep2d([T], tol, grid)[0]
     if T.range.dim == 1 and isinstance(T.domain, SequenceSpace):
         return _opnorm_rank1(T, tol)
-    if T.domain.dim == 2:
-        return _sweep2d(T, tol, grid)
     return _opnorm_multistart(T, tol, seed)
+
+
+def _swept(T: OperatorPQ) -> bool:
+    """Whether `opnorm` runs the 2D sweep on T: a 2D domain, and not a
+    rank-one functional on a sequence space."""
+    return T.domain.dim == 2 and not (T.range.dim == 1 and isinstance(T.domain, SequenceSpace))
+
+
+def _by_spaces(ops: list[OperatorPQ], run) -> list:
+    """`run(group)` on each group of `ops` that share a domain and a range,
+    one result per operator, in the order of `ops`."""
+    groups: list[list[int]] = []
+    for i, T in enumerate(ops):
+        g = next((g for g in groups if ops[g[0]].domain == T.domain and ops[g[0]].range == T.range), None)
+        if g is None:
+            groups.append([i])
+        else:
+            g.append(i)
+    out = [None] * len(ops)
+    for g in groups:
+        for i, r in zip(g, run([ops[i] for i in g])):
+            out[i] = r
+    return out
 
 
 def _angle_values(T: OperatorPQ):
@@ -576,6 +682,7 @@ def _opnorm_rank1(T, tol):
         certified=True,
         n_evals=1,
         notes="rank-one closed form (dual norm of the row)",
+        space=T.domain,
     )
 
 
@@ -603,8 +710,9 @@ def _rank1_attainers(space: SequenceSpace, row, value_tol) -> tuple[list[np.ndar
 
 def _opnorm_structured(T, reduced, tol, grid, seed):
     parts, offsets, note, _ = reduced
-    subs = [opnorm(R, tol, grid=grid, seed=seed) for R in parts]
-    result = _max_of(subs)
+    subs = _by_spaces(parts, lambda ops: _sweep2d(ops, tol, grid) if _swept(ops[0])
+                      else [opnorm(R, tol, grid=grid, seed=seed) for R in ops])
+    result = _max_of(subs, T.domain)
     # the attainers of every part within its tol of the norm, embedded at its offset
     n = T.domain.dim
     witnesses = [
@@ -632,6 +740,7 @@ def _opnorm_multistart(T, tol, seed):
         certified=False,
         n_evals=int(pool.values.size),
         notes="heuristic: multistart ascent; upper bound is not certified",
+        space=T.domain,
     )
 
 
@@ -640,7 +749,8 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
 
     2D uses an angle grid; 3D a spherical product grid; exactly reducible
     structures compose block oracles (the oracle stays evaluation-only on
-    each 2D constituent).  Unstructured dimensions above 3 are rejected.
+    each 2D constituent, and parts that share a domain and a range share
+    one grid).  Unstructured dimensions above 3 are rejected.
     """
     if grid < 1000:
         raise ValueError(f"oracle grid must be >= 1000; got {grid}")
@@ -648,28 +758,12 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
     reduced = _reduce(T)
     if reduced is not None:
         parts, _, _, note = reduced
-        return replace(_max_of([opnorm_oracle(R, grid) for R in parts]), notes=note)
+        subs = _by_spaces(parts, lambda ops: _oracle_2d(ops, grid) if ops[0].domain.dim == 2
+                          else [opnorm_oracle(R, grid) for R in ops])
+        return replace(_max_of(subs, T.domain), notes=note)
 
     if T.domain.dim == 2:
-        thetas = np.linspace(0.0, TWO_PI, grid + 1)
-        X = T.domain.sphere_grid(thetas)
-        g = T.range_values(X)
-        k = int(np.argmax(g))
-        lip = _column_lipschitz(T)
-        slack = float(np.max(np.abs(np.diff(X[0])) + np.abs(np.diff(X[1])))) * lip
-        value = float(g[k])
-        return NormResult(
-            value=value,
-            witnesses=[unit(X[:, k], T.domain)],
-            method=METHOD_ORACLE,
-            grid_size=grid,
-            tol=max(slack / 2.0, 1e-15),
-            lower_bound=value,
-            upper_bound=value + slack,
-            certified=isinstance(T.domain, SequenceSpace),
-            n_evals=grid + 1,
-            notes="",
-        )
+        return _oracle_2d([T], grid)[0]
     if T.domain.dim == 3:
         m = int(math.ceil(math.sqrt(grid)))
         X = _sphere_grid_3d(T.domain, m)
@@ -688,8 +782,36 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
             certified=False,
             n_evals=int(X.shape[1]),
             notes="3D product grid; upper bound is a heuristic spacing estimate",
+            space=T.domain,
         )
     raise ValueError("oracle grids are exhaustive only up to dimension 3")
+
+
+def _oracle_2d(ops: list[OperatorPQ], grid: int) -> list[NormResult]:
+    """The 2D angle-grid oracle of operators sharing a domain: one grid, each
+    operator evaluated on it in turn."""
+    space = ops[0].domain
+    _, X = _angle_grid(space, grid)
+    step = float(np.max(np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))))
+    results = []
+    for T in ops:
+        g = T.range_values(X)
+        k = int(np.argmax(g))
+        slack = step * _column_lipschitz(T)
+        value = float(g[k])
+        results.append(NormResult(
+            value=value,
+            witnesses=[unit(X[:, k], space)],
+            method=METHOD_ORACLE,
+            grid_size=grid,
+            tol=max(slack / 2.0, 1e-15),
+            lower_bound=value,
+            upper_bound=value + slack,
+            certified=isinstance(space, SequenceSpace),
+            n_evals=grid + 1,
+            space=space,
+        ))
+    return results
 
 
 def objective_grad(T: OperatorPQ, x) -> np.ndarray:

@@ -20,14 +20,15 @@ import numpy as np
 
 from .spaces import INF, SequenceSpace, pnorm, unit
 from .operators import (
+    APPLY_CHUNK,
     GALLERY_TAGS,
     HypothesisError,
     OperatorPQ,
     from_gallery,
     make_rot_lq,
 )
-from .normcomp import NormResult, opnorm, opnorm_oracle
-from .attainment import AttainmentSet, dist_to_set, na_set, sbpb_profile
+from .normcomp import DEFAULT_GRID, NormResult, _sweep2d, opnorm, opnorm_oracle
+from .attainment import AttainmentSet, _sbpb_profiles_2d, dist_to_set, na_set, sbpb_profile
 
 TOL_NORM = 1e-6
 TOL_DIST = 1e-4
@@ -545,23 +546,33 @@ def monotonicity_certificate(q, grid: int = 10000) -> ReproReport:
     )
 
 
+# operators per group of POSITIVE-BATCH: a group's sweeps and profiles hold one
+# base grid of values per operator, at most 4 * APPLY_CHUNK values (1 MB) in all;
+# twice that raised the gallery's peak memory
+POSITIVE_GROUP = 4 * APPLY_CHUNK // DEFAULT_GRID
+
+
 def positive_side_batch(
     count: int = 50, eps: float = 0.25, p: float = 3.0, q: float = 2.0, *, seed: int = 0
 ) -> ReproReport:
-    """Random unit-norm 2x2 operators with q < p: eta(eps) must be strictly positive."""
+    """Random unit-norm 2x2 operators with q < p: eta(eps) must be strictly positive.
+
+    Operator k is drawn from seed + k and normalized by its norm.  In each
+    group of POSITIVE_GROUP operators one batched sweep normalizes them, one
+    sweeps the normalized operators, and one batched profile takes their
+    attainment sets and eta from those sweeps' grids: each operator's eta is
+    the same, bit for bit, as its own opnorm -> na_set -> sbpb_profile.
+    """
     t0 = time.perf_counter()
     checks = []
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        op_seed = seed + i
-        M = np.random.default_rng(op_seed).standard_normal((2, 2))
-        T = OperatorPQ(M, SequenceSpace(2, p), SequenceSpace(2, q))
-        nr = opnorm(T, seed=op_seed)
-        T = OperatorPQ(M / nr.value, SequenceSpace(2, p), SequenceSpace(2, q))
-        nr = opnorm(T, seed=op_seed)
-        na = na_set(T, norm_result=nr, seed=op_seed)
-        prof = sbpb_profile(T, [eps], norm_result=nr, na=na, seed=op_seed)
-        checks.append(_ge(f"eta_positive_seed_{op_seed}", 1e-6, prof.eta[0], 0.0))
+    domain, range_ = SequenceSpace(2, p), SequenceSpace(2, q)
+    for start in range(seed, seed + count, POSITIVE_GROUP):
+        seeds = range(start, min(start + POSITIVE_GROUP, seed + count))
+        mats = [np.random.default_rng(s).standard_normal((2, 2)) for s in seeds]
+        scale = [nr.value for nr in _sweep2d([OperatorPQ(M, domain, range_) for M in mats], 1e-4, DEFAULT_GRID)]
+        ops = [OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]
+        profiles = _sbpb_profiles_2d(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))
+        checks += [_ge(f"eta_positive_seed_{s}", 1e-6, prof.eta[0], 0.0) for s, prof in zip(seeds, profiles)]
     runtime = int(1000 * (time.perf_counter() - t0))
     return ReproReport(
         tag="POSITIVE-BATCH",

@@ -262,7 +262,7 @@ def test_block_attainment_computes_each_block_norm_once(monkeypatch):
     """The block norms come from the norm's result; only a reloaded one, which has none, recomputes them."""
     T = nl.make_lplq_fail(2, 2, 3)
     nr = nl.opnorm(T)
-    reloaded = nl.NormResult.from_json_dict(nr.to_json_dict(), T.domain)
+    reloaded = nl.NormResult.from_json_dict(nr.to_json_dict())
     calls = []
     real = attainment.opnorm
     monkeypatch.setattr(attainment, "opnorm", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
@@ -288,7 +288,7 @@ def test_reused_norm_analysis_matches_recomputing_it(tag, params):
         T = nl.from_gallery(tag, **params)
         eps = [0.5, 0.9]
     nr = nl.opnorm(T)
-    reloaded = nl.NormResult.from_json_dict(json.loads(json.dumps(nr.to_json_dict())), T.domain)
+    reloaded = nl.NormResult.from_json_dict(json.loads(json.dumps(nr.to_json_dict())))
     assert (nr.pool is not None, nr.parts is not None) == ((True, False) if tag == "2D" else (False, True))
     assert reloaded.pool is None and reloaded.parts is None
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -8,14 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace
+from normlab import normcomp
 from normlab.normcomp import (
     METHOD_MULTISTART,
     METHOD_ORACLE,
     METHOD_SWEEP2D,
     DEFAULT_BUDGET,
+    DEFAULT_GRID,
     _bisect,
     _golden_max,
     _start_coords,
+    _sweep2d,
     ascend,
 )
 from normlab.operators import dual_attainer, norm_dual_vector
@@ -210,20 +214,30 @@ def test_sweep_bracket_on_general_2d_norms():
 
 
 def test_sweep_counts_every_evaluated_column(monkeypatch):
-    """n_evals is the number of columns the sweep passes to range_values:
-    base grid, refinement levels, sharpening and witness probes."""
-    real, seen = OperatorPQ.range_values, []
+    """n_evals is the number of columns the sweep evaluates: those it passes
+    to range_values (the base grid) and to apply_cols (refinement levels,
+    sharpening and witness probes); a batch's results share them out."""
+    real, real_apply, seen = OperatorPQ.range_values, normcomp.apply_cols, []
 
     def counted(self, X):
         seen.append(np.shape(X)[1])
         return real(self, X)
 
+    def counted_apply(M, X):
+        seen.append(np.shape(X)[1])
+        return real_apply(M, X)
+
     monkeypatch.setattr(OperatorPQ, "range_values", counted)
+    monkeypatch.setattr(normcomp, "apply_cols", counted_apply)
     rng = np.random.default_rng(9)
     for dom in (SequenceSpace(2, 1.5), SequenceSpace(2, INF), nl.Norm2D(lambda X: 1.05 * pnorm_cols(X, 2.0))):
         seen.clear()
         nr = nl.opnorm(OperatorPQ(rng.standard_normal((2, 2)), dom, SequenceSpace(2, 3.0)))
         assert nr.method == METHOD_SWEEP2D and nr.n_evals == sum(seen)
+        seen.clear()
+        batch = _sweep2d([OperatorPQ(rng.standard_normal((2, 2)), dom, SequenceSpace(2, 3.0)) for _ in range(3)],
+                         1e-4, DEFAULT_GRID)
+        assert sum(r.n_evals for r in batch) == sum(seen)
 
 
 def test_opnorm_rejects_bad_tol():
@@ -489,18 +503,62 @@ def test_block_diagonal_is_the_max_of_its_blocks(T):
 
 
 def test_norm_result_json_round_trip():
-    """JSON keeps the ten result fields and leaves out the in-memory grid and part results."""
+    """JSON keeps the eleven result fields, the domain among them, and leaves
+    out the in-memory grid and part results; a reload needs no space, except
+    that a custom 2D norm cannot be reloaded."""
     keys = {"value", "witnesses", "method", "grid_size", "tol", "lower_bound", "upper_bound",
-            "certified", "n_evals", "notes"}
+            "certified", "n_evals", "notes", "space"}
+    mixed = BlockSpace(2.0, (SequenceSpace(2, 3.0), SequenceSpace(2, 3.0)))
     rank_one = OperatorPQ(np.ones((1, 3)), SequenceSpace(3, 2), SequenceSpace(1, 2))
-    for T in (nl.make_diag_beta(0.5, 2, 2), nl.make_lplq_fail(2, 2, 2), rank_one):
-        r = nl.opnorm(T)
-        assert (r.pool is not None, r.parts is not None) == (T.domain.dim == 2, T.structure is not None)
-        d = r.to_json_dict()
-        assert set(d) == keys and "pool" not in repr(r) and "parts" not in repr(r)
-        back = nl.NormResult.from_json_dict(d, T.domain)
-        assert back.to_json_dict() == d and back.pool is None and back.parts is None
-        assert [w.space for w in back.witnesses] == [T.domain] * len(r.witnesses)
+    multistart = OperatorPQ(np.random.default_rng(4).standard_normal((4, 4)), mixed, SequenceSpace(4, 2.0))
+    cases = {
+        METHOD_SWEEP2D: [nl.make_diag_beta(0.5, 2, 2), nl.make_lplq_fail(2, 2, 2),
+                         nl.make_block(nl.make_shrinking_blocks(2, p=3.0, q=3.0), 2.0, INF)],
+        "EXACT": [rank_one],
+        METHOD_MULTISTART: [multistart],
+    }
+    for method, ops in cases.items():
+        for T in ops:
+            r = nl.opnorm(T)
+            assert r.method == method and r.space == T.domain
+            assert (r.pool is not None, r.parts is not None) == (T.domain.dim == 2, T.structure is not None)
+            d = r.to_json_dict()
+            assert set(d) == keys and "pool" not in repr(r) and "parts" not in repr(r)
+            back = nl.NormResult.from_json_dict(json.loads(json.dumps(d)))
+            assert back.to_json_dict() == d and back.pool is None and back.parts is None
+            assert back.space == T.domain
+            assert [w.space for w in back.witnesses] == [T.domain] * len(r.witnesses)
+    assert isinstance(cases[METHOD_SWEEP2D][2].domain, BlockSpace)
+    custom = nl.opnorm(OperatorPQ(np.eye(2), nl.Norm2D(lambda X: 1.05 * pnorm_cols(X, 2.0)), SequenceSpace(2, 2.0)))
+    assert custom.to_json_dict()["space"] == {"dim": 2, "p": "custom"}
+    with pytest.raises(ValueError):
+        nl.NormResult.from_json_dict(custom.to_json_dict())
+
+
+def _sweep_bits(r):
+    return (r.to_json_dict(), r.n_evals, [w.coords.tobytes() for w in r.witnesses], r.pool.values.tobytes())
+
+
+def test_batched_sweeps_match_each_operator_alone():
+    """A batched sweep's result for each operator is its lone sweep's, bit for
+    bit: JSON fields, evaluation count, witnesses and base-grid values."""
+    l2, l1 = SequenceSpace(2, 2.0), SequenceSpace(2, 1.0)
+    draws = [np.random.default_rng(k).standard_normal((2, 2)) for k in range(50)]
+    positive = [OperatorPQ(M, SequenceSpace(2, 3.0), SequenceSpace(2, 2.0)) for M in draws]
+    parts = [B for N in (3, 5) for T in [nl.make_block(nl.make_shrinking_blocks(N))] +
+             [nl.make_lplq_fail(p, q, N) for p, q in ((1.5, 2.0), (2.0, 2.0), (2.0, 3.0), (3.0, 3.0))]
+             for B in T.structure[1]]
+    # budget exits at other levels, or (the zero operator) no split at all
+    budget = [OperatorPQ(np.array([[1.0, 1.0], [0.0, 0.0]]), l2, l1),
+              OperatorPQ(draws[0], l2, l1), OperatorPQ(np.zeros((2, 2)), l2, l1), OperatorPQ(draws[1], l2, l1)]
+    general = nl.Norm2D(lambda X: 1.05 * pnorm_cols(X, 2.0))
+    norm2d = [OperatorPQ(M, general, SequenceSpace(2, 3.0)) for M in draws[:4]]
+    for ops, tol in ((positive, 1e-4), (parts, 1e-4), (budget, 1e-12), (norm2d, 1e-4)):
+        batch = normcomp._by_spaces(ops, lambda group: _sweep2d(group, tol, DEFAULT_GRID))
+        for T, r in zip(ops, batch):
+            assert _sweep_bits(r) == _sweep_bits(nl.opnorm(T, tol))
+        if ops is budget:
+            assert "tolerance relaxed" in batch[0].notes and batch[2].value == 0.0 and not batch[2].notes
 
 
 # rows on a 1/1024 grid: magnitudes are equal or 1e-3 apart, so the

@@ -1,11 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import HypothesisError
-from normlab.repro import DEFAULT_PARAMS, gallery_default_cases
+from normlab import HypothesisError, OperatorPQ, SequenceSpace
+from normlab.repro import DEFAULT_PARAMS, _ge, gallery_default_cases
 
 
 def _strip_runtime(d):
@@ -137,3 +138,20 @@ def test_report_json_round_trip():
     assert back.overall == rep.overall
     assert [c.name for c in back.checks] == [c.name for c in rep.checks]
     assert back.worst_residual == pytest.approx(rep.worst_residual)
+
+
+def test_positive_side_batch_matches_one_operator_at_a_time():
+    """The grouped POSITIVE-BATCH report equals, apart from runtime_ms, the
+    report of one opnorm -> na_set -> sbpb_profile chain per operator."""
+    checks = []
+    for k in range(50):
+        M = np.random.default_rng(k).standard_normal((2, 2))
+        T = OperatorPQ(M, SequenceSpace(2, 3.0), SequenceSpace(2, 2.0))
+        T = OperatorPQ(M / nl.opnorm(T, seed=k).value, SequenceSpace(2, 3.0), SequenceSpace(2, 2.0))
+        nr = nl.opnorm(T, seed=k)
+        na = nl.na_set(T, norm_result=nr, seed=k)
+        prof = nl.sbpb_profile(T, [0.25], norm_result=nr, na=na, seed=k)
+        checks.append(_ge(f"eta_positive_seed_{k}", 1e-6, prof.eta[0], 0.0))
+    loop = nl.ReproReport(tag="POSITIVE-BATCH", params={"count": 50, "eps": 0.25, "p": 3.0, "q": 2.0},
+                          checks=checks, overall=all(c.passed for c in checks), runtime_ms=0, seed=0)
+    assert _strip_runtime(nl.positive_side_batch().to_json_dict()) == _strip_runtime(loop.to_json_dict())
