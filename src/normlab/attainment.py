@@ -15,7 +15,7 @@ exactly as computed: feasible sets nest within one pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -387,7 +387,7 @@ class _ProfilePart:
     """
 
     T: OperatorPQ
-    nr: NormResult
+    value: float  # the certified norm
     na: AttainmentSet
     epsilons: list
     reps: list  # possibly repaired representative coords
@@ -397,7 +397,7 @@ class _ProfilePart:
     peaks: tuple = ()  # (lo, hi, level): top feasible local maxima
 
     def profile(self) -> SbpbProfile:
-        epsilons, value = self.epsilons, self.nr.value
+        epsilons, value = self.epsilons, self.value
         if self.na.na_empty:
             return SbpbProfile(
                 epsilons=epsilons,
@@ -437,7 +437,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     """Distances, repair and the best feasible evaluations of T's pool; on a
     2D domain also the brackets to refine, on higher ones the ascent."""
     if na.na_empty:
-        return _ProfilePart(T, nr, na, epsilons, [], 0, [])
+        return _ProfilePart(T, nr.value, na, epsilons, [], 0, [])
     coords = pool.coords
     values = pool.values
     extras: list[np.ndarray] = [w.coords for w in nr.witnesses]
@@ -484,7 +484,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
             values = np.concatenate([values, v])
             dists = np.concatenate([dists, dist_of(X)])
         best = _best_feasible(coords, values, dists, epsilons)
-        return _ProfilePart(T, nr, na, epsilons, reps, repaired, best)
+        return _ProfilePart(T, nr.value, na, epsilons, reps, repaired, best)
 
     thetas = pool.thetas[: pool.base_count]
     base_d = dists[: pool.base_count]
@@ -507,7 +507,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
     cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
     return _ProfilePart(
-        T, nr, na, epsilons, reps, repaired, _best_feasible(coords, values, dists, epsilons),
+        T, nr.value, na, epsilons, reps, repaired, _best_feasible(coords, values, dists, epsilons),
         cuts=(thetas[cut], thetas[cut + 1], cut_lv, base_d[cut] >= cut_lv),
         peaks=(thetas[peak] - h, thetas[peak] + h, peak_lv),
     )
@@ -572,20 +572,30 @@ def _checked_epsilons(epsilons) -> list[float]:
     return epsilons
 
 
-def _profile_of(T, epsilons, na, nr, *, tol, value_tol, cluster_tol, seed, grid) -> _ProfilePart:
-    """What `sbpb_profile` and `sbpb_witness` share: checked eps, the certified
-    norm, the attainment set, and T's share of the profile, refined."""
+def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, value_tol: float = 1e-6,
+                   cluster_tol: float = 0.1, seed: int = 0, grid: int = DEFAULT_GRID) -> list[_ProfilePart]:
+    """The profiles of operators that share a domain and a range, in any
+    dimension, from the checked eps: `sbpb_profile` of each T of `ops` with
+    its entry of `norms` and `nas` (computed when not given).
+
+    One operator at a time takes its certified norm, its pool and its
+    attainment set, and keeps only its share of the profile, so one pool of
+    values is live at a time; the first pool lends its points to the others.
+    One refinement then serves all the 2D shares.  Results are the same, bit
+    for bit, as one call per operator.
+    """
     epsilons = _checked_epsilons(epsilons)
-    if nr is None:
-        nr = opnorm(T, tol=tol, seed=seed, grid=grid)
-    if not nr.certified:
-        raise UncertifiedNormError("profile computation requires a certified norm")
-    pool = _base_pool(T, seed, grid, nr)
-    if na is None:
-        na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool)
-    part = _profile_part(T, na, nr, epsilons, pool)
-    _refine_2d([part], epsilons)
-    return part
+    parts, base = [], None
+    for k, T in enumerate(ops):
+        nr = opnorm(T, tol=tol, seed=seed, grid=grid) if norms is None else norms[k]
+        if not nr.certified:
+            raise UncertifiedNormError("profile computation requires a certified norm")
+        pool = _base_pool(T, seed, grid, nr, base)
+        base = pool if base is None else base
+        na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool) if nas is None else nas[k]
+        parts.append(_profile_part(T, na, nr, epsilons, pool))
+    _refine_2d(parts, epsilons)
+    return parts
 
 
 def sbpb_profile(
@@ -608,37 +618,10 @@ def sbpb_profile(
     finite dimension that can only be a numerical artifact.
     """
     epsilons = default_epsilons(T.domain) if epsilons is None else epsilons
-    return _profile_of(T, epsilons, na, norm_result, tol=tol, value_tol=value_tol,
-                       cluster_tol=cluster_tol, seed=seed, grid=grid).profile()
-
-
-def _sbpb_profiles_2d(ops, epsilons, *, seed: int = 0, grid: int = DEFAULT_GRID, norms=None) -> list[SbpbProfile]:
-    """`sbpb_profile(T, epsilons, seed=seed, grid=grid, norm_result=nr)` for
-    each T of `ops`, operators sharing a 2D domain and a range, in one pass;
-    `nr` is T's entry of `norms`, or `opnorm(T, seed=seed, grid=grid)`.
-
-    An operator's pool is its norm's sweep grid when that has `grid` cells;
-    otherwise the base grid is built once and each operator in turn
-    evaluates it.  Each takes its attainment set and its brackets from its
-    pool and keeps only those; one refinement then serves all of them.
-    Results are the same, bit for bit, as one `sbpb_profile` call per operator.
-    """
-    epsilons = _checked_epsilons(epsilons)
-    parts = []
-    base = None
-    for k, T in enumerate(ops):
-        nr = opnorm(T, seed=seed, grid=grid) if norms is None else norms[k]
-        if not nr.certified:
-            raise UncertifiedNormError("profile computation requires a certified norm")
-        if nr.pool is not None and nr.grid_size == grid:
-            pool = nr.pool
-        else:
-            base = base or _base_pool(T, seed, grid)
-            pool = replace(base, values=T.range_values(base.coords))
-        na = _na_from_pool(T, pool, nr, value_tol=1e-6, cluster_tol=0.1)
-        parts.append(_profile_part(T, na, nr, epsilons, pool))
-    _refine_2d(parts, epsilons)
-    return [p.profile() for p in parts]
+    (part,) = _profile_parts([T], epsilons, None if norm_result is None else [norm_result],
+                             None if na is None else [na], tol=tol, value_tol=value_tol,
+                             cluster_tol=cluster_tol, seed=seed, grid=grid)
+    return part.profile()
 
 
 def sbpb_witness(
@@ -659,9 +642,8 @@ def sbpb_witness(
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    part = _profile_of(T, [eps], None, None, tol=tol, value_tol=value_tol,
-                       cluster_tol=cluster_tol, seed=seed, grid=DEFAULT_GRID)
+    (part,) = _profile_parts([T], [eps], tol=tol, value_tol=value_tol, cluster_tol=cluster_tol, seed=seed)
     best = part.best[0] if part.best else None  # no best: an empty attainment set
-    if best is not None and best[0] > part.nr.value - eta:
+    if best is not None and best[0] > part.value - eta:
         return unit(best[1], T.domain)
     return None

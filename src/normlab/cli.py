@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_parse_exponent, default=None)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--blocks", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--write-reports", action="store_true",
                     help="write reports/<tag>.json and reports/index.csv")
@@ -197,7 +196,7 @@ def _cmd_repro(args) -> int:
         out_dir = None
         if args.write_reports:
             out_dir = args.report_dir or os.environ.get("NORMLAB_REPORT_DIR", "reports")
-        reports = repro_mod.run_all(args.tol, seed=args.seed, out_dir=out_dir)
+        reports = repro_mod.run_all(seed=args.seed, out_dir=out_dir)
     elif args.tag == "F-CERT":
         reports = [repro_mod.monotonicity_certificate(args.q if args.q is not None else 1.5)]
     elif args.tag == "POSITIVE-BATCH":
@@ -212,7 +211,7 @@ def _cmd_repro(args) -> int:
             params["dim"] = args.dim
         if args.blocks is not None:
             params["blocks"] = args.blocks
-        reports = [repro_mod.reproduce(args.tag, params, args.tol, seed=args.seed)]
+        reports = [repro_mod.reproduce(args.tag, params, seed=args.seed)]
         if args.write_reports:
             out_dir = args.report_dir or os.environ.get("NORMLAB_REPORT_DIR", "reports")
             repro_mod.write_reports(reports, out_dir)

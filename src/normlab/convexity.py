@@ -23,7 +23,7 @@ from .spaces import (
     sample_sphere_coords,
 )
 from .operators import OperatorPQ, space_from_json, space_to_json
-from .attainment import _sbpb_profiles_2d, sbpb_profile
+from .attainment import _profile_parts
 from .normcomp import _golden_max
 
 # Thresholds for the functional-case verdicts, at the default sampler
@@ -401,8 +401,8 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
 
     Functionals are sampled on the dual sphere (a grid for 2D); each one is
     treated as a rank-one operator into the scalars and profiled with the
-    same machinery as full operators.  On 2D spaces all of them are profiled
-    in one batched pass, with the same results as one profile each.
+    same machinery as full operators, all of them in one batched pass with
+    the same results as one profile each.
     """
     if space.dim not in (2, 3):
         raise ValueError("functional scan supports dimensions 2 and 3")
@@ -411,10 +411,7 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
     F = sample_sphere_coords(dual, functional_samples, seed)
     scalar = SequenceSpace(1, 2.0)  # all q-norms agree on the scalars
     ops = [OperatorPQ(F[:, j].reshape(1, space.dim), space, scalar) for j in range(F.shape[1])]
-    if space.dim == 2:
-        profiles = _sbpb_profiles_2d(ops, epsilons, seed=seed, grid=8192)
-    else:  # the nD profile ascends per operator
-        profiles = [sbpb_profile(T, epsilons, seed=seed, grid=8192) for T in ops]
+    profiles = [part.profile() for part in _profile_parts(ops, epsilons, seed=seed, grid=8192)]
 
     min_eta = [INF] * len(epsilons)
     witnesses = [F[:, 0]] * len(epsilons)

@@ -210,22 +210,25 @@ def _grid_pool(T: OperatorPQ, thetas, X) -> EvalPool:
     return EvalPool(X, g, thetas, base_count=thetas.size)
 
 
-def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResult | None = None) -> EvalPool:
+def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResult | None = None,
+               base: EvalPool | None = None) -> EvalPool:
     """Uniform evaluation pool: 2D angle grid, or samples + starts for n >= 3.
 
     The 2D grid is rounded up to a multiple of 8 (quadrant and octant
     breakpoints on the grid) and read-only; it is `nr.pool` when `nr` swept
-    T on a grid of that size.
+    T on a grid of that size.  `base`, the pool of an operator on the same
+    domain with the same seed and grid, lends T its points, so that a batch
+    builds them once.
     """
     if T.domain.dim == 2:
         grid += (-grid) % 8
         if nr is not None and nr.pool is not None and nr.grid_size == grid:
             return nr.pool
-        return _grid_pool(T, *_angle_grid(T.domain, grid))
-    samples = sample_sphere_coords(T.domain, 1024, seed + 7)
-    starts = _start_coords(T, 16, seed + 11)
-    X = np.hstack([samples, starts])
-    return EvalPool(X, T.range_values(X), None, base_count=samples.shape[1])
+        return _grid_pool(T, *(_angle_grid(T.domain, grid) if base is None else (base.thetas, base.coords)))
+    if base is None:
+        samples = sample_sphere_coords(T.domain, 1024, seed + 7)
+        base = EvalPool(np.hstack([samples, _start_coords(T, 16, seed + 11)]), None, None, samples.shape[1])
+    return replace(base, values=T.range_values(base.coords))
 
 
 def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:

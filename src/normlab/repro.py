@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import INF, SequenceSpace, pnorm, unit
+from .spaces import INF, SequenceSpace, pnorm, sample_sphere_coords, unit
 from .operators import (
     APPLY_CHUNK,
     GALLERY_TAGS,
@@ -27,8 +27,8 @@ from .operators import (
     from_gallery,
     make_rot_lq,
 )
-from .normcomp import DEFAULT_GRID, NormResult, _sweep2d, opnorm, opnorm_oracle
-from .attainment import AttainmentSet, _sbpb_profiles_2d, dist_to_set, na_set, sbpb_profile
+from .normcomp import DEFAULT_GRID, _sweep2d, opnorm, opnorm_oracle
+from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, sbpb_profile
 
 TOL_NORM = 1e-6
 TOL_DIST = 1e-4
@@ -213,28 +213,31 @@ def _na_matches(T, na: AttainmentSet, expected_cols, tol) -> list[CheckRecord]:
     return checks
 
 
-def _norm_and_oracle(T, seed, norm_tol) -> tuple[NormResult, list[CheckRecord]]:
-    nr = opnorm(T, seed=seed)
-    oracle = opnorm_oracle(T, grid=100000)
-    checks = [
-        _eq("operator_norm_is_one", 1.0, nr.value, norm_tol),
-        _eq("oracle_cross_check", nr.value, oracle.value, TOL_ORACLE),
-    ]
-    return nr, checks
-
-
 def _eta_at(T, eps, nr, na) -> float:
     prof = sbpb_profile(T, [eps], norm_result=nr, na=na)
     return prof.eta[0]
 
 
-def reproduce(tag: str, params: dict | None = None, tol: float | None = None, *, seed: int = 0) -> ReproReport:
-    """Run the claim checklist for one construction; see GALLERY_INFO for claims."""
+def reproduce(tag: str, params: dict | None = None, *, seed: int = 0) -> ReproReport:
+    """Run the claim checklist for one construction; see GALLERY_INFO for claims.
+
+    Every construction is built, its norm certified and cross-checked by the
+    grid oracle, and its attainment set taken here; its harness adds the
+    checks of its own claim.
+    """
     if tag not in GALLERY_TAGS:
         raise HypothesisError(f"unknown construction tag {tag!r}")
     params = dict(DEFAULT_PARAMS[tag], **(params or {}))
     t0 = time.perf_counter()
-    checks, diagnostics = _HARNESSES[tag](params, seed)
+    T = from_gallery(tag, **params)
+    nr = opnorm(T, seed=seed)
+    checks = [
+        _eq("operator_norm_is_one", 1.0, nr.value, TOL_BLOCK if tag in ("BLOCK-N", "LPLQ-FAIL-N") else TOL_NORM),
+        _eq("oracle_cross_check", nr.value, opnorm_oracle(T, grid=100000).value, TOL_ORACLE),
+    ]
+    na = na_set(T, norm_result=nr, seed=seed)
+    own, diagnostics = _HARNESSES[tag](T, nr, na, params, seed)
+    checks += own
     runtime = int(1000 * (time.perf_counter() - t0))
     overall = all(c.passed for c in checks if c.kind != "diagnostic")
     return ReproReport(
@@ -263,29 +266,23 @@ DEFAULT_PARAMS = {
 }
 
 
-def _harness_diag(tag, params, seed):
+def _harness_diag(T, nr, na, params, seed):
     beta = params["beta"]
-    T = from_gallery(tag, **params)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    q = T.range.p
-    checks.append(_eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), q), TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
+    checks = [_eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), T.range.p), TOL_EXACT)]
     checks += _na_matches(T, na, [_axis(2, 1), _axis(2, 1, -1.0)], TOL_DIST)
-    e1 = unit(_axis(2, 0), T.domain)
-    d = dist_to_set(e1, na)
+    d = dist_to_set(unit(_axis(2, 0), T.domain), na)
     checks.append(_eq("dist_e1_to_attainment", 2.0 ** (1.0 / T.domain.p), d, TOL_DIST))
     checks.append(_ge("near_attainer_far_from_attainment", 1.0, d, TOL_DIST))
     checks.append(_le("eta_at_1_bounded_by_gap", 1.0 - beta, _eta_at(T, 1.0, nr, na), TOL_BLOCK))
     return checks, {}
 
 
-def _harness_rot21(params, seed):
+def _harness_rot21(T, nr, na, params, seed):
     beta = params["beta"]
-    T = from_gallery("ROT-2-1", beta=beta)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    checks.append(_eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), 1.0), TOL_EXACT))
-    checks.append(_eq("value_at_e2", 1.0, pnorm(T.apply(_axis(2, 1)), 1.0), TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
+    checks = [
+        _eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), 1.0), TOL_EXACT),
+        _eq("value_at_e2", 1.0, pnorm(T.apply(_axis(2, 1)), 1.0), TOL_EXACT),
+    ]
     if beta < 1.0:
         expected = [_axis(2, 1), _axis(2, 1, -1.0)]
     else:
@@ -298,12 +295,9 @@ def _harness_rot21(params, seed):
     return checks, {}
 
 
-def _harness_rotq(params, seed):
+def _harness_rotq(T, nr, na, params, seed):
     beta, q = params["beta"], params["q"]
-    T = from_gallery("ROT-2-Q", beta=beta, q=q)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    checks.append(_eq("value_at_e2", 1.0, pnorm(T.apply(_axis(2, 1)), q), TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
+    checks = [_eq("value_at_e2", 1.0, pnorm(T.apply(_axis(2, 1)), q), TOL_EXACT)]
     if beta == 1.0:
         mid = np.array([1.0, 1.0]) / math.sqrt(2.0)
         expected_mid = 2.0 / 2.0 ** (0.5 + 1.0 / q)
@@ -320,13 +314,12 @@ def _harness_rotq(params, seed):
     return checks, {}
 
 
-def _harness_compose(params, seed):
+def _harness_compose(T, nr, na, params, seed):
     beta, p, q = params["beta"], params["p"], params["q"]
-    T = from_gallery("COMPOSE-P-Q", beta=beta, p=p, q=q)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    checks.append(_eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), q), TOL_EXACT))
-    checks.append(_eq("value_at_e2", 1.0, pnorm(T.apply(_axis(2, 1)), q), TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
+    checks = [
+        _eq("value_at_e1", beta, pnorm(T.apply(_axis(2, 0)), q), TOL_EXACT),
+        _eq("value_at_e2", 1.0, pnorm(T.apply(_axis(2, 1)), q), TOL_EXACT),
+    ]
     checks += _na_matches(T, na, [_axis(2, 1), _axis(2, 1, -1.0)], TOL_DIST)
     d = dist_to_set(unit(_axis(2, 0), T.domain), na)
     checks.append(_eq("dist_e1_to_attainment", 2.0 ** (1.0 / p), d, TOL_DIST))
@@ -334,14 +327,12 @@ def _harness_compose(params, seed):
     return checks, {}
 
 
-def _harness_biorth(params, seed):
-    eta0 = 1.0 - params["beta"]
-    p, n = params.get("p", 2.0), int(params.get("dim", 3))
-    T = from_gallery("BIORTH-INF", beta=params["beta"], p=p, dim=n)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    checks.append(_eq("value_at_e1", 1.0 - eta0, pnorm(T.apply(_axis(n, 0)), INF), TOL_EXACT))
-    checks.append(_eq("value_at_e2", 1.0, pnorm(T.apply(_axis(n, 1)), INF), TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
+def _harness_biorth(T, nr, na, params, seed):
+    eta0, n = 1.0 - params["beta"], T.domain.dim
+    checks = [
+        _eq("value_at_e1", 1.0 - eta0, pnorm(T.apply(_axis(n, 0)), INF), TOL_EXACT),
+        _eq("value_at_e2", 1.0, pnorm(T.apply(_axis(n, 1)), INF), TOL_EXACT),
+    ]
     worst = max(abs(abs(pt.coords[1]) - 1.0) for pt in na.points) if na.points else INF
     checks.append(_le("attainers_have_unit_second_coordinate", 0.0, worst, TOL_DIST))
     d = dist_to_set(unit(_axis(n, 0), T.domain), na)
@@ -349,19 +340,11 @@ def _harness_biorth(params, seed):
     return checks, {}
 
 
-def _harness_auerbach(params, seed):
+def _harness_auerbach(T, nr, na, params, seed):
     from .convexity import auerbach_2d
 
-    beta, p = params["beta"], params.get("p", 2.0)
-    space = SequenceSpace(2, p)
-    basis = auerbach_2d(space)
-    from .operators import make_auerbach_yy
-
-    T = make_auerbach_yy(basis, beta)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    v1 = T.range.norm(T.apply(basis.vectors[0]))
-    checks.append(_eq("value_at_first_basis_vector", beta, v1, TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
+    beta, basis = params["beta"], auerbach_2d(T.domain)
+    checks = [_eq("value_at_first_basis_vector", beta, T.range.norm(T.apply(basis.vectors[0])), TOL_EXACT)]
     y2 = basis.functionals[1]
     worst = max(abs(abs(float(y2 @ pt.coords)) - 1.0) for pt in na.points) if na.points else INF
     checks.append(_le("attainers_have_unit_second_functional", 0.0, worst, TOL_DIST))
@@ -371,50 +354,39 @@ def _harness_auerbach(params, seed):
     return checks, {}
 
 
-def _harness_proj(params, seed):
-    beta, n = params["beta"], int(params.get("dim", 4))
-    T = from_gallery("PROJ-N-2", beta=beta, dim=n)
-    nr, checks = _norm_and_oracle(T, seed, TOL_NORM)
-    rng = np.random.default_rng(seed)
-    ab = rng.standard_normal(2)
+def _harness_proj(T, nr, na, params, seed):
+    n = T.domain.dim
+    ab = np.random.default_rng(seed).standard_normal(2)
     x = np.zeros(n)
     x[:2] = ab
     R = T.structure[1]
-    checks.append(
-        _le("padding_identity", 0.0, float(np.max(np.abs(T.apply(x) - R.apply(ab)))), 1e-12)
-    )
-    na = na_set(T, norm_result=nr, seed=seed)
+    checks = [_le("padding_identity", 0.0, float(np.max(np.abs(T.apply(x) - R.apply(ab)))), 1e-12)]
     tail = max(float(np.max(np.abs(pt.coords[2:]))) for pt in na.points) if na.points else INF
     checks.append(_le("attainers_have_zero_tail", 0.0, tail, TOL_DIST))
-    e1 = unit(_axis(n, 0), T.domain)
-    d = dist_to_set(e1, na)
+    d = dist_to_set(unit(_axis(n, 0), T.domain), na)
     checks.append(_eq("dist_e1_to_attainment", math.sqrt(2.0), d, TOL_DIST))
     return checks, {}
 
 
-def _harness_block(params, seed):
+def _harness_block(T, nr, na, params, seed):
     N = int(params["blocks"])
-    T = from_gallery("BLOCK-N", blocks=N)
-    nr, checks = _norm_and_oracle(T, seed, TOL_BLOCK)
-    rng = np.random.default_rng(seed)
-    ab = rng.standard_normal(2)
+    ab = np.random.default_rng(seed).standard_normal(2)
     ab /= pnorm(ab, 2.0)
     xfull = np.zeros(2 * N)
     k = N // 2
     xfull[2 * k:2 * k + 2] = ab
     blocks = T.structure[1]
-    checks.append(
+    checks = [
         _eq(
             "block_supported_action",
             blocks[k].range.norm(blocks[k].apply(ab)),
             T.range.norm(T.apply(xfull)),
             1e-12,
         )
-    )
+    ]
     for n in range(1, N + 1):
         got = T.range.norm(T.apply(_axis(2 * N, 2 * (n - 1))))
         checks.append(_eq(f"value_at_block_{n}_first_axis", n / (n + 1.0), got, TOL_EXACT))
-    na = na_set(T, norm_result=nr, seed=seed)
     expected = []
     for n in range(N):
         for s in (1.0, -1.0):
@@ -427,10 +399,9 @@ def _harness_block(params, seed):
     return checks, {}
 
 
-def _harness_lplq(params, seed):
-    p, q, N = params["p"], params["q"], int(params["blocks"])
-    T = from_gallery("LPLQ-FAIL-N", p=p, q=q, blocks=N)
-    nr, checks = _norm_and_oracle(T, seed, TOL_BLOCK)
+def _harness_lplq(T, nr, na, params, seed):
+    N = int(params["blocks"])
+    checks = []
     for n in range(1, N + 1):
         got = T.range.norm(T.apply(_axis(2 * N, 2 * (n - 1))))
         checks.append(_eq(f"value_at_block_{n}_first_axis", 1.0 - 1.0 / (2.0 * n), got, TOL_EXACT))
@@ -438,7 +409,6 @@ def _harness_lplq(params, seed):
         _eq("value_at_last_block_second_axis", 1.0,
             T.range.norm(T.apply(_axis(2 * N, 2 * N - 1))), TOL_EXACT)
     )
-    na = na_set(T, norm_result=nr, seed=seed)
     odd = max(float(np.max(np.abs(pt.coords[0::2]))) for pt in na.points) if na.points else INF
     checks.append(_le("attainers_have_zero_odd_coordinates", 0.0, odd, TOL_BLOCK))
     dmin = INF
@@ -450,8 +420,6 @@ def _harness_lplq(params, seed):
     checks.append(_le("eta_vanishes_with_depth", 1.0 / (2.0 * N), eta, TOL_BLOCK))
     # strictness off the attainment set: any unit vector carrying odd-coordinate
     # mass at least 0.1 stays measurably below the norm
-    from .spaces import sample_sphere_coords
-
     X = sample_sphere_coords(T.domain, 2048, seed + 3)
     mask = np.max(np.abs(X[0::2, :]), axis=0) >= 0.1
     vals = T.range_values(X[:, mask])
@@ -460,14 +428,10 @@ def _harness_lplq(params, seed):
     return checks, {"strict_contraction_margin": margin}
 
 
-def _dispatch_diag(tag):
-    return lambda params, seed: _harness_diag(tag, params, seed)
-
-
 _HARNESSES = {
-    "DIAG-2-INF": _dispatch_diag("DIAG-2-INF"),
-    "DIAG-2-2": _dispatch_diag("DIAG-2-2"),
-    "DIAG-P-Q": _dispatch_diag("DIAG-P-Q"),
+    "DIAG-2-INF": _harness_diag,
+    "DIAG-2-2": _harness_diag,
+    "DIAG-P-Q": _harness_diag,
     "ROT-2-1": _harness_rot21,
     "ROT-2-Q": _harness_rotq,
     "COMPOSE-P-Q": _harness_compose,
@@ -571,8 +535,8 @@ def positive_side_batch(
         mats = [np.random.default_rng(s).standard_normal((2, 2)) for s in seeds]
         scale = [nr.value for nr in _sweep2d([OperatorPQ(M, domain, range_) for M in mats], 1e-4, DEFAULT_GRID)]
         ops = [OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]
-        profiles = _sbpb_profiles_2d(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))
-        checks += [_ge(f"eta_positive_seed_{s}", 1e-6, prof.eta[0], 0.0) for s, prof in zip(seeds, profiles)]
+        parts = _profile_parts(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))
+        checks += [_ge(f"eta_positive_seed_{s}", 1e-6, part.profile().eta[0], 0.0) for s, part in zip(seeds, parts)]
     runtime = int(1000 * (time.perf_counter() - t0))
     return ReproReport(
         tag="POSITIVE-BATCH",
@@ -614,15 +578,14 @@ def gallery_default_cases() -> list[tuple[str, dict]]:
     return cases
 
 
-def run_all(tol: float | None = None, seed: int = 0, *, out_dir: str | None = None,
-            tags=None) -> list[ReproReport]:
+def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[ReproReport]:
     """Every harness at default parameters, plus the derivative certificates
     and the positive-side batch; failures are recorded, never thrown."""
     reports: list[ReproReport] = []
     for tag, params in gallery_default_cases():
         if tags is not None and tag not in tags:
             continue
-        reports.append(reproduce(tag, params, tol, seed=seed))
+        reports.append(reproduce(tag, params, seed=seed))
     if tags is None or "F-CERT" in (tags or []):
         for q in (1.0, 1.2, 1.5, 1.9):
             reports.append(monotonicity_certificate(q))

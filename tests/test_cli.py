@@ -131,6 +131,15 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--all"], ["--tag", "DIAG-2-2"]])
+def test_repro_has_no_tol_option(capsys, argv):
+    """The gallery's tolerances are pinned, so repro takes no --tol."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["repro", *argv, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_seed_determinism_bytes(capsys):
     args = ["eta", "--tag", "DIAG-2-2", "--beta", "0.9", "--eps", "1.0", "--seed", "4"]
     _, out1, _ = run_cli(capsys, *args)

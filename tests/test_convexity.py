@@ -6,7 +6,7 @@ import pytest
 
 import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
-from normlab.attainment import _sbpb_profiles_2d
+from normlab.attainment import _profile_parts
 from normlab.convexity import _pair_tables_2d, lp_handle
 from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords
 
@@ -129,22 +129,24 @@ def test_kim_lee_coherence_with_delta():
             assert rep.min_eta[0] > 1e-6
 
 
-@pytest.mark.parametrize("p", EXPONENTS)
-def test_kim_lee_batch_matches_one_profile_per_functional(p):
-    """Reference: the scan as one sbpb_profile per rank-one functional, first minimum kept."""
-    space, eps = SequenceSpace(2, p), [0.5, 0.9]
-    F = sample_sphere_coords(space.dual(), 64, 0)
-    ops = [OperatorPQ(F[:, j].reshape(1, 2), space, SequenceSpace(1, 2.0)) for j in range(64)]
+@pytest.mark.parametrize("dim, p, count", [(2, p, 64) for p in EXPONENTS] + [(3, 1.5, 16), (3, 3.0, 16)],
+                         ids=[str(p) for p in EXPONENTS] + ["dim3-1.5", "dim3-3.0"])
+def test_kim_lee_batch_matches_one_profile_per_functional(dim, p, count):
+    """Reference: the scan as one sbpb_profile per rank-one functional, first
+    minimum kept; in dimension 3 the batch shares one base sample."""
+    space, eps = SequenceSpace(dim, p), [0.5, 0.9]
+    F = sample_sphere_coords(space.dual(), count, 0)
+    ops = [OperatorPQ(F[:, j].reshape(1, dim), space, SequenceSpace(1, 2.0)) for j in range(count)]
     profiles = [nl.sbpb_profile(T, eps, seed=0, grid=8192) for T in ops]
     min_eta, witnesses = [INF] * len(eps), [F[:, 0]] * len(eps)
     for j, prof in enumerate(profiles):
         for i, h in enumerate(prof.eta):
             if h < min_eta[i]:
                 min_eta[i], witnesses[i] = h, F[:, j]
-    rep = nl.kim_lee_check(space, eps, functional_samples=64, seed=0)
+    rep = nl.kim_lee_check(space, eps, functional_samples=count, seed=0)
     assert rep.min_eta == min_eta
     assert all(np.array_equal(w, r) for w, r in zip(rep.witness_functionals, witnesses))
-    batch = _sbpb_profiles_2d(ops, eps, seed=0, grid=8192)
+    batch = [part.profile() for part in _profile_parts(ops, eps, seed=0, grid=8192)]
     assert [b.to_json_dict() for b in batch] == [r.to_json_dict() for r in profiles]
 
 
