@@ -475,7 +475,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
         starts, start_eps = [], []  # the top 8 feasible evaluations of every eps, one column each
         for eps in epsilons:
             feas_idx = np.nonzero(dists >= eps - FEAS_SLACK)[0]
-            top = feas_idx[np.argsort(-values[feas_idx])][:8]
+            top = feas_idx[np.argsort(-values[feas_idx], kind="stable")][:8]
             starts += top.tolist()
             start_eps += [eps] * top.size
         if starts:
@@ -501,7 +501,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
         local = np.nonzero(
             (vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1]
         )[0] + 1
-        top = local[np.argsort(-base_v[local])][:10].tolist()
+        top = local[np.argsort(-base_v[local], kind="stable")][:10].tolist()
         peak += top
         peak_lv += [eps - FEAS_SLACK] * len(top)
     cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)

@@ -525,7 +525,8 @@ def cluster_representatives(
     value_floor: float,
     cluster_tol: float,
 ):
-    """Greedy clustering of near-maximal points, highest value first.
+    """Greedy clustering of near-maximal points, highest value first and,
+    among tied values, lowest column first.
 
     Returns a list of (x, value) representatives with pairwise domain-norm
     distance >= cluster_tol.
@@ -533,7 +534,7 @@ def cluster_representatives(
     idx = np.nonzero(values >= value_floor)[0]
     if idx.size == 0:
         return []
-    order = idx[np.argsort(-values[idx])]
+    order = idx[np.argsort(-values[idx], kind="stable")]
     C = coords[:, order]
     V = values[order]
     alive = np.ones(C.shape[1], dtype=bool)

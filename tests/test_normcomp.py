@@ -584,3 +584,20 @@ def test_rank_one_norm_is_the_dual_norm(row, p):
     assert na.points
     for pt in na.points:
         assert abs(float(row @ pt.coords)) >= nr.value * (1.0 - 1e-12)
+
+
+def test_cluster_representatives_order_ties_by_column():
+    """Tied values are taken lowest column first, whatever the sort kernel:
+    the greedy order is (value descending, column ascending)."""
+    space, rng = SequenceSpace(2, 2.0), np.random.default_rng(3)
+    X = space.sphere_grid(rng.permutation(np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)))
+    values = np.where(rng.random(96) < 0.25, 0.5, 1.0)  # two levels, each of many exact ties
+    reps = normcomp.cluster_representatives(X, values, space, 0.5, cluster_tol=0.3)
+    alive, expected = np.ones(96, dtype=bool), []
+    for j in sorted(range(96), key=lambda j: (-values[j], j)):
+        if alive[j]:
+            expected.append(j)
+            alive &= space.norm_cols(X - X[:, j:j + 1]) >= 0.3
+    assert len(reps) == len(expected) > 2
+    for (x, v), j in zip(reps, expected):
+        assert np.array_equal(x, X[:, j]) and v == values[j]
