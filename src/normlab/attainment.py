@@ -15,7 +15,7 @@ exactly as computed: feasible sets nest within one pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +107,10 @@ def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
     if X.shape[1] < len(reps):  # one norm call per point, not per representative
         R = np.column_stack(reps)
         return np.array([np.min(space.norm_cols(R - x[:, None])) for x in X.T])
-    return np.min(np.vstack([space.norm_cols(X - r[:, None]) for r in reps]), axis=0)
+    D = np.empty((len(reps), X.shape[1]))  # filled in place: half the memory of stacking a list of rows
+    for i, r in enumerate(reps):
+        D[i] = space.norm_cols(X - r[:, None])
+    return D.min(axis=0)
 
 
 def _slice_space(space, a: int, b: int):
@@ -473,9 +476,9 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
             return np.minimum(na.dists(X), _min_dists(T.domain, X, reps[len(na.points):]))
 
         starts, start_eps = [], []  # the top 8 feasible evaluations of every eps, one column each
+        order = np.argsort(-values, kind="stable")  # by (value, index), for every eps
         for eps in epsilons:
-            feas_idx = np.nonzero(dists >= eps - FEAS_SLACK)[0]
-            top = feas_idx[np.argsort(-values[feas_idx], kind="stable")][:8]
+            top = order[dists[order] >= eps - FEAS_SLACK][:8]
             starts += top.tolist()
             start_eps += [eps] * top.size
         if starts:
@@ -564,19 +567,11 @@ def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
             part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
 
 
-def _checked_epsilons(epsilons) -> list[float]:
-    epsilons = sorted(float(e) for e in epsilons)
-    for e in epsilons:
-        if not (0.0 < e <= 4.2):
-            raise ValueError(f"eps must lie in (0, 2 * max diameter]; got {e}")
-    return epsilons
-
-
 def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, value_tol: float = 1e-6,
                    cluster_tol: float = 0.1, seed: int = 0, grid: int = DEFAULT_GRID) -> list[_ProfilePart]:
     """The profiles of operators that share a domain and a range, in any
-    dimension, from the checked eps: `sbpb_profile` of each T of `ops` with
-    its entry of `norms` and `nas` (computed when not given).
+    dimension: `sbpb_profile` of each T of `ops` with its entry of `norms`
+    and `nas` (computed when not given).
 
     One operator at a time takes its certified norm, its pool and its
     attainment set, and keeps only its share of the profile, so one pool of
@@ -584,14 +579,17 @@ def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, va
     One refinement then serves all the 2D shares.  Results are the same, bit
     for bit, as one call per operator.
     """
-    epsilons = _checked_epsilons(epsilons)
+    epsilons = sorted(float(e) for e in epsilons)
+    for e in epsilons:
+        if not (0.0 < e <= 4.2):
+            raise ValueError(f"eps must lie in (0, 2 * max diameter]; got {e}")
     parts, base = [], None
     for k, T in enumerate(ops):
         nr = opnorm(T, tol=tol, seed=seed, grid=grid) if norms is None else norms[k]
         if not nr.certified:
             raise UncertifiedNormError("profile computation requires a certified norm")
         pool = _base_pool(T, seed, grid, nr, base)
-        base = pool if base is None else base
+        base = replace(pool, values=None) if base is None else base
         na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool) if nas is None else nas[k]
         parts.append(_profile_part(T, na, nr, epsilons, pool))
     _refine_2d(parts, epsilons)

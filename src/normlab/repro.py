@@ -231,8 +231,9 @@ def reproduce(tag: str, params: dict | None = None, *, seed: int = 0) -> ReproRe
     t0 = time.perf_counter()
     T = from_gallery(tag, **params)
     nr = opnorm(T, seed=seed)
+    norm_tol = TOL_BLOCK if tag in ("BLOCK-N", "LPLQ-FAIL-N") else TOL_NORM
     checks = [
-        _eq("operator_norm_is_one", 1.0, nr.value, TOL_BLOCK if tag in ("BLOCK-N", "LPLQ-FAIL-N") else TOL_NORM),
+        _eq("operator_norm_is_one", 1.0, nr.value, norm_tol),
         _eq("oracle_cross_check", nr.value, opnorm_oracle(T, grid=100000).value, TOL_ORACLE),
     ]
     na = na_set(T, norm_result=nr, seed=seed)
@@ -535,8 +536,8 @@ def positive_side_batch(
         mats = [np.random.default_rng(s).standard_normal((2, 2)) for s in seeds]
         scale = [nr.value for nr in _sweep2d([OperatorPQ(M, domain, range_) for M in mats], 1e-4, DEFAULT_GRID)]
         ops = [OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]
-        parts = _profile_parts(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))
-        checks += [_ge(f"eta_positive_seed_{s}", 1e-6, part.profile().eta[0], 0.0) for s, part in zip(seeds, parts)]
+        for s, part in zip(seeds, _profile_parts(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))):
+            checks.append(_ge(f"eta_positive_seed_{s}", 1e-6, part.profile().eta[0], 0.0))
     runtime = int(1000 * (time.perf_counter() - t0))
     return ReproReport(
         tag="POSITIVE-BATCH",
