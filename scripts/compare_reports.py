@@ -3,10 +3,12 @@
 
     python3 scripts/compare_reports.py DIR_A DIR_B
 
-Every <tag>.json and index.csv is loaded with its runtime_ms fields dropped.
-Prints how many report files there are and which differ (present in one
-directory only, or different contents); exits 1 if any differs or if
-index.csv is missing, else 0.
+Every <tag>.json and index.csv is loaded with its runtime_ms fields dropped,
+and every JSON float kept as its text, so that 1 against 1.0, or a float
+written with another repr, counts as a difference.  Prints how many report
+files there are and which differ (present in one directory only, or
+different contents); exits 1 if any differs or if index.csv is missing,
+else 0.
 """
 
 import csv
@@ -20,7 +22,8 @@ def load(path):
     with open(path, encoding="utf-8") as f:
         if path.endswith(".csv"):
             return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in csv.DictReader(f)]
-        return json.load(f, object_hook=lambda d: {k: v for k, v in d.items() if k != "runtime_ms"})
+        return json.load(f, object_hook=lambda d: {k: v for k, v in d.items() if k != "runtime_ms"},
+                         parse_float=lambda s: ("float", s), parse_constant=lambda s: ("float", s))
 
 
 def main(a: str, b: str) -> int:

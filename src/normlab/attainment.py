@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
-from .operators import OperatorPQ, apply_cols, norm_dual_vector, space_from_json, space_to_json
+from .operators import OperatorPQ, apply_cols, norm_dual_vector, space_from_json, to_json
 from .normcomp import (
     DEFAULT_GRID,
     EvalPool,
@@ -77,27 +77,16 @@ class AttainmentSet:
         return _sphere_dists(space, X, P, slices, atts)
 
     def to_json_dict(self) -> dict:
-        return {
-            "points": [p.coords.tolist() for p in self.points],
-            "value_tol": self.value_tol,
-            "cluster_tol": self.cluster_tol,
-            "continuum_flag": self.continuum_flag,
-            "norm_value": self.norm_value,
-            "slices": None if self.slices is None else [list(s) for s in self.slices],
-            "space": space_to_json(self.points[0].space) if self.points else {"dim": 0, "p": None},
-        }
+        """The encoded fields plus "space", the points' space ({"dim": 0, "p": None} if there are none)."""
+        return dict(to_json(self), space=to_json(self.points[0].space) if self.points else {"dim": 0, "p": None})
 
     @staticmethod
     def from_json_dict(d: dict) -> "AttainmentSet":
-        space = space_from_json(d["space"]) if d["points"] else None
-        return AttainmentSet(
-            points=[UnitVector(np.asarray(c), space) for c in d["points"]],
-            value_tol=float(d["value_tol"]),
-            cluster_tol=float(d["cluster_tol"]),
-            continuum_flag=bool(d["continuum_flag"]),
-            norm_value=float(d["norm_value"]),
-            slices=None if d.get("slices") is None else tuple(tuple(s) for s in d["slices"]),
-        )
+        d = dict(d)
+        space = d.pop("space")  # derived from the points, not a field
+        space = space_from_json(space) if d["points"] else None
+        slices = None if d["slices"] is None else tuple(map(tuple, d["slices"]))
+        return AttainmentSet(**dict(d, points=[UnitVector(c, space) for c in d["points"]], slices=slices))
 
 
 def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
@@ -314,28 +303,11 @@ class SbpbProfile:
     continuum_flag: bool = False
     notes: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilons": list(map(float, self.epsilons)),
-            "rho": list(map(float, self.rho)),
-            "eta": list(map(float, self.eta)),
-            "na_empty": self.na_empty,
-            "norm_value": self.norm_value,
-            "continuum_flag": self.continuum_flag,
-            "notes": self.notes,
-        }
+    to_json_dict = to_json
 
     @staticmethod
     def from_json_dict(d: dict) -> "SbpbProfile":
-        return SbpbProfile(
-            epsilons=[float(v) for v in d["epsilons"]],
-            rho=[float(v) for v in d["rho"]],
-            eta=[float(v) for v in d["eta"]],
-            na_empty=bool(d["na_empty"]),
-            norm_value=float(d["norm_value"]),
-            continuum_flag=bool(d.get("continuum_flag", False)),
-            notes=d.get("notes", ""),
-        )
+        return SbpbProfile(**d)
 
     def to_csv_text(self) -> str:
         lines = ["epsilon,rho,eta"]

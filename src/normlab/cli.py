@@ -41,18 +41,14 @@ def _parse_matrix(spec: str | None, path: str | None) -> np.ndarray:
     return np.asarray([[float(v) for v in r.split(",")] for r in rows], dtype=float)
 
 
+def _gallery_params(args) -> dict:
+    """The gallery parameters given on the command line; the construction's defaults fill the rest."""
+    return {k: getattr(args, k) for k in ("beta", "p", "q", "dim", "blocks") if getattr(args, k) is not None}
+
+
 def _operator_from_args(args) -> OperatorPQ:
-    if getattr(args, "tag", None):
-        params = {}
-        for name in ("beta", "p", "q"):
-            v = getattr(args, name, None)
-            if v is not None:
-                params[name] = v
-        if getattr(args, "dim", None) is not None:
-            params["dim"] = args.dim
-        if getattr(args, "blocks", None) is not None:
-            params["blocks"] = args.blocks
-        return from_gallery(args.tag, **params)
+    if args.tag:
+        return from_gallery(args.tag, **_gallery_params(args))
     M = _parse_matrix(getattr(args, "matrix", None), getattr(args, "matrix_file", None))
     p = args.p if args.p is not None else 2.0
     q = args.q if args.q is not None else 2.0
@@ -202,16 +198,7 @@ def _cmd_repro(args) -> int:
     elif args.tag == "POSITIVE-BATCH":
         reports = [repro_mod.positive_side_batch(seed=args.seed)]
     elif args.tag:
-        params = {}
-        for name in ("beta", "p", "q"):
-            v = getattr(args, name)
-            if v is not None:
-                params[name] = v
-        if args.dim is not None:
-            params["dim"] = args.dim
-        if args.blocks is not None:
-            params["blocks"] = args.blocks
-        reports = [repro_mod.reproduce(args.tag, params, seed=args.seed)]
+        reports = [repro_mod.reproduce(args.tag, _gallery_params(args), seed=args.seed)]
         if args.write_reports:
             out_dir = args.report_dir or os.environ.get("NORMLAB_REPORT_DIR", "reports")
             repro_mod.write_reports(reports, out_dir)

@@ -22,7 +22,7 @@ from .spaces import (
     pnorm,
     sample_sphere_coords,
 )
-from .operators import OperatorPQ, space_from_json, space_to_json
+from .operators import OperatorPQ, space_from_json, to_json
 from .attainment import _profile_parts
 from .normcomp import _golden_max
 
@@ -95,25 +95,12 @@ class ConvexityModulus:
             lines.append(f"{e!r},{d!r}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "space": space_to_json(self.space),
-            "epsilons": list(map(float, self.epsilons)),
-            "delta": list(map(float, self.delta)),
-            "witness_pairs": [
-                [np.asarray(x).tolist(), np.asarray(y).tolist()]
-                for x, y in self.witness_pairs
-            ],
-        }
+    to_json_dict = to_json
 
     @staticmethod
     def from_json_dict(d: dict) -> "ConvexityModulus":
-        return ConvexityModulus(
-            space=space_from_json(d["space"]),
-            epsilons=[float(v) for v in d["epsilons"]],
-            delta=[float(v) for v in d["delta"]],
-            witness_pairs=[(np.asarray(x), np.asarray(y)) for x, y in d["witness_pairs"]],
-        )
+        pairs = [(np.asarray(x), np.asarray(y)) for x, y in d["witness_pairs"]]
+        return ConvexityModulus(**dict(d, space=space_from_json(d["space"]), witness_pairs=pairs))
 
 
 def _pair_tables_2d(space, grid: int):
@@ -283,20 +270,13 @@ class AuerbachSystem:
         rd = max(abs(_dual_norm_2d(self.space, f) - 1.0) for f in self.functionals)
         return float(max(r, rd))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vectors": [np.asarray(v).tolist() for v in self.vectors],
-            "functionals": [np.asarray(f).tolist() for f in self.functionals],
-            "space": space_to_json(self.space),
-        }
+    to_json_dict = to_json
 
     @staticmethod
     def from_json_dict(d: dict) -> "AuerbachSystem":
-        return AuerbachSystem(
-            vectors=tuple(np.asarray(v) for v in d["vectors"]),
-            functionals=tuple(np.asarray(f) for f in d["functionals"]),
-            space=space_from_json(d["space"]),
-        )
+        return AuerbachSystem(**dict(d, vectors=tuple(map(np.asarray, d["vectors"])),
+                                     functionals=tuple(map(np.asarray, d["functionals"])),
+                                     space=space_from_json(d["space"])))
 
 
 def _dual_norm_2d(space, f) -> float:
@@ -377,18 +357,7 @@ class KimLeeReport:
     positive_floor: float = ETA_POSITIVE_FLOOR
     near_zero_ceil: float = ETA_NEAR_ZERO_CEIL
 
-    def to_json_dict(self) -> dict:
-        return {
-            "space": space_to_json(self.space),
-            "epsilons": list(map(float, self.epsilons)),
-            "min_eta": list(map(float, self.min_eta)),
-            "witness_functionals": [np.asarray(w).tolist() for w in self.witness_functionals],
-            "n_samples": self.n_samples,
-            "uniformly_convex_expected": self.uniformly_convex_expected,
-            "consistent": self.consistent,
-            "positive_floor": self.positive_floor,
-            "near_zero_ceil": self.near_zero_ceil,
-        }
+    to_json_dict = to_json
 
     @staticmethod
     def from_json_dict(d: dict) -> "KimLeeReport":

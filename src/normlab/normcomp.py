@@ -39,13 +39,14 @@ from .spaces import (
     SequenceSpace,
     UnitVector,
     _sphere_grid_3d,
+    dual_exponent,
     pnorm,
     pnorm_cols,
     sample_sphere_coords,
     sphere_param_2d,
     unit,
 )
-from .operators import OperatorPQ, apply_cols, dual_attainer, norm_dual_vector, space_from_json, space_to_json
+from .operators import OperatorPQ, apply_cols, dual_attainer, norm_dual_vector, space_from_json, to_json
 
 METHOD_SWEEP2D = "SWEEP2D"
 METHOD_MULTISTART = "MULTISTART"
@@ -81,37 +82,12 @@ class NormResult:
     pool: EvalPool | None = field(default=None, repr=False, compare=False)
     parts: list | None = field(default=None, repr=False, compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witnesses": [w.coords.tolist() for w in self.witnesses],
-            "method": self.method,
-            "grid_size": self.grid_size,
-            "tol": self.tol,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "certified": self.certified,
-            "n_evals": self.n_evals,
-            "notes": self.notes,
-            "space": space_to_json(self.space),
-        }
+    to_json_dict = to_json
 
     @staticmethod
     def from_json_dict(d: dict) -> "NormResult":
         space = space_from_json(d["space"])
-        return NormResult(
-            value=float(d["value"]),
-            witnesses=[UnitVector(np.asarray(w), space) for w in d["witnesses"]],
-            method=d["method"],
-            grid_size=int(d["grid_size"]),
-            tol=float(d["tol"]),
-            lower_bound=float(d["lower_bound"]),
-            upper_bound=float(d["upper_bound"]),
-            certified=bool(d["certified"]),
-            n_evals=int(d.get("n_evals", 0)),
-            notes=d.get("notes", ""),
-            space=space,
-        )
+        return NormResult(**dict(d, witnesses=[UnitVector(w, space) for w in d["witnesses"]], space=space))
 
 
 @dataclass
@@ -599,26 +575,16 @@ def opnorm(
     *,
     grid: int = DEFAULT_GRID,
     seed: int = 0,
-    method: str | None = None,
 ) -> NormResult:
     """sup of ||T x||_range over the domain unit sphere, with witnesses.
 
     Dispatch: exactly reducible structures compose certified 2D sweeps;
     2D domains run the certified sweep; rank-one operators into the scalars
     use the closed-form dual norm; anything else is multistart ascent and is
-    flagged heuristic.  `method` forces "SWEEP2D" or "MULTISTART".
+    flagged heuristic.
     """
     if not (0.0 < tol <= 1e-2):
         raise ValueError(f"tol must lie in (0, 1e-2]; got {tol}")
-
-    if method == METHOD_MULTISTART:
-        return _opnorm_multistart(T, tol, seed)
-    if method == METHOD_SWEEP2D:
-        if T.domain.dim != 2:
-            raise ValueError("SWEEP2D requires a 2-dimensional domain")
-        return _sweep2d([T], tol, grid)[0]
-    if method is not None:
-        raise ValueError(f"unknown method {method!r}")
 
     reduced = _reduce(T)
     if reduced is not None:
@@ -667,12 +633,7 @@ def _theta_of(space, x) -> float:
 
 def _opnorm_rank1(T, tol):
     row = T.matrix[0]
-    pd = (
-        1.0
-        if T.domain.p == INF
-        else (INF if T.domain.p == 1.0 else T.domain.p / (T.domain.p - 1.0))
-    )
-    value = pnorm(row, pd)
+    value = pnorm(row, dual_exponent(T.domain.p))
     x = dual_attainer(T.domain, row)
     witnesses = [unit(x, T.domain), unit(-x, T.domain)]
     return NormResult(

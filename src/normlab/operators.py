@@ -12,32 +12,35 @@ constituents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .spaces import (
     INF,
     SequenceSpace,
+    UnitVector,
     check_exponent,
     dual_exponent,
     pnorm,
     pnorm_cols,
 )
 
-GALLERY_TAGS = (
-    "DIAG-2-INF",
-    "DIAG-2-2",
-    "DIAG-P-Q",
-    "ROT-2-1",
-    "ROT-2-Q",
-    "COMPOSE-P-Q",
-    "BIORTH-INF",
-    "AUERBACH-YY",
-    "PROJ-N-2",
-    "BLOCK-N",
-    "LPLQ-FAIL-N",
-)
+# each gallery tag with the parameters `from_gallery` and `repro.reproduce` use where none is given
+DEFAULT_PARAMS = {
+    "DIAG-2-INF": {"beta": 0.5},
+    "DIAG-2-2": {"beta": 0.5},
+    "DIAG-P-Q": {"beta": 0.5, "p": 1.5, "q": 3.0},
+    "ROT-2-1": {"beta": 0.5},
+    "ROT-2-Q": {"beta": 1.0, "q": 1.5},
+    "COMPOSE-P-Q": {"beta": 0.5, "p": 1.5, "q": 1.0},
+    "BIORTH-INF": {"beta": 0.5, "p": 2.0, "dim": 3},
+    "AUERBACH-YY": {"beta": 0.5, "p": 2.0},
+    "PROJ-N-2": {"beta": 0.5, "dim": 4},
+    "BLOCK-N": {"blocks": 5},
+    "LPLQ-FAIL-N": {"p": 2.0, "q": 2.0, "blocks": 5},
+}
+GALLERY_TAGS = tuple(DEFAULT_PARAMS)
 
 
 class HypothesisError(ValueError):
@@ -106,6 +109,31 @@ def space_from_json(d: dict):
     if "blocks" in d:
         return BlockSpace(p, tuple(space_from_json(b) for b in d["blocks"]))
     return SequenceSpace(int(d["dim"]), p)
+
+
+def to_json(obj):
+    """The JSON form of a result: None, a bool, int, float or str as it is; a
+    numpy float as a float; a list, tuple or dict item by item; an array or a
+    UnitVector as its coordinate list; a space (anything with `norm_cols`) as
+    `space_to_json` writes it; a dataclass as the dict of the fields its repr
+    shows.  Any other type raises TypeError."""
+    if obj is None or type(obj) in (bool, int, float, str):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, UnitVector):
+        return obj.coords.tolist()
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if hasattr(obj, "norm_cols"):
+        return space_to_json(obj)
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj) if f.repr}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 APPLY_CHUNK = 32768  # columns per pass of apply_cols: its temporaries stay in cache
@@ -517,12 +545,16 @@ def make_lplq_fail(p, q, N: int) -> OperatorPQ:
 
 
 def from_gallery(tag: str, **params) -> OperatorPQ:
-    """Build a gallery operator from its tag and canonical parameters.
+    """Build a gallery operator from its tag and canonical parameters, each
+    one not given taken from DEFAULT_PARAMS.
 
     Canonical parameters: beta everywhere a contraction factor appears
     (BIORTH-INF uses eta = 1 - beta), p/q exponents, dim for ambient
     dimension, blocks for the number of diagonal blocks.
     """
+    if tag not in DEFAULT_PARAMS:
+        raise ValueError(f"unknown gallery tag {tag!r}")
+    params = dict(DEFAULT_PARAMS[tag], **params)
     if tag == "DIAG-2-INF":
         return make_diag_beta(params["beta"], 2.0, INF)
     if tag == "DIAG-2-2":
@@ -536,25 +568,14 @@ def from_gallery(tag: str, **params) -> OperatorPQ:
     if tag == "COMPOSE-P-Q":
         return make_compose(params["beta"], params["p"], params["q"])
     if tag == "BIORTH-INF":
-        space = SequenceSpace(int(params.get("dim", 3)), params.get("p", 2.0))
-        eta = params.get("eta", 1.0 - params["beta"] if "beta" in params else None)
-        return make_biorth_inf(space, eta)
+        return make_biorth_inf(SequenceSpace(int(params["dim"]), params["p"]), 1.0 - params["beta"])
     if tag == "AUERBACH-YY":
         from .convexity import auerbach_2d
 
-        basis = auerbach_2d(SequenceSpace(2, params.get("p", 2.0)))
-        return make_auerbach_yy(basis, params["beta"])
+        return make_auerbach_yy(auerbach_2d(SequenceSpace(2, params["p"])), params["beta"])
     if tag == "PROJ-N-2":
-        R = OperatorPQ(
-            np.diag([params.get("beta", 0.5), 1.0]),
-            SequenceSpace(2, 2.0),
-            SequenceSpace(2, 2.0),
-        )
-        return make_proj_then(R, int(params.get("dim", 4)))
+        R = OperatorPQ(np.diag([params["beta"], 1.0]), SequenceSpace(2, 2.0), SequenceSpace(2, 2.0))
+        return make_proj_then(R, int(params["dim"]))
     if tag == "BLOCK-N":
-        return make_block(make_shrinking_blocks(int(params.get("blocks", 5))))
-    if tag == "LPLQ-FAIL-N":
-        return make_lplq_fail(
-            params.get("p", 2.0), params.get("q", 2.0), int(params.get("blocks", 5))
-        )
-    raise ValueError(f"unknown gallery tag {tag!r}")
+        return make_block(make_shrinking_blocks(int(params["blocks"])))
+    return make_lplq_fail(params["p"], params["q"], int(params["blocks"]))

@@ -21,11 +21,13 @@ import numpy as np
 from .spaces import INF, SequenceSpace, pnorm, sample_sphere_coords, unit
 from .operators import (
     APPLY_CHUNK,
+    DEFAULT_PARAMS,
     GALLERY_TAGS,
     HypothesisError,
     OperatorPQ,
     from_gallery,
     make_rot_lq,
+    to_json,
 )
 from .normcomp import DEFAULT_GRID, _sweep2d, opnorm, opnorm_oracle
 from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, sbpb_profile
@@ -118,15 +120,7 @@ class CheckRecord:
             return max(0.0, self.computed - float(self.expected))
         return 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tol": self.tol,
-            "passed": self.passed,
-            "kind": self.kind,
-        }
+    to_json_dict = to_json
 
 
 @dataclass
@@ -144,38 +138,11 @@ class ReproReport:
         gating = [c.residual for c in self.checks if c.kind != "diagnostic"]
         return max(gating) if gating else 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "params": self.params,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "overall": self.overall,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-            "diagnostics": self.diagnostics,
-        }
+    to_json_dict = to_json
 
     @staticmethod
     def from_json_dict(d: dict) -> "ReproReport":
-        return ReproReport(
-            tag=d["tag"],
-            params=dict(d["params"]),
-            checks=[
-                CheckRecord(
-                    name=c["name"],
-                    expected=c["expected"],
-                    computed=float(c["computed"]),
-                    tol=float(c["tol"]),
-                    passed=bool(c["passed"]),
-                    kind=c.get("kind", "eq"),
-                )
-                for c in d["checks"]
-            ],
-            overall=bool(d["overall"]),
-            runtime_ms=int(d["runtime_ms"]),
-            seed=int(d["seed"]),
-            diagnostics=dict(d.get("diagnostics", {})),
-        )
+        return ReproReport(**dict(d, checks=[CheckRecord(**c) for c in d["checks"]]))
 
 
 def _eq(name, expected, computed, tol) -> CheckRecord:
@@ -238,33 +205,13 @@ def reproduce(tag: str, params: dict | None = None, *, seed: int = 0) -> ReproRe
     ]
     na = na_set(T, norm_result=nr, seed=seed)
     own, diagnostics = _HARNESSES[tag](T, nr, na, params, seed)
-    checks += own
-    runtime = int(1000 * (time.perf_counter() - t0))
+    return _report(tag, params, checks + own, t0, seed, diagnostics)
+
+
+def _report(tag, params, checks, t0, seed, diagnostics) -> ReproReport:
+    """The report of `checks`, timed from t0: it passes when every check but the diagnostics passes."""
     overall = all(c.passed for c in checks if c.kind != "diagnostic")
-    return ReproReport(
-        tag=tag,
-        params=params,
-        checks=checks,
-        overall=overall,
-        runtime_ms=runtime,
-        seed=seed,
-        diagnostics=diagnostics,
-    )
-
-
-DEFAULT_PARAMS = {
-    "DIAG-2-INF": {"beta": 0.5},
-    "DIAG-2-2": {"beta": 0.5},
-    "DIAG-P-Q": {"beta": 0.5, "p": 1.5, "q": 3.0},
-    "ROT-2-1": {"beta": 0.5},
-    "ROT-2-Q": {"beta": 1.0, "q": 1.5},
-    "COMPOSE-P-Q": {"beta": 0.5, "p": 1.5, "q": 1.0},
-    "BIORTH-INF": {"beta": 0.5, "p": 2.0, "dim": 3},
-    "AUERBACH-YY": {"beta": 0.5, "p": 2.0},
-    "PROJ-N-2": {"beta": 0.5, "dim": 4},
-    "BLOCK-N": {"blocks": 5},
-    "LPLQ-FAIL-N": {"p": 2.0, "q": 2.0, "blocks": 5},
-}
+    return ReproReport(tag, params, checks, overall, int(1000 * (time.perf_counter() - t0)), seed, diagnostics)
 
 
 def _harness_diag(T, nr, na, params, seed):
@@ -488,27 +435,9 @@ def monotonicity_certificate(q, grid: int = 10000) -> ReproReport:
     checks.append(_eq("arc_midpoint_value", closed, direct, TOL_MIDPOINT))
 
     kink_margin = float(np.min(Fp - q * A))
-    checks.append(
-        CheckRecord(
-            name="pointwise_kink_bound_margin",
-            expected="nonnegative only at q = 1",
-            computed=kink_margin,
-            tol=0.0,
-            passed=True,
-            kind="diagnostic",
-        )
-    )
-    runtime = int(1000 * (time.perf_counter() - t0))
-    overall = all(c.passed for c in checks if c.kind != "diagnostic")
-    return ReproReport(
-        tag="F-CERT",
-        params={"q": q, "grid": grid},
-        checks=checks,
-        overall=overall,
-        runtime_ms=runtime,
-        seed=0,
-        diagnostics={"pointwise_kink_bound_margin": kink_margin},
-    )
+    checks.append(CheckRecord("pointwise_kink_bound_margin", "nonnegative only at q = 1", kink_margin,
+                              0.0, True, "diagnostic"))
+    return _report("F-CERT", {"q": q, "grid": grid}, checks, t0, 0, {"pointwise_kink_bound_margin": kink_margin})
 
 
 # operators per group of POSITIVE-BATCH: a group's sweeps and profiles hold one
@@ -538,15 +467,7 @@ def positive_side_batch(
         ops = [OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]
         for s, part in zip(seeds, _profile_parts(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))):
             checks.append(_ge(f"eta_positive_seed_{s}", 1e-6, part.profile().eta[0], 0.0))
-    runtime = int(1000 * (time.perf_counter() - t0))
-    return ReproReport(
-        tag="POSITIVE-BATCH",
-        params={"count": count, "eps": eps, "p": p, "q": q},
-        checks=checks,
-        overall=all(c.passed for c in checks),
-        runtime_ms=runtime,
-        seed=seed,
-    )
+    return _report("POSITIVE-BATCH", {"count": count, "eps": eps, "p": p, "q": q}, checks, t0, seed, {})
 
 
 def gallery_default_cases() -> list[tuple[str, dict]]:

@@ -140,6 +140,18 @@ def test_repro_has_no_tol_option(capsys, argv):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, defaults", [
+    (["opnorm", "--tag", "DIAG-2-2"], ["--beta", "0.5"]),
+    (["na", "--tag", "DIAG-P-Q", "--beta", "0.5"], ["--p", "1.5", "--q", "3"]),
+    (["eta", "--tag", "DIAG-P-Q", "--beta", "0.5", "--eps", "0.5"], ["--p", "1.5", "--q", "3"]),
+])
+def test_missing_gallery_parameters_take_the_defaults(capsys, argv, defaults):
+    """A gallery parameter left out takes its default, as in `repro --tag`."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, *defaults)[1]
+
+
 def test_seed_determinism_bytes(capsys):
     args = ["eta", "--tag", "DIAG-2-2", "--beta", "0.9", "--eps", "1.0", "--seed", "4"]
     _, out1, _ = run_cli(capsys, *args)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,17 @@ import pytest
 import normlab as nl
 from normlab import INF, HypothesisError, OperatorPQ, SequenceSpace
 from normlab.convexity import lp_handle
-from normlab.operators import APPLY_CHUNK, BlockSpace, apply_cols, dual_attainer, norm_dual_vector, space_from_json, space_to_json
+from normlab.operators import (
+    APPLY_CHUNK,
+    BlockSpace,
+    apply_cols,
+    dual_attainer,
+    norm_dual_vector,
+    space_from_json,
+    space_to_json,
+    to_json,
+)
+from normlab.repro import CheckRecord
 from normlab.spaces import pnorm, sample_sphere_coords
 
 
@@ -257,6 +268,60 @@ def test_space_json_round_trip():
     assert space_to_json(nested)["p"] == 2.0 and len(space_to_json(nested)["blocks"]) == 2
     with pytest.raises(ValueError, match="custom 2D norm"):
         space_from_json(space_to_json(lp_handle(3.0)))
+
+
+def test_to_json_rules():
+    space = SequenceSpace(2, INF)
+    encoded = to_json({"a": (np.float64(0.5), np.arange(2.0)), "u": nl.unit([1.0, 0.0], space), "s": space})
+    assert encoded == {"a": [0.5, [0.0, 1.0]], "u": [1.0, 0.0], "s": {"dim": 2, "p": "inf"}}
+    assert type(encoded["a"][0]) is float
+    with pytest.raises(TypeError, match="no JSON form"):
+        to_json([object()])
+
+
+def test_every_result_round_trips_through_json():
+    """Every result type, on every kind of space it takes, writes exactly the
+    fields its repr shows (an AttainmentSet adds "space"), loads back to the
+    same JSON and refuses unknown keys; one on a general 2D norm writes
+    "p": "custom" and refuses to load."""
+    s2, s3, norm2d = SequenceSpace(2, 1.5), SequenceSpace(3, 3.0), lp_handle(3.0)
+    mixed = BlockSpace(2.0, (SequenceSpace(2, 1.0), SequenceSpace(1, 3.0)))
+    M2 = np.array([[0.3, 0.9], [0.7, -0.2]])
+    block = OperatorPQ(np.diag([0.5, 1.0]), SequenceSpace(2, 3.0), SequenceSpace(2, 3.0))
+    ops = [
+        OperatorPQ(M2, s2, SequenceSpace(2, 3.0)),
+        nl.from_gallery("PROJ-N-2", dim=3),
+        nl.make_block([block, block], 2.0, 2.0),  # attains on the sphere spanned by both blocks
+        OperatorPQ(M2, norm2d, SequenceSpace(2, 2.0)),
+    ]
+    results = [nl.AttainmentSet([], 1e-6, 0.1, False, 1.0)]
+    for T in ops:
+        nr = nl.opnorm(T)
+        results += [nr, nl.na_set(T, norm_result=nr), nl.sbpb_profile(T, [0.5], norm_result=nr)]
+    results.append(nl.opnorm(OperatorPQ(np.random.default_rng(2).standard_normal((3, 3)), s3, s3)))
+    results += [nl.delta_numeric(space, [0.5], refine=False) for space in (s2, s3, mixed, norm2d)]
+    results += [nl.auerbach_2d(space) for space in (s2, norm2d)]
+    results += [nl.kim_lee_check(space, [0.5], functional_samples=8) for space in (s2, s3)]
+    report = nl.reproduce("BLOCK-N", {"blocks": 2})
+    results += [report, report.checks[0], nl.monotonicity_certificate(1.5, grid=1000)]
+    assert any(getattr(r, "slices", None) for r in results)
+    assert {type(r).__name__ for r in results} == {
+        "NormResult", "AttainmentSet", "SbpbProfile", "ConvexityModulus", "AuerbachSystem",
+        "KimLeeReport", "ReproReport", "CheckRecord"}
+    for r in results:
+        d = r.to_json_dict()
+        shown = {f.name for f in dataclasses.fields(r) if f.repr}
+        assert set(d) == shown | ({"space"} if isinstance(r, nl.AttainmentSet) else set())
+        load = (lambda d: CheckRecord(**d)) if isinstance(r, CheckRecord) else r.from_json_dict
+        on_norm2d = norm2d in (getattr(r, "space", None), *(p.space for p in getattr(r, "points", ())))
+        if on_norm2d:
+            assert d["space"] == {"dim": 2, "p": "custom"}
+            with pytest.raises(ValueError, match="custom 2D norm"):
+                load(d)
+        else:
+            assert load(json.loads(json.dumps(d))).to_json_dict() == d
+            with pytest.raises(TypeError):
+                load(dict(d, unknown=None))
 
 
 def test_from_gallery_covers_all_tags():
