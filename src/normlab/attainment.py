@@ -20,16 +20,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
-from .operators import OperatorPQ, apply_cols, norm_dual_vector, space_from_json, to_json
+from .operators import OperatorPQ, apply_cols, space_from_json, to_json
 from .normcomp import (
     DEFAULT_GRID,
     EvalPool,
     NormResult,
     UncertifiedNormError,
     _angle_values,
-    _backtrack,
     _base_pool,
     _bisect,
+    _climb,
     _golden_max,
     _rank1_attainers,
     _reduce,
@@ -185,9 +185,7 @@ def na_set(
             raise ValueError(f"{name} must lie in (0, 0.1]; got {v}")
     nr = norm_result if norm_result is not None else opnorm(T, tol=tol, seed=seed, grid=grid)
     if not nr.certified:
-        raise UncertifiedNormError(
-            "norm attainment needs a certified operator norm; got a heuristic one"
-        )
+        raise UncertifiedNormError("norm attainment needs a certified operator norm; got a heuristic one")
     return _na(T, nr, value_tol, cluster_tol, tol, seed, grid)
 
 
@@ -235,8 +233,7 @@ def _axis_attainers(R: OperatorPQ, points: list, cluster_tol) -> list[np.ndarray
 
 def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol) -> AttainmentSet:
     """The attainment set of a 2D operator from its base evaluation pool and certified norm."""
-    coords = pool.coords
-    values = pool.values
+    coords, values = pool.coords, pool.values
     if nr.witnesses:
         E = np.column_stack([w.coords for w in nr.witnesses])
         coords = np.hstack([coords, E])
@@ -245,9 +242,7 @@ def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, clus
     frac = float(np.mean(pool.values[: pool.base_count] >= nr.value - value_tol))
     continuum = frac > CONTINUUM_FRACTION
 
-    reps = cluster_representatives(
-        coords, values, T.domain, nr.value - value_tol, cluster_tol
-    )
+    reps = cluster_representatives(coords, values, T.domain, nr.value - value_tol, cluster_tol)
 
     # refine, by golden section, the representatives not yet exact
     refined = list(reps)
@@ -269,13 +264,7 @@ def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, clus
 
     points = _axis_attainers(T, [x for x, _ in final], cluster_tol)
     points.sort(key=lambda x: _theta_of(T.domain, x))
-    return AttainmentSet(
-        points=[unit(x, T.domain) for x in points],
-        value_tol=value_tol,
-        cluster_tol=cluster_tol,
-        continuum_flag=continuum,
-        norm_value=nr.value,
-    )
+    return AttainmentSet([unit(x, T.domain) for x in points], value_tol, cluster_tol, continuum, nr.value)
 
 
 def dist_to_set(x, S: AttainmentSet) -> float:
@@ -326,30 +315,18 @@ def default_epsilons(space) -> list[float]:
     return list(np.geomspace(1e-3, top, 32))
 
 
-def _constrained_ascend(T, X0, dist_of, eps, iters=200):
-    """Hill climb on ||Tx|| from each column of X0 at once, keeping column j
-    at dist(x) >= eps[j]; each column backtracks on its own violations and
-    stops once it stops improving.  Returns the final columns and values of
-    the columns that start feasible."""
-    dom, rng, A = T.domain, T.range, T.matrix
+def _constrained_ascend(dom, rng, mats, own, X0, dist_of, eps, iters=200):
+    """Hill climb on ||T x|| from each column of X0 at once, with T =
+    mats[own[j]] for column j, keeping column j at dist_of(x, own[j]) >=
+    eps[j] (`normcomp._climb`).  Returns the final columns, values and
+    owners of the columns that start feasible."""
     X = X0 / dom.norm_cols(X0)
-    feasible = dist_of(X) >= eps - FEAS_SLACK
-    X, eps = X[:, feasible], eps[feasible]
-    Y = apply_cols(A, X)
-    f = rng.norm_cols(Y)
-    steps = np.full(X.shape[1], 0.25)  # each column's next first step
-    live = np.arange(X.shape[1])
-    for _ in range(iters):
-        Z = apply_cols(A.T, norm_dual_vector(rng, Y[:, live]))
-        zn = pnorm_cols(Z, 2.0)
-        back = np.flatnonzero(zn > 0.0)  # into live
-        up = np.zeros(live.size, dtype=bool)
-        up[back] = _backtrack(T, X, Y, f, Z[:, back] / zn[back], live[back], steps, 0.5, 1e-10, 1e-16,
-                              lambda XT, j: dist_of(XT) >= eps[j] - FEAS_SLACK)
-        live = live[up]
-        if not live.size:
-            break
-    return X, f
+    feasible = dist_of(X, own) >= eps - FEAS_SLACK
+    X, eps, own = X[:, feasible], eps[feasible], own[feasible]
+    A = mats[0] if len(mats) == 1 else mats[own]  # a batch of one indexes no per-column stack
+    f = _climb(dom, rng, A, X, np.full(X.shape[1], 0.25), 0.5, 1e-10, 1e-16, iters,
+               lambda XT, j: dist_of(XT, own[j]) >= eps[j] - FEAS_SLACK)
+    return X, f, own
 
 
 @dataclass
@@ -358,7 +335,8 @@ class _ProfilePart:
 
     `best` holds, per eps, (value, point) of the first largest evaluation
     with dist >= eps found so far, or None.  On a 2D domain `cuts` and
-    `peaks` are the brackets `_refine_2d` still has to refine.
+    `peaks` are the brackets `_refine_2d` still has to refine; on higher
+    ones `starts` are the columns `_ascend_nd` still has to climb.
     """
 
     T: OperatorPQ
@@ -370,32 +348,30 @@ class _ProfilePart:
     best: list
     cuts: tuple = ()  # (lo, hi, level, lo_in): feasibility-boundary cells
     peaks: tuple = ()  # (lo, hi, level): top feasible local maxima
+    starts: tuple = ()  # (coords, eps): the top feasible evaluations of each eps
 
     def profile(self) -> SbpbProfile:
-        epsilons, value = self.epsilons, self.value
+        value, n = self.value, len(self.epsilons)
         if self.na.na_empty:
-            return SbpbProfile(
-                epsilons=epsilons,
-                rho=[value] * len(epsilons),
-                eta=[0.0] * len(epsilons),
-                na_empty=True,
-                norm_value=value,
-                continuum_flag=self.na.continuum_flag,
-                notes="diagnostic: empty attainment set in finite dimension "
-                "(numerical artifact); eta forced to 0",
-            )
-        notes = ""
-        if self.repaired:
-            notes = f"diagnostic: {self.repaired} missed attainment cluster(s) absorbed during profiling"
-        return SbpbProfile(
-            epsilons=epsilons,
-            rho=[0.0 if b is None else b[0] for b in self.best],
-            eta=[value if b is None else max(0.0, value - b[0]) for b in self.best],
-            na_empty=False,
-            norm_value=value,
-            continuum_flag=self.na.continuum_flag,
-            notes=notes,
-        )
+            rho, eta = [value] * n, [0.0] * n
+            notes = "diagnostic: empty attainment set in finite dimension (numerical artifact); eta forced to 0"
+        else:
+            rho = [0.0 if b is None else b[0] for b in self.best]
+            eta = [value if b is None else max(0.0, value - b[0]) for b in self.best]
+            notes = ""
+            if self.repaired:
+                notes = f"diagnostic: {self.repaired} missed attainment cluster(s) absorbed during profiling"
+        return SbpbProfile(self.epsilons, rho, eta, self.na.na_empty, value, self.na.continuum_flag, notes)
+
+
+def _fold(parts: list[_ProfilePart], own, X, values, dists) -> None:
+    """Fold into each part's `best` the columns of X it owns (own[j] is the
+    index of column j's part, -1 for none), as they would enter its pool."""
+    for j, part in enumerate(parts):
+        k = own == j
+        if k.any():
+            new = _best_feasible(X[:, k], values[k], dists[k], part.epsilons)
+            part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
 
 
 def _best_feasible(coords, values, dists, epsilons) -> list:
@@ -410,11 +386,10 @@ def _best_feasible(coords, values, dists, epsilons) -> list:
 
 def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool) -> _ProfilePart:
     """Distances, repair and the best feasible evaluations of T's pool; on a
-    2D domain also the brackets to refine, on higher ones the ascent."""
+    2D domain also the brackets to refine, on higher ones the ascent's starts."""
     if na.na_empty:
         return _ProfilePart(T, nr.value, na, epsilons, [], 0, [])
-    coords = pool.coords
-    values = pool.values
+    coords, values = pool.coords, pool.values
     extras: list[np.ndarray] = [w.coords for w in nr.witnesses]
     if T.domain.dim != 2:
         extras.extend(p.coords for p in na.points)
@@ -432,34 +407,22 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
         mask = (values > nr.value - na.value_tol) & (dists > na.cluster_tol)
         if not np.any(mask):
             break
-        add = cluster_representatives(
-            coords[:, mask],
-            values[mask],
-            T.domain,
-            nr.value - na.value_tol,
-            na.cluster_tol,
-        )
+        add = cluster_representatives(coords[:, mask], values[mask], T.domain, nr.value - na.value_tol,
+                                      na.cluster_tol)
         reps += [x for x, _ in add]
         dists = np.minimum(dists, _min_dists(T.domain, coords, [x for x, _ in add]))
     repaired = len(reps) - len(na.points)
 
+    best = _best_feasible(coords, values, dists, epsilons)
     if T.domain.dim != 2:
-        def dist_of(X: np.ndarray) -> np.ndarray:
-            return np.minimum(na.dists(X), _min_dists(T.domain, X, reps[len(na.points):]))
-
         starts, start_eps = [], []  # the top 8 feasible evaluations of every eps, one column each
         order = np.argsort(-values, kind="stable")  # by (value, index), for every eps
         for eps in epsilons:
             top = order[dists[order] >= eps - FEAS_SLACK][:8]
             starts += top.tolist()
             start_eps += [eps] * top.size
-        if starts:
-            X, v = _constrained_ascend(T, coords[:, starts], dist_of, np.array(start_eps))
-            coords = np.hstack([coords, X])
-            values = np.concatenate([values, v])
-            dists = np.concatenate([dists, dist_of(X)])
-        best = _best_feasible(coords, values, dists, epsilons)
-        return _ProfilePart(T, nr.value, na, epsilons, reps, repaired, best)
+        return _ProfilePart(T, nr.value, na, epsilons, reps, repaired, best,
+                            starts=(coords[:, starts], np.array(start_eps)) if starts else ())
 
     thetas = pool.thetas[: pool.base_count]
     base_d = dists[: pool.base_count]
@@ -482,7 +445,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
     cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
     return _ProfilePart(
-        T, nr.value, na, epsilons, reps, repaired, _best_feasible(coords, values, dists, epsilons),
+        T, nr.value, na, epsilons, reps, repaired, best,
         cuts=(thetas[cut], thetas[cut + 1], cut_lv, base_d[cut] >= cut_lv),
         peaks=(thetas[peak] - h, thetas[peak] + h, peak_lv),
     )
@@ -496,30 +459,14 @@ def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
     if not parts:
         return
     space, rng = parts[0].T.domain, parts[0].T.range
-    # operator j's representatives are the columns first[j] : first[j] + count[j] of R
     count = np.array([len(p.reps) for p in parts])
-    first = np.cumsum(count) - count
     R = np.column_stack([r for p in parts for r in p.reps])
-
-    def pairing(own):
-        """Each column paired with each representative of its operator: (columns, reps, run starts)."""
-        n = count[own]
-        start = np.cumsum(n) - n
-        col = np.repeat(np.arange(own.size), n)
-        return col, first[own][col] + np.arange(col.size) - start[col], start
-
-    def dists(X, pairs):
-        """Distance from each column of X to the nearest representative of its operator."""
-        col, rep, start = pairs
-        D = space.norm_cols(X[:, col] - R[:, rep])
-        return np.minimum.reduceat(D, start) if start.size else D
-
     ids = np.arange(len(parts))
     c_own = np.repeat(ids, [p.cuts[0].size for p in parts])
     p_own = np.repeat(ids, [p.peaks[0].size for p in parts])
     lo, hi, c_lv, lo_in = (np.concatenate([p.cuts[k] for p in parts]) for k in range(4))
-    c_pairs = pairing(c_own)
-    t_cut = _bisect(lambda t: dists(space.sphere_grid(t), c_pairs), lo, hi, c_lv, lo_in)
+    c_pairs = _pairing(count, c_own)
+    t_cut = _bisect(lambda t: _paired_dists(space, R, space.sphere_grid(t), c_pairs), lo, hi, c_lv, lo_in)
 
     mats = np.stack([p.T.matrix for p in parts])
     a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
@@ -529,14 +476,63 @@ def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
     # each operator's refined cuts, then its peaks, as one pool extension
     own = np.concatenate([c_own, p_own])
     X_new = space.sphere_grid(np.concatenate([t_cut, t_peak]))
-    d_new = dists(X_new, pairing(own))
+    d_new = _paired_dists(space, R, X_new, _pairing(count, own))
     keep = d_new >= np.concatenate([c_lv, p_lv])
-    v_new = rng.norm_cols(apply_cols(mats[own], X_new))
-    for j, part in enumerate(parts):
-        k = keep & (own == j)
-        if k.any():
-            new = _best_feasible(X_new[:, k], v_new[k], d_new[k], epsilons)
-            part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
+    _fold(parts, np.where(keep, own, -1), X_new, rng.norm_cols(apply_cols(mats[own], X_new)), d_new)
+
+
+def _pairing(count, own):
+    """Pair column c of a batch with each representative of its owner
+    own[c], owner o's being columns first[o] : first[o] + count[o] of their
+    stack.  Returns the paired columns and representatives, the columns
+    with any pair, and where their pairs start."""
+    first = np.cumsum(count) - count
+    n = count[own]
+    start = np.cumsum(n) - n
+    col = np.repeat(np.arange(own.size), n)
+    rows = np.flatnonzero(n)
+    return col, first[own][col] + np.arange(col.size) - start[col], rows, start[rows]
+
+
+def _paired_dists(space, R, X, pairs) -> np.ndarray:
+    """Distance from each column of X to the nearest representative (column
+    of R) it is paired with, inf with none."""
+    col, rep, rows, start = pairs
+    d = np.full(X.shape[1], INF)
+    if col.size:
+        d[rows] = np.minimum.reduceat(space.norm_cols(X[:, col] - R[:, rep]), start)
+    return d
+
+
+def _ascend_nd(parts) -> None:
+    """Climb the starts of operators sharing a domain and a range in
+    dimension >= 3, all as columns of one `_constrained_ascend`, and fold
+    each operator's final points into its `best` as they would enter its
+    pool.  A column's distance is to its owner's attainment set and
+    repaired representatives, as `_profile_part` measured them."""
+    parts = [p for p in parts if p.starts]  # 2D and empty NA have none
+    if not parts:
+        return
+    dom, rng = parts[0].T.domain, parts[0].T.range
+    # a finite set is its representatives; a set spanned by slices pairs only its repairs
+    reps = [p.reps if p.na.slices is None else p.reps[len(p.na.points):] for p in parts]
+    count = np.array([len(r) for r in reps])
+    R = np.column_stack([r for rs in reps for r in rs]) if count.any() else None
+    spanned = [j for j, p in enumerate(parts) if p.na.slices is not None]
+
+    def dist_of(X, own):
+        d = _paired_dists(dom, R, X, _pairing(count, own))
+        for j in spanned:
+            m = own == j
+            if m.any():
+                d[m] = np.minimum(d[m], parts[j].na.dists(X[:, m]))
+        return d
+
+    own = np.repeat(np.arange(len(parts)), [p.starts[1].size for p in parts])
+    X, v, own = _constrained_ascend(dom, rng, np.stack([p.T.matrix for p in parts]), own,
+                                    np.hstack([p.starts[0] for p in parts]),
+                                    dist_of, np.concatenate([p.starts[1] for p in parts]))
+    _fold(parts, own, X, v, dist_of(X, own))
 
 
 def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, value_tol: float = 1e-6,
@@ -548,8 +544,9 @@ def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, va
     One operator at a time takes its certified norm, its pool and its
     attainment set, and keeps only its share of the profile, so one pool of
     values is live at a time; the first pool lends its points to the others.
-    One refinement then serves all the 2D shares.  Results are the same, bit
-    for bit, as one call per operator.
+    One refinement then serves all the 2D shares, and one constrained ascent
+    all the nD ones.  Results are the same, bit for bit, as one call per
+    operator.
     """
     epsilons = sorted(float(e) for e in epsilons)
     for e in epsilons:
@@ -565,6 +562,7 @@ def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, va
         na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool) if nas is None else nas[k]
         parts.append(_profile_part(T, na, nr, epsilons, pool))
     _refine_2d(parts, epsilons)
+    _ascend_nd(parts)
     return parts
 
 

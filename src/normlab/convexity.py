@@ -135,20 +135,11 @@ def delta_numeric(space, epsilons, *, grid: int = 640, refine: bool = True) -> C
 
 def _delta_2d(space, epsilons, grid, refine):
     thetas, X, iu, ju, dist, val = _pair_tables_2d(space, grid)
-    ti = thetas[iu]
-    tj = thetas[ju]
-
-    pool_t1 = [ti]
-    pool_t2 = [tj]
-    pool_d = [dist]
-    pool_v = [val]
-
-    # exact antipodal pairs: distances there are 2 ||x|| = 2 to rounding
-    anti = X
-    pool_t1.append(thetas)
-    pool_t2.append((thetas + math.pi) % TWO_PI)
-    pool_d.append(2.0 * space.norm_cols(anti))
-    pool_v.append(1.0 - np.zeros(anti.shape[1]))
+    ti, tj = thetas[iu], thetas[ju]
+    # the pool of (angle 1, angle 2, distance, value) pairs: the table, then the
+    # exact antipodal pairs, whose distances are 2 ||x|| = 2 to rounding
+    pool = [(ti, tj, dist, val),
+            (thetas, (thetas + math.pi) % TWO_PI, 2.0 * space.norm_cols(X), 1.0 - np.zeros(X.shape[1]))]
 
     if refine:
         # chains: the six best feasible pairs of each eps, refined on shrinking
@@ -194,15 +185,8 @@ def _delta_2d(space, epsilons, grid, refine):
         if found:
             # pool order: chain, then level, then row
             a, b, d, v, ok = (np.stack(f, axis=1).ravel() for f in zip(*found))
-            pool_t1.append(a[ok])
-            pool_t2.append(b[ok])
-            pool_d.append(d[ok])
-            pool_v.append(v[ok])
-
-    T1 = np.concatenate(pool_t1)
-    T2 = np.concatenate(pool_t2)
-    D = np.concatenate(pool_d)
-    V = np.concatenate(pool_v)
+            pool.append((a[ok], b[ok], d[ok], v[ok]))
+    T1, T2, D, V = (np.concatenate(c) for c in zip(*pool))
 
     deltas = []
     witnesses = []
@@ -305,11 +289,8 @@ def auerbach_2d(norm_handle) -> AuerbachSystem:
     if getattr(norm_handle, "dim", None) != 2:
         raise ValueError("Auerbach construction requires a 2D norm")
     if isinstance(norm_handle, SequenceSpace):
-        return AuerbachSystem(
-            vectors=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-            functionals=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-            space=norm_handle,
-        )
+        E = np.eye(2)
+        return AuerbachSystem(vectors=(E[0], E[1]), functionals=(E[0].copy(), E[1].copy()), space=norm_handle)
 
     grid = 2048
     thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
@@ -326,14 +307,9 @@ def auerbach_2d(norm_handle) -> AuerbachSystem:
     for _ in range(6):  # alternating 1D refinements converge fast here
         t1 = float(_golden_max(lambda t, _: dets(sphere(t), sphere(t2)), t1 - 0.01, t1 + 0.01)[0][0])
         t2 = float(_golden_max(lambda t, _: dets(sphere(t1), sphere(t)), t2 - 0.01, t2 + 0.01)[0][0])
-    P = norm_handle.sphere_grid(np.asarray([t1, t2]))
-    E = P.copy()
+    E = norm_handle.sphere_grid(np.asarray([t1, t2]))
     F = np.linalg.inv(E)
-    return AuerbachSystem(
-        vectors=(E[:, 0], E[:, 1]),
-        functionals=(F[0], F[1]),
-        space=norm_handle,
-    )
+    return AuerbachSystem(vectors=(E[:, 0], E[:, 1]), functionals=(F[0], F[1]), space=norm_handle)
 
 
 @dataclass

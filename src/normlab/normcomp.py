@@ -391,54 +391,89 @@ def ascend(T: OperatorPQ, X0, iters: int = ASCENT_ITERS):
 
     Primary step is the dual-map fixed point (exact power iteration for
     p = q = 2); on non-improvement a column falls back to a renormalized
-    gradient step with halving, stopping below step 1e-12.  Each column keeps
-    its own step and stops once it stops improving, and every operation is
-    column-invariant: a column ends with the bits it would reach alone.
+    gradient step with halving, stopping below step 1e-12 (`_backtrack`: a
+    column whose step fails tries all its halvings in one call, with the
+    bits of trying them one at a time).  Each column keeps its own step and
+    stops once it stops improving, and every operation is column-invariant:
+    a column ends with the bits it would reach alone.
     """
-    dom, rng, A = T.domain, T.range, T.matrix
-    X = np.array(X0, dtype=float).reshape(dom.dim, -1)
-    X /= dom.norm_cols(X)
-    Y = apply_cols(A, X)
-    f = rng.norm_cols(Y)
-    alpha = np.full(X.shape[1], 0.5)
-    live = np.arange(X.shape[1])
-    for _ in range(iters):
-        Z = apply_cols(A.T, norm_dual_vector(rng, Y[:, live]))
-        C = dual_attainer(dom, Z)
-        YC = apply_cols(A, C)
-        fc = rng.norm_cols(YC)
-        up = fc > f[live] + 1e-15
-        X[:, live[up]], Y[:, live[up]], f[live[up]] = C[:, up], YC[:, up], fc[up]
-        zn = pnorm_cols(Z, 2.0)
-        back = np.flatnonzero(~up & (zn > 0.0))  # the gradient fallback's columns, into live
-        up[back] = _backtrack(T, X, Y, f, Z[:, back] / zn[back], live[back], alpha, 1.0, 1e-12, 1e-15)
-        live = live[up]
-        if not live.size:
-            break
+    X = np.array(X0, dtype=float).reshape(T.domain.dim, -1)
+    X /= T.domain.norm_cols(X)
+    f = _climb(T.domain, T.range, T.matrix, X, np.full(X.shape[1], 0.5), 1.0, 1e-12, 1e-15, iters)
     return X, f
 
 
-def _backtrack(T, X, Y, f, D, cols, steps, cap, floor, gain, admits=None):
+def _climb(dom, rng, A, X, steps, cap, floor, gain, iters, admits=None):
+    """Climb ||A x|| from every unit column x of X at once, in place, with A
+    one matrix or one per column; returns the final values.  Without
+    `admits` a column first tries the dual-map fixed point; then, or with
+    `admits` only, the `_backtrack` line search along the gradient.  Each
+    column stops once it stops improving."""
+    Y = apply_cols(A, X)
+    f = rng.norm_cols(Y)
+    AT = np.swapaxes(A, -1, -2)
+    live = np.arange(X.shape[1])
+    for _ in range(iters):
+        Z = apply_cols(AT if AT.ndim == 2 else AT[live], norm_dual_vector(rng, Y[:, live]))
+        up = np.zeros(live.size, dtype=bool)
+        if admits is None:
+            C = dual_attainer(dom, Z)
+            YC = apply_cols(A if A.ndim == 2 else A[live], C)
+            fc = rng.norm_cols(YC)
+            up = fc > f[live] + gain
+            X[:, live[up]], Y[:, live[up]], f[live[up]] = C[:, up], YC[:, up], fc[up]
+        zn = pnorm_cols(Z, 2.0)
+        back = np.flatnonzero(~up & (zn > 0.0))  # the gradient fallback's columns, into live
+        up[back] = _backtrack(dom, rng, A, X, Y, f, Z[:, back] / zn[back], live[back], steps, cap, floor, gain,
+                              admits)
+        live = live[up]
+        if not live.size:
+            break
+    return f
+
+
+def _backtrack(dom, rng, A, X, Y, f, D, cols, steps, cap, floor, gain, admits=None):
     """Renormalized steps from the columns `cols` of X along the directions
     D, halving from `steps[cols]` (each above `floor`) until a column's value
     beats f by more than `gain` at a point `admits(XT, cols)` accepts, or its
-    step would fall to `floor`.  Accepted points go into X, Y and f, and
-    twice their step, capped at `cap`, into `steps`; returns which columns
-    were accepted."""
-    dom, rng = T.domain, T.range
+    step would fall to `floor`.  A is one matrix, or one per column of X.
+    Accepted points go into X, Y and f, and twice their step, capped at
+    `cap`, into `steps`; returns which columns were accepted.
+
+    Each column first tries its step alone.  A column that fails evaluates
+    its whole ladder, every halving above the floor, in one call and takes
+    the first rung that passes.  The rungs are exact powers of two apart and
+    evaluation is column-invariant, so every column gets the bits of halving
+    one evaluation at a time."""
     accepted = np.zeros(cols.size, dtype=bool)
-    idx, step = np.arange(cols.size), steps[cols]
-    while idx.size:
-        j = cols[idx]
-        XT = X[:, j] + step * D[:, idx]
+    idx, top = np.arange(cols.size), steps[cols]
+    for ladder in (False, True):
+        if ladder:  # the failed columns' next halvings
+            top = 0.5 * top[~hit]
+            idx, top = idx[~hit][top > floor], top[top > floor]
+            if not idx.size:
+                break
+        rungs = int(np.log2(top.max() / floor)) + 2 if ladder else 1  # every halving above the floor, one spare
+        S = np.ldexp(top[:, None], -np.arange(rungs))
+        on = S > floor
+        on[:, 0] = True
+        r, i = np.nonzero(on)  # a prefix of each row, rungs in order
+        j = cols[idx[r]]
+        XT = X[:, j] + S[r, i] * D[:, idx[r]]
         XT /= dom.norm_cols(XT)
-        YT = apply_cols(T.matrix, XT)
+        YT = apply_cols(A if A.ndim == 2 else A[j], XT)
         ft = rng.norm_cols(YT)
-        ok = (ft > f[j] + gain) & (True if admits is None else admits(XT, j))
-        X[:, j[ok]], Y[:, j[ok]], f[j[ok]], steps[j[ok]] = XT[:, ok], YT[:, ok], ft[ok], np.minimum(cap, 2.0 * step[ok])
-        accepted[idx[ok]] = True
-        halve = ~ok & (0.5 * step > floor)
-        idx, step = idx[halve], 0.5 * step[halve]
+        up = ft > f[j] + gain
+        if admits is not None:  # asked only where the value gains
+            up[up] = admits(XT[:, up], j[up])
+        ok = np.zeros(on.shape, dtype=bool)
+        ok[r, i] = up
+        hit, first = ok.any(axis=1), ok.argmax(axis=1)
+        n = on.sum(axis=1)
+        h, at = np.flatnonzero(hit), (np.cumsum(n) - n + first)[hit]  # into XT
+        jh = cols[idx[h]]
+        X[:, jh], Y[:, jh], f[jh], steps[jh] = XT[:, at], YT[:, at], ft[at], np.minimum(cap, 2.0 * S[h, first[h]])
+        accepted[idx[h]] = True
     return accepted
 
 
@@ -494,13 +529,7 @@ def _multistart(T: OperatorPQ, seed: int, n_starts: int = 64):
     return float(vals[k]), pool
 
 
-def cluster_representatives(
-    coords: np.ndarray,
-    values: np.ndarray,
-    space,
-    value_floor: float,
-    cluster_tol: float,
-):
+def cluster_representatives(coords: np.ndarray, values: np.ndarray, space, value_floor: float, cluster_tol: float):
     """Greedy clustering of near-maximal points, highest value first and,
     among tied values, lowest column first.
 

@@ -170,12 +170,8 @@ def _na_matches(T, na: AttainmentSet, expected_cols, tol) -> list[CheckRecord]:
     count = len(na.points)
     checks = [_eq("attainment_cluster_count", len(expected_cols), count, 0.0)]
     if count and expected_cols:
-        errs = []
-        for e in expected_cols:
-            errs.append(min(T.domain.norm(p.coords - e) for p in na.points))
-        spurious = []
-        for p in na.points:
-            spurious.append(min(T.domain.norm(p.coords - e) for e in expected_cols))
+        errs = [min(T.domain.norm(p.coords - e) for p in na.points) for e in expected_cols]
+        spurious = [min(T.domain.norm(p.coords - e) for e in expected_cols) for p in na.points]
         checks.append(_le("attainment_representative_error", 0.0, max(max(errs), max(spurious)), tol))
     return checks
 
@@ -324,21 +320,12 @@ def _harness_block(T, nr, na, params, seed):
     k = N // 2
     xfull[2 * k:2 * k + 2] = ab
     blocks = T.structure[1]
-    checks = [
-        _eq(
-            "block_supported_action",
-            blocks[k].range.norm(blocks[k].apply(ab)),
-            T.range.norm(T.apply(xfull)),
-            1e-12,
-        )
-    ]
+    checks = [_eq("block_supported_action", blocks[k].range.norm(blocks[k].apply(ab)),
+                  T.range.norm(T.apply(xfull)), 1e-12)]
     for n in range(1, N + 1):
         got = T.range.norm(T.apply(_axis(2 * N, 2 * (n - 1))))
         checks.append(_eq(f"value_at_block_{n}_first_axis", n / (n + 1.0), got, TOL_EXACT))
-    expected = []
-    for n in range(N):
-        for s in (1.0, -1.0):
-            expected.append(_axis(2 * N, 2 * n + 1, s))
+    expected = [_axis(2 * N, 2 * n + 1, s) for n in range(N) for s in (1.0, -1.0)]
     checks += _na_matches(T, na, expected, TOL_BLOCK)
     eN = unit(_axis(2 * N, 2 * (N - 1)), T.domain)
     checks.append(_ge("near_attainer_far_from_attainment", 1.0, dist_to_set(eN, na), TOL_BLOCK))
@@ -359,10 +346,7 @@ def _harness_lplq(T, nr, na, params, seed):
     )
     odd = max(float(np.max(np.abs(pt.coords[0::2]))) for pt in na.points) if na.points else INF
     checks.append(_le("attainers_have_zero_odd_coordinates", 0.0, odd, TOL_BLOCK))
-    dmin = INF
-    for n in range(N):
-        d = dist_to_set(unit(_axis(2 * N, 2 * n), T.domain), na)
-        dmin = min(dmin, d)
+    dmin = min(dist_to_set(unit(_axis(2 * N, 2 * n), T.domain), na) for n in range(N))
     checks.append(_ge("near_attainers_far_from_attainment", 1.0, dmin, TOL_BLOCK))
     eta = _eta_at(T, 0.9, nr, na)
     checks.append(_le("eta_vanishes_with_depth", 1.0 / (2.0 * N), eta, TOL_BLOCK))

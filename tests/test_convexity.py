@@ -6,6 +6,7 @@ import pytest
 
 import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
+from normlab import attainment
 from normlab.attainment import _profile_parts
 from normlab.convexity import _pair_tables_2d, lp_handle
 from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords
@@ -129,8 +130,8 @@ def test_kim_lee_coherence_with_delta():
             assert rep.min_eta[0] > 1e-6
 
 
-@pytest.mark.parametrize("dim, p, count", [(2, p, 64) for p in EXPONENTS] + [(3, 1.5, 16), (3, 3.0, 16)],
-                         ids=[str(p) for p in EXPONENTS] + ["dim3-1.5", "dim3-3.0"])
+@pytest.mark.parametrize("dim, p, count", [(2, p, 64) for p in EXPONENTS] + [(3, 1.5, 16), (3, 3.0, 16), (3, 3.0, 64)],
+                         ids=[str(p) for p in EXPONENTS] + ["dim3-1.5", "dim3-3.0", "dim3-3.0-64"])
 def test_kim_lee_batch_matches_one_profile_per_functional(dim, p, count):
     """Reference: the scan as one sbpb_profile per rank-one functional, first
     minimum kept; in dimension 3 the batch shares one base sample."""
@@ -148,6 +149,26 @@ def test_kim_lee_batch_matches_one_profile_per_functional(dim, p, count):
     assert all(np.array_equal(w, r) for w, r in zip(rep.witness_functionals, witnesses))
     batch = [part.profile() for part in _profile_parts(ops, eps, seed=0, grid=8192)]
     assert [b.to_json_dict() for b in batch] == [r.to_json_dict() for r in profiles]
+
+
+def test_dim3_batch_climbs_in_one_constrained_ascent(monkeypatch):
+    """Every (functional, eps, start) column of a dim-3 batch climbs in one
+    `_constrained_ascend` call; a batch of one takes the same path."""
+    space = SequenceSpace(3, 3.0)
+    F = sample_sphere_coords(space.dual(), 16, 0)
+    ops = [OperatorPQ(F[:, j].reshape(1, 3), space, SequenceSpace(1, 2.0)) for j in range(16)]
+    owners = []
+    climb = attainment._constrained_ascend
+
+    def counted(dom, rng, mats, own, *args, **kwargs):
+        owners.append((len(mats), np.unique(own).size))
+        return climb(dom, rng, mats, own, *args, **kwargs)
+
+    monkeypatch.setattr(attainment, "_constrained_ascend", counted)
+    _profile_parts(ops, [0.5, 0.9], seed=0, grid=8192)
+    assert owners == [(16, 16)]
+    _profile_parts(ops[:1], [0.5, 0.9], seed=0, grid=8192)
+    assert owners[1:] == [(1, 1)]
 
 
 def _delta_2d_sequential(space, epsilons, grid=640):

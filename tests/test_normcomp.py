@@ -16,13 +16,14 @@ from normlab.normcomp import (
     METHOD_SWEEP2D,
     DEFAULT_BUDGET,
     DEFAULT_GRID,
+    _backtrack,
     _bisect,
     _golden_max,
     _start_coords,
     _sweep2d,
     ascend,
 )
-from normlab.operators import dual_attainer, norm_dual_vector
+from normlab.operators import apply_cols, dual_attainer, norm_dual_vector
 from normlab.spaces import pnorm, pnorm_cols
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
@@ -356,6 +357,75 @@ def test_batched_ascent_matches_the_scalar_reference():
         _, f = ascend(T, starts)
         for j in range(0, starts.shape[1], 5):
             assert abs(f[j] - _scalar_ascend(T, starts[:, j])) <= 1e-9
+
+
+def _serial_backtrack(dom, rng, A, X, Y, f, D, cols, steps, cap, floor, gain, admits=None, tries=None):
+    """Reference for `_backtrack`: every column halves its step one
+    evaluation at a time.  `tries` counts each column's evaluations."""
+    accepted = np.zeros(cols.size, dtype=bool)
+    idx, step = np.arange(cols.size), steps[cols]
+    while idx.size:
+        j = cols[idx]
+        tries[idx] += 1
+        XT = X[:, j] + step * D[:, idx]
+        XT /= dom.norm_cols(XT)
+        YT = apply_cols(A if A.ndim == 2 else A[j], XT)
+        ft = rng.norm_cols(YT)
+        ok = (ft > f[j] + gain) & (True if admits is None else admits(XT, j))
+        X[:, j[ok]], Y[:, j[ok]], f[j[ok]], steps[j[ok]] = XT[:, ok], YT[:, ok], ft[ok], np.minimum(cap, 2.0 * step[ok])
+        accepted[idx[ok]] = True
+        halve = ~ok & (0.5 * step > floor)
+        idx, step = idx[halve], 0.5 * step[halve]
+    return accepted
+
+
+@pytest.mark.parametrize("floor, cap, gain", [(1e-12, 1.0, 1e-15), (1e-10, 0.5, 1e-16)])
+@pytest.mark.parametrize("fenced", [False, True], ids=["free", "admits"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-matrix", "per-column"])
+def test_backtrack_ladder_matches_serial_halving(floor, cap, gain, fenced, stacked):
+    """The step ladder gives X, Y, f, the steps and the accepted flags of
+    halving one evaluation at a time, bit for bit: for columns accepted on
+    their first step, more than eight halvings down, and never (down to the
+    floor, some from steps just above it), with and without `admits`, and
+    with one matrix or one per column."""
+    g = np.random.default_rng(23)
+    dom, rng = SequenceSpace(4, 1.5), SequenceSpace(3, 3.0)
+    n = 96
+    A = g.standard_normal((n, 3, 4)) if stacked else g.standard_normal((3, 4))
+    X = g.standard_normal((4, n))
+    # every fourth column starts 2^-24 off a maximizer, so its long steps overshoot
+    for j in range(2, n, 4):
+        M = A[j] if stacked else A
+        x, _ = ascend(OperatorPQ(M, dom, rng), X[:, j])
+        X[:, j] = x[:, 0] + np.ldexp(g.standard_normal(4), -24)
+    X /= dom.norm_cols(X)
+    Y = apply_cols(A, X)
+    f = rng.norm_cols(Y)
+    # ascent directions, and their reverses: those columns only fail, down to the floor
+    Z = apply_cols(np.swapaxes(A, -1, -2), norm_dual_vector(rng, Y))
+    D = Z / pnorm_cols(Z, 2.0) * np.where(np.arange(n) % 4 == 3, -1.0, 1.0)
+    steps = np.ldexp(1.0, -g.integers(1, 12, n)) * g.uniform(1.0, 1.5, n)
+    steps[3::8] = floor * np.array([1.5, 2.0, 5.0, 1.01, 4.0, 7.0, 1.2, 8.0, 2.5, 3.3, 1.1, 16.0])  # some rungs land on it
+    cols = np.flatnonzero(np.arange(n) % 5 != 1)  # a subset of the columns, as the ascents pass them
+    # with `admits`, a column takes points only up to 2^-m from its start, m < 30;
+    # every eighth only up to where a step of `floor` would take it, which no rung reaches
+    reach, X0 = np.ldexp(1.0, -g.integers(0, 30, n)), X.copy()
+    steps[::8] = floor * np.ldexp(1.0, g.integers(0, 5, 12))
+    edge = X[:, ::8] + floor * D[:, ::8]
+    reach[::8] = pnorm_cols(edge / dom.norm_cols(edge) - X0[:, ::8], 2.0)
+    admits = (lambda XT, j: pnorm_cols(XT - X0[:, j], 2.0) <= reach[j]) if fenced else None
+    tries = np.zeros(cols.size, dtype=int)
+    runs = []
+    for backtrack, extra in ((_serial_backtrack, {"tries": tries}), (_backtrack, {})):
+        state = [a.copy() for a in (X, Y, f, steps)]
+        accepted = backtrack(dom, rng, A, *state[:3], D[:, cols], cols, state[3], cap, floor, gain, admits, **extra)
+        runs.append(state + [accepted])
+    for ref, got in zip(*runs):
+        assert ref.dtype == got.dtype and np.array_equal(ref, got)
+    acc = runs[0][-1]
+    # the cases it claims to cover all occur
+    assert (tries[acc] == 1).any() and (tries[acc] > 9).any()  # first rung, and past the eighth halving
+    assert (~acc).sum() >= 10
 
 
 def test_oracle_examples():
