@@ -111,6 +111,16 @@ def space_from_json(d: dict):
     return SequenceSpace(int(d["dim"]), p)
 
 
+def params_to_json(params: dict) -> dict:
+    """Gallery parameters as JSON: an infinite one is "inf", as in `space_to_json`."""
+    return {k: "inf" if isinstance(v, float) and v == INF else to_json(v) for k, v in params.items()}
+
+
+def params_from_json(d: dict) -> dict:
+    """The parameters whose `params_to_json` form is `d`."""
+    return {k: INF if v == "inf" else v for k, v in d.items()}
+
+
 def to_json(obj):
     """The JSON form of a result: None, a bool, int, float or str as it is; a
     numpy float as a float; a list, tuple or dict item by item; an array or a
@@ -287,7 +297,7 @@ class OperatorPQ:
     def to_json_dict(self) -> dict:
         return {
             "tag": self.gallery.tag if self.gallery else None,
-            "params": self.gallery.as_dict() if self.gallery else {},
+            "params": params_to_json(self.gallery.as_dict()) if self.gallery else {},
             "matrix": self.matrix.tolist(),
             "p": space_to_json(self.domain)["p"],
             "q": space_to_json(self.range)["p"],

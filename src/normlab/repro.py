@@ -27,6 +27,8 @@ from .operators import (
     OperatorPQ,
     from_gallery,
     make_rot_lq,
+    params_from_json,
+    params_to_json,
     to_json,
 )
 from .normcomp import DEFAULT_GRID, _sweep2d, opnorm, opnorm_oracle
@@ -138,11 +140,13 @@ class ReproReport:
         gating = [c.residual for c in self.checks if c.kind != "diagnostic"]
         return max(gating) if gating else 0.0
 
-    to_json_dict = to_json
+    def to_json_dict(self) -> dict:
+        return dict(to_json(self), params=params_to_json(self.params))
 
     @staticmethod
     def from_json_dict(d: dict) -> "ReproReport":
-        return ReproReport(**dict(d, checks=[CheckRecord(**c) for c in d["checks"]]))
+        return ReproReport(**dict(d, params=params_from_json(d["params"]),
+                                  checks=[CheckRecord(**c) for c in d["checks"]]))
 
 
 def _eq(name, expected, computed, tol) -> CheckRecord:
@@ -515,5 +519,5 @@ def write_reports(reports: list[ReproReport], out_dir: str) -> None:
     with open(os.path.join(out_dir, "index.csv"), "w", encoding="utf-8") as f:
         f.write("tag,params,overall,worst_check_residual,runtime_ms\n")
         for r in reports:
-            params = json.dumps(r.params, sort_keys=True).replace('"', "'")
+            params = json.dumps(params_to_json(r.params), sort_keys=True).replace('"', "'")
             f.write(f'{r.tag},"{params}",{r.overall},{r.worst_residual!r},{r.runtime_ms}\n')

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import HypothesisError, OperatorPQ, SequenceSpace
+from normlab import HypothesisError, OperatorPQ, SequenceSpace, cli
 from normlab.repro import DEFAULT_PARAMS, _ge, gallery_default_cases
 
 
@@ -138,6 +138,28 @@ def test_report_json_round_trip():
     assert back.overall == rep.overall
     assert [c.name for c in back.checks] == [c.name for c in rep.checks]
     assert back.worst_residual == pytest.approx(rep.worst_residual)
+
+
+def test_written_reports_are_strict_json(tmp_path):
+    """Every file of a seed-0 `repro --all --write-reports` directory is JSON
+    under RFC 8259: no bare Infinity or NaN.  An infinite gallery parameter
+    is written "inf", as a space writes its exponent, and loads back as inf."""
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    assert cli.main(["repro", "--all", "--write-reports", "--report-dir", str(tmp_path),
+                        "--output", str(tmp_path / "stdout.txt")]) == 0
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 13 and "Infinity" not in (tmp_path / "index.csv").read_text()
+    inf_params = 0
+    for path in files + [tmp_path / "stdout.txt"]:
+        data = json.loads(path.read_text(), parse_constant=refuse)
+        for d in data:
+            rep = nl.ReproReport.from_json_dict(d)
+            inf_params += sum(v == "inf" for v in d["params"].values())
+            assert all(rep.params[k] == float("inf") for k, v in d["params"].items() if v == "inf")
+            assert rep.to_json_dict() == d
+    assert inf_params == 2 * 10  # DIAG-P-Q 6, BIORTH-INF 2, AUERBACH-YY 2; again in stdout
 
 
 def test_positive_side_batch_matches_one_operator_at_a_time():
