@@ -174,3 +174,17 @@ def test_grid_option_reaches_the_analysis(capsys, command):
     assert code == 0
     assert out == cli._json_text(expected.to_json_dict()) + "\n"
     assert out != cli._json_text(default.to_json_dict()) + "\n"
+
+
+@pytest.mark.parametrize("command, analysis", [("opnorm", "opnorm"), ("na", "na_set")])
+def test_json_only_commands_refuse_csv_before_any_work(capsys, monkeypatch, command, analysis):
+    """opnorm and na offer only JSON, so `--format csv` is refused when the
+    arguments are parsed, before the analysis runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{analysis} ran")
+
+    monkeypatch.setattr(cli, analysis, refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--tag", "BLOCK-N", "--blocks", "5", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
