@@ -451,8 +451,8 @@ def _backtrack(dom, rng, A, X, Y, f, D, cols, steps, cap, floor, gain, admits=No
         if ladder:  # the failed columns' next halvings
             top = 0.5 * top[~hit]
             idx, top = idx[~hit][top > floor], top[top > floor]
-            if not idx.size:
-                break
+        if not idx.size:
+            break
         rungs = int(np.log2(top.max() / floor)) + 2 if ladder else 1  # every halving above the floor, one spare
         S = np.ldexp(top[:, None], -np.arange(rungs))
         on = S > floor
