@@ -451,7 +451,7 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     )
 
 
-def _refine_2d(parts: list[_ProfilePart], epsilons) -> None:
+def _refine_2d(parts: list[_ProfilePart]) -> None:
     """Refine the brackets of operators sharing a 2D domain and range, in one
     bisection and one golden-section call, and fold each operator's refined
     points into its `best` as they would enter its evaluation pool."""
@@ -561,7 +561,7 @@ def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, va
         base = replace(pool, values=None) if base is None else base
         na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool) if nas is None else nas[k]
         parts.append(_profile_part(T, na, nr, epsilons, pool))
-    _refine_2d(parts, epsilons)
+    _refine_2d(parts)
     _ascend_nd(parts)
     return parts
 

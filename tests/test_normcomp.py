@@ -408,7 +408,8 @@ def test_backtrack_ladder_matches_serial_halving(floor, cap, gain, fenced, stack
     steps[3::8] = floor * np.array([1.5, 2.0, 5.0, 1.01, 4.0, 7.0, 1.2, 8.0, 2.5, 3.3, 1.1, 16.0])  # some rungs land on it
     cols = np.flatnonzero(np.arange(n) % 5 != 1)  # a subset of the columns, as the ascents pass them
     # with `admits`, a column takes points only up to 2^-m from its start, m < 30;
-    # every eighth only up to where a step of `floor` would take it, which no rung reaches
+    # every eighth, stepping from floor * 2^k, only as far as a step of exactly
+    # `floor` goes: a rung the halving never takes, since it stops above the floor
     reach, X0 = np.ldexp(1.0, -g.integers(0, 30, n)), X.copy()
     steps[::8] = floor * np.ldexp(1.0, g.integers(0, 5, 12))
     edge = X[:, ::8] + floor * D[:, ::8]
