@@ -8,31 +8,37 @@ or the row that certified the norm, with no search; a continuum spanned by
 parts keeps them, and `AttainmentSet.dists` measures the distance to it.
 
 The profile rho(eps) = sup{ ||T x|| : dist(x, NA) >= eps } is computed from
-one shared evaluation pool per operator (base grid/samples plus all refined
-candidates from every eps pass), so the monotonicity of rho in eps holds
-exactly as computed: feasible sets nest within one pool.
+one evaluation pool per operator (base grid or samples plus every refined
+candidate), so rho is monotone in eps exactly as computed.  Operators on a
+2D domain go in passes: consecutive operators whose grids of values fit in
+POOL_BUDGET, their norms, values, attainment sets and profiles taken in
+array operations over one row per operator, with each one's bits alone.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
-from .operators import OperatorPQ, apply_cols, space_from_json, to_json
+from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, dual_exponent, pnorm_cols, unit
+from .operators import APPLY_CHUNK, OperatorPQ, apply_cols, dual_attainer, space_from_json, to_json
 from .normcomp import (
     DEFAULT_GRID,
     EvalPool,
     NormResult,
     UncertifiedNormError,
-    _angle_values,
+    _angle_grid,
     _base_pool,
     _bisect,
     _climb,
     _golden_max,
+    _greedy,
     _rank1_attainers,
     _reduce,
+    _sweep2d,
+    _swept,
     _theta_of,
     cluster_representatives,
     opnorm,
@@ -40,6 +46,12 @@ from .normcomp import (
 
 FEAS_SLACK = 1e-12  # inclusive feasibility: dist >= eps - FEAS_SLACK
 CONTINUUM_FRACTION = 0.25
+POOL_BUDGET = 4 * APPLY_CHUNK  # values one 2D pass holds (1 MB); twice that raised the gallery's peak memory
+
+
+def pass_size(grid: int) -> int:
+    """Operators per 2D pass on `grid` cells (rounded up to a multiple of 8): as many grids of values as fit."""
+    return max(1, POOL_BUDGET // (grid + (-grid) % 8 + 1))
 
 
 @dataclass
@@ -67,12 +79,12 @@ class AttainmentSet:
             return np.full(X.shape[1], INF)
         space, slices = self.points[0].space, self.slices
         if slices is None:
-            return _min_dists(space, X, [p.coords for p in self.points])
+            return _min_dists(space, X[:, None], [[p.coords for p in self.points]])[0]
         P = getattr(space, "p", getattr(space, "outer_p", None))
         atts = [[p.coords[a:b] for p in self.points if not (p.coords[:a].any() or p.coords[b:].any())]
                 for a, b in slices]
         if P == INF:  # off its slice, a unit x already lies in the unit ball
-            return np.min([_min_dists(_slice_space(space, a, b), X[a:b], A)
+            return np.min([_min_dists(_slice_space(space, a, b), X[a:b, None], [A])[0]
                            for (a, b), A in zip(slices, atts)], axis=0)
         return _sphere_dists(space, X, P, slices, atts)
 
@@ -89,17 +101,22 @@ class AttainmentSet:
         return AttainmentSet(**dict(d, points=[UnitVector(c, space) for c in d["points"]], slices=slices))
 
 
-def _min_dists(space, X: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
-    """Distance from each column of X to the nearest representative."""
-    if not reps:
-        return np.full(X.shape[1], INF)
-    if X.shape[1] < len(reps):  # one norm call per point, not per representative
-        R = np.column_stack(reps)
-        return np.array([np.min(space.norm_cols(R - x[:, None])) for x in X.T])
-    D = np.empty((len(reps), X.shape[1]))  # filled in place: half the memory of stacking a list of rows
-    for i, r in enumerate(reps):
-        D[i] = space.norm_cols(X - r[:, None])
-    return D.min(axis=0)
+def _min_dists(space, C, reps) -> np.ndarray:
+    """Distance from each column of C[:, j] to the nearest of reps[j] (inf if none): slot i measures every
+    row against its i-th representative, in calls of up to APPLY_CHUNK columns (temporaries stay in cache)."""
+    n = np.array([len(r) for r in reps])
+    start = np.cumsum(n) - n
+    D = np.empty((n.sum(), C.shape[2]))
+    step = max(1, APPLY_CHUNK // (C.shape[2] or 1))
+    for i in range(n.max(initial=0)):
+        js = np.flatnonzero(n > i)
+        for j in np.split(js, range(step, js.size, step)):
+            Y = C[:, j] - np.column_stack([reps[r][i] for r in j])[:, :, None]
+            D[start[j] + i] = space.norm_cols(Y.reshape(C.shape[0], -1)).reshape(j.size, -1)
+    out = np.full((n.size, C.shape[2]), INF)
+    for r in np.flatnonzero(n):
+        D[start[r]:start[r] + n[r]].min(axis=0, out=out[r])
+    return out
 
 
 def _slice_space(space, a: int, b: int):
@@ -174,11 +191,9 @@ def na_set(
     """{ x on the unit sphere : ||Tx|| >= ||T|| - value_tol }.
 
     Requires a certified norm first; refuses otherwise, since attainment is
-    relative to ||T||.  On a 2D domain: cluster representatives of the
-    norm's grid, refined by golden section, or the signed axis vector of
-    their cluster where that attains as much.  In dimension >= 3 the set
-    is built from T's structure or its row, with no search.  The norm's own
-    grid and part norms are reused, with the same results as recomputing them.
+    relative to ||T||.  On a 2D domain a pass of one (`_pass_na`) on the
+    norm's grid; in dimension >= 3 built from T's structure or its row, with
+    no search, reusing the part norms.  Both give what recomputing gives.
     """
     for name, v in (("value_tol", value_tol), ("cluster_tol", cluster_tol)):
         if not (0.0 < v <= 0.1):
@@ -189,12 +204,11 @@ def na_set(
     return _na(T, nr, value_tol, cluster_tol, tol, seed, grid)
 
 
-def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid, pool=None) -> AttainmentSet:
-    """NA(T) from its certified norm: on a 2D domain from `pool`, its base
-    evaluation pool; in dimension >= 3 from T's structure or its row."""
+def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid) -> AttainmentSet:
+    """NA(T) from its certified norm: on a 2D domain as a pass of one on
+    the norm's grid; in dimension >= 3 from T's structure or its row."""
     if T.domain.dim == 2:
-        pool = pool if pool is not None else _base_pool(T, seed, grid, nr)
-        return _na_from_pool(T, pool, nr, value_tol, cluster_tol)
+        return _pass_na(_open_pass([T], [nr], grid, None, tol), value_tol, cluster_tol)[0]
     reduced, spans = _reduce(T), None
     if reduced is None:
         if T.range.dim != 1 or not isinstance(T.domain, SequenceSpace):
@@ -218,66 +232,97 @@ def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid, 
     return AttainmentSet(points, value_tol, cluster_tol, continuum, nr.value, spans)
 
 
-def _axis_attainers(R: OperatorPQ, points: list, cluster_tol) -> list[np.ndarray]:
-    """R's attainers, each replaced by the signed unit axis vector nearest it
-    when that vector lies in its cluster and attains at least as much: an
-    exact attainer, as the closed-form distance to a spanned sphere needs."""
-    out: dict[tuple, np.ndarray] = {}
-    for x in points:
-        e = np.where(np.arange(x.size) == np.argmax(np.abs(x)), np.sign(x), 0.0)
-        e = e / R.domain.norm(e)  # 1.0 on every l_p or block space, not on a general norm
-        snap = R.domain.norm(e - x) < cluster_tol and R.range.norm(R.apply(e)) >= R.range.norm(R.apply(x))
-        out.setdefault(tuple(e if snap else x), e if snap else x)
-    return list(out.values())
+# consecutive operators of a 2D group on one angle grid (thetas, X): their norms, and in row j of C (2, k,
+# G + w) and V (k, G + w) the points and values of operator j's pool: the grid, then its norm's witnesses
+# padded with zero points of value -inf to the pass's most witnesses
+_Pass = namedtuple("_Pass", "ops value thetas X C V")
 
 
-def _na_from_pool(T: OperatorPQ, pool: EvalPool, nr: NormResult, value_tol, cluster_tol) -> AttainmentSet:
-    """The attainment set of a 2D operator from its base evaluation pool and certified norm."""
-    coords, values = pool.coords, pool.values
-    if nr.witnesses:
-        E = np.column_stack([w.coords for w in nr.witnesses])
-        coords = np.hstack([coords, E])
-        values = np.concatenate([values, T.range_values(E)])
+def _norms_of(space, X) -> np.ndarray:
+    """space.norm of each column of X, with its bits (`pnorm` takes its root with Python's pow)."""
+    return pnorm_cols(X, space.p, True) if isinstance(space, SequenceSpace) else np.array([space.norm(x) for x in X.T])
 
-    frac = float(np.mean(pool.values[: pool.base_count] >= nr.value - value_tol))
-    continuum = frac > CONTINUUM_FRACTION
 
-    reps = cluster_representatives(coords, values, T.domain, nr.value - value_tol, cluster_tol)
+def _row_values(rng, mats, C) -> np.ndarray:
+    """||mats[j] c||_rng for each column c of C[:, j] (C[:, 0] if C has one row), with the bits of `range_values`."""
+    Y = sum(mats[:, :, t, None] * C[t][:, None, :] for t in range(C.shape[0]))
+    return rng.norm_cols(Y.transpose(1, 0, 2).reshape(mats.shape[1], -1)).reshape(mats.shape[0], -1)
 
-    # refine, by golden section, the representatives not yet exact
-    refined = list(reps)
-    todo = [i for i, (_x, v) in enumerate(reps) if v < nr.value - 1e-12]
-    if todo:
-        t0 = np.array([_theta_of(T.domain, reps[i][0]) for i in todo])
-        h = TWO_PI / (pool.base_count - 1)
-        t_ref, v_ref = _golden_max(_angle_values(T), t0 - 2 * h, t0 + 2 * h)
-        for i, x, v in zip(todo, T.domain.sphere_grid(t_ref).T, v_ref.tolist()):
-            refined[i] = (x, v)
 
-    # re-merge after refinement and drop anything that drifted below the band
-    final: list[tuple[np.ndarray, float]] = []
-    for x, v in sorted(refined, key=lambda t: -t[1]):
-        if v < nr.value - value_tol:
-            continue
-        if all(T.domain.norm(x - y) >= cluster_tol for y, _ in final):
-            final.append((x, v))
+def _open_pass(ops, norms, grid, shared, tol) -> _Pass:
+    """The pass of `ops` on `grid` cells, (thetas, X) = `shared` or built here, from their certified `norms`;
+    None computes them: a rank-one group's closed forms at once, any other's in one batched sweep."""
+    grid += (-grid) % 8
+    dom, rng, k, mats = ops[0].domain, ops[0].range, len(ops), np.stack([T.matrix for T in ops])
+    if norms is None and not _swept(ops[0]):
+        x = dual_attainer(dom, mats[:, 0].T)
+        x /= pnorm_cols(x, dom.p, True)  # as `unit` does
+        value, W, pools = pnorm_cols(mats[:, 0].T, dual_exponent(dom.p), True), [[w, -w] for w in x.T], []
+    else:
+        norms = norms if norms is not None else _sweep2d(ops, tol, grid)
+        if not all(nr.certified for nr in norms):
+            raise UncertifiedNormError("profile computation requires a certified norm")
+        value, W = np.array([nr.value for nr in norms]), [[w.coords for w in nr.witnesses] for nr in norms]
+        pools = [nr.pool for nr in norms if nr.pool is not None and nr.grid_size == grid]
+    thetas, X = shared or ((pools[0].thetas, pools[0].coords) if pools else _angle_grid(dom, grid))
+    G, w = thetas.size, max(map(len, W))
+    C = np.concatenate([np.broadcast_to(X[:, None], (2, k, G)), np.zeros((2, k, w))], axis=2)
+    for j, ws in enumerate(W):
+        C[:, j, G:G + len(ws)] = np.reshape(ws, (-1, 2)).T
+    V = np.empty((k, G + w))
+    V[:, :G] = [pl.values for pl in pools] if len(pools) == k else _row_values(rng, mats, X[:, None])
+    V[:, G:] = np.where(np.arange(w) < np.array([len(ws) for ws in W])[:, None], _row_values(rng, mats, C[:, :, G:]),
+                        -np.inf)
+    return _Pass(ops, value, thetas, X, C, V)
 
-    points = _axis_attainers(T, [x for x, _ in final], cluster_tol)
-    points.sort(key=lambda x: _theta_of(T.domain, x))
-    return AttainmentSet([unit(x, T.domain) for x in points], value_tol, cluster_tol, continuum, nr.value)
+
+def _pass_na(P: _Pass, value_tol, cluster_tol) -> list[AttainmentSet]:
+    """The attainment sets of a pass's operators (`na_set` on a 2D domain): each row's values within
+    value_tol of its norm, clustered greedily by value; the representatives below the norm refined by
+    golden section in one call, re-merged, and each replaced by the signed unit axis vector nearest it
+    when that is in its cluster and attains as much (an exact attainer, as a spanned sphere needs)."""
+    space, G, floor = P.ops[0].domain, P.thetas.size, P.value - value_tol
+    near = P.V >= floor[:, None]
+    rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])
+    order = np.lexsort((cols, -P.V[rows, cols], rows))  # each row's by value, ties to the lower column
+    reps = order[_greedy(P.C[:, rows[order], cols[order]], rows[order], space.norm_cols, cluster_tol)]
+    own, X, v = rows[reps], P.C[:, rows[reps], cols[reps]], P.V[rows[reps], cols[reps]]
+    todo = np.flatnonzero(v < P.value[own] - 1e-12)
+    if todo.size:
+        mats, rng, h = np.stack([T.matrix for T in P.ops])[own[todo]], P.ops[0].range, TWO_PI / (G - 1)
+        t0 = np.array([_theta_of(space, x) for x in X[:, todo].T])
+        t, v[todo] = _golden_max(lambda t, idx: rng.norm_cols(apply_cols(mats[idx], space.sphere_grid(t))),
+                                 t0 - 2 * h, t0 + 2 * h)
+        X[:, todo] = space.sphere_grid(t)
+    order = np.lexsort((-v, own))
+    order = order[v[order] >= floor[own[order]]]
+    keep = order[_greedy(X[:, order], own[order], lambda Y: _norms_of(space, Y), cluster_tol)]
+    own, X = own[keep], X[:, keep]
+
+    E = np.where(np.arange(2)[:, None] == np.argmax(np.abs(X), axis=0), np.sign(X), 0.0)
+    E /= _norms_of(space, E)  # 1.0 on every l_p space, not on a general norm
+    points = [{} for _ in P.ops]
+    for o, e, x, c in zip(own.tolist(), E.T, X.T, (_norms_of(space, E - X) < cluster_tol).tolist()):
+        T = P.ops[o]
+        y = e if c and T.range.norm(T.apply(e)) >= T.range.norm(T.apply(x)) else x
+        points[o].setdefault(tuple(y), y)
+    points = [sorted(pts.values(), key=lambda x: _theta_of(space, x)) for pts in points]
+    U = np.array(sum(points, [])).T.reshape(2, -1)
+    U = iter((U / _norms_of(space, U)).T)  # as `unit` does
+    continuum = np.count_nonzero(near[:, :G], axis=1) / G > CONTINUUM_FRACTION
+    return [AttainmentSet([UnitVector(next(U), space) for _ in pts], value_tol, cluster_tol, bool(c), float(v))
+            for pts, c, v in zip(points, continuum, P.value)]
 
 
 def dist_to_set(x, S: AttainmentSet) -> float:
     """dist(x, NA) in the domain norm (`AttainmentSet.dists`); inf if S is empty."""
-    if isinstance(x, UnitVector):
-        coords, space = x.coords, x.space
-    else:
+    if not isinstance(x, UnitVector):
         raise TypeError("dist_to_set expects a UnitVector")
     if S.na_empty:
         return INF
-    if S.points[0].space != space:
-        raise ValueError(f"space mismatch: {space} vs {S.points[0].space}")
-    return float(S.dists(coords[:, None])[0])
+    if S.points[0].space != x.space:
+        raise ValueError(f"space mismatch: {x.space} vs {S.points[0].space}")
+    return float(S.dists(x.coords[:, None])[0])
 
 
 @dataclass
@@ -331,13 +376,9 @@ def _constrained_ascend(dom, rng, mats, own, X0, dist_of, eps, iters=200):
 
 @dataclass
 class _ProfilePart:
-    """One operator's share of a profile, before and after 2D refinement.
-
-    `best` holds, per eps, (value, point) of the first largest evaluation
-    with dist >= eps found so far, or None.  On a 2D domain `cuts` and
-    `peaks` are the brackets `_refine_2d` still has to refine; on higher
-    ones `starts` are the columns `_ascend_nd` still has to climb.
-    """
+    """One operator's share of a profile: `best` holds, per eps, (value, point) of the first largest
+    evaluation with dist >= eps found so far, or None; `cuts` and `peaks` (2D) are the brackets
+    `_refine_2d` still has to refine, `starts` (nD) the columns `_ascend_nd` still has to climb."""
 
     T: OperatorPQ
     value: float  # the certified norm
@@ -358,97 +399,92 @@ class _ProfilePart:
         else:
             rho = [0.0 if b is None else b[0] for b in self.best]
             eta = [value if b is None else max(0.0, value - b[0]) for b in self.best]
-            notes = ""
-            if self.repaired:
-                notes = f"diagnostic: {self.repaired} missed attainment cluster(s) absorbed during profiling"
+            notes = (f"diagnostic: {self.repaired} missed attainment cluster(s) absorbed during profiling"
+                     if self.repaired else "")
         return SbpbProfile(self.epsilons, rho, eta, self.na.na_empty, value, self.na.continuum_flag, notes)
 
 
 def _fold(parts: list[_ProfilePart], own, X, values, dists) -> None:
-    """Fold into each part's `best` the columns of X it owns (own[j] is the
-    index of column j's part, -1 for none), as they would enter its pool."""
-    for j, part in enumerate(parts):
-        k = own == j
-        if k.any():
-            new = _best_feasible(X[:, k], values[k], dists[k], part.epsilons)
+    """Fold into each part's `best` the columns of X it owns (own[j], -1 for none), as they would enter its pool."""
+    order = np.argsort(own, kind="stable")  # -1 first, then each part's columns in order
+    for part, k in zip(parts, np.split(order, np.searchsorted(own[order], np.arange(len(parts))))[1:]):
+        if k.size:
+            (new,) = _best_feasible(X[:, None, k], values[None, k], dists[None, k], part.epsilons)
             part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
 
 
-def _best_feasible(coords, values, dists, epsilons) -> list:
-    """Per eps: (value, point) of the first largest value with dist >= eps, or None."""
-    best = []
+def _best_feasible(coords, values, dists, epsilons) -> list[list]:
+    """Per row r (points coords[:, r]) and eps: (value, point) of the first largest value with dist >= eps, or None."""
+    best, r = [[] for _ in values], np.arange(len(values))
     for eps in epsilons:
         v = np.where(dists >= eps - FEAS_SLACK, values, -np.inf)
-        j = int(np.argmax(v))
-        best.append((float(v[j]), coords[:, j].copy()) if v[j] > -np.inf else None)
+        j = v.argmax(axis=1)
+        for row, (vr, jr) in enumerate(zip(v[r, j].tolist(), j.tolist())):
+            best[row].append((vr, coords[:, row, jr].copy()) if vr > -np.inf else None)
     return best
 
 
 def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool) -> _ProfilePart:
-    """Distances, repair and the best feasible evaluations of T's pool; on a
-    2D domain also the brackets to refine, on higher ones the ascent's starts."""
+    """Distances, repair, the best feasible evaluations of T's pool and the ascent's starts (dimension >= 3)."""
     if na.na_empty:
         return _ProfilePart(T, nr.value, na, epsilons, [], 0, [])
-    coords, values = pool.coords, pool.values
-    extras: list[np.ndarray] = [w.coords for w in nr.witnesses]
-    if T.domain.dim != 2:
-        extras.extend(p.coords for p in na.points)
-    if extras:
-        E = np.column_stack(extras)
-        coords = np.hstack([coords, E])
-        values = np.concatenate([values, T.range_values(E)])
-
-    reps = [p.coords for p in na.points]
+    E = np.column_stack([w.coords for w in nr.witnesses] + [p.coords for p in na.points])
+    coords = np.hstack([pool.coords, E])
+    values = np.concatenate([pool.values, T.range_values(E)])
     dists = na.dists(coords)
+    reps, repaired = _repair(T.domain, coords, values, dists, nr.value, na)
 
-    # repair: a near-attaining point far from every representative means the
-    # attainment scan missed a cluster; absorb it instead of rating it feasible
+    (best,) = _best_feasible(coords[:, None], values[None], dists[None], epsilons)
+    order = np.argsort(-values, kind="stable")  # by (value, index): the top 8 feasible evaluations of every eps
+    top = [order[dists[order] >= eps - FEAS_SLACK][:8] for eps in epsilons]
+    n = [t.size for t in top]
+    return _ProfilePart(T, nr.value, na, epsilons, reps, repaired, best,
+                        starts=(coords[:, np.concatenate(top)], np.repeat(epsilons, n)) if sum(n) else ())
+
+
+def _repair(space, coords, values, dists, value, na):
+    """Absorb near-attaining points far from every representative (a missed cluster), in up to three
+    rounds, instead of rating them feasible; updates `dists`, returns the representatives and the count added."""
+    reps = [p.coords for p in na.points]
     for _ in range(3):
-        mask = (values > nr.value - na.value_tol) & (dists > na.cluster_tol)
+        mask = (values > value - na.value_tol) & (dists > na.cluster_tol)
         if not np.any(mask):
             break
-        add = cluster_representatives(coords[:, mask], values[mask], T.domain, nr.value - na.value_tol,
-                                      na.cluster_tol)
-        reps += [x for x, _ in add]
-        dists = np.minimum(dists, _min_dists(T.domain, coords, [x for x, _ in add]))
-    repaired = len(reps) - len(na.points)
+        add = [x for x, _ in cluster_representatives(coords[:, mask], values[mask], space, value - na.value_tol,
+                                                     na.cluster_tol)]
+        reps += add
+        np.minimum(dists, _min_dists(space, coords[:, None], [add])[0], out=dists)
+    return reps, len(reps) - len(na.points)
 
-    best = _best_feasible(coords, values, dists, epsilons)
-    if T.domain.dim != 2:
-        starts, start_eps = [], []  # the top 8 feasible evaluations of every eps, one column each
-        order = np.argsort(-values, kind="stable")  # by (value, index), for every eps
-        for eps in epsilons:
-            top = order[dists[order] >= eps - FEAS_SLACK][:8]
-            starts += top.tolist()
-            start_eps += [eps] * top.size
-        return _ProfilePart(T, nr.value, na, epsilons, reps, repaired, best,
-                            starts=(coords[:, starts], np.array(start_eps)) if starts else ())
 
-    thetas = pool.thetas[: pool.base_count]
-    base_d = dists[: pool.base_count]
-    base_v = values[: pool.base_count]
-    h = TWO_PI / (pool.base_count - 1)
-    # the feasibility boundary cells and top-10 feasible local maxima of every eps
-    cut, cut_lv, peak, peak_lv = [], [], [], []
-    for eps in epsilons:
-        feas = base_d >= eps - FEAS_SLACK
-        i = np.nonzero(feas[:-1] != feas[1:])[0].tolist()
-        cut += i
-        cut_lv += [eps - FEAS_SLACK] * len(i)
-        vmask = np.where(feas, base_v, -np.inf)
-        local = np.nonzero(
-            (vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1]
-        )[0] + 1
-        top = local[np.argsort(-base_v[local], kind="stable")][:10].tolist()
-        peak += top
-        peak_lv += [eps - FEAS_SLACK] * len(top)
-    cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
-    cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
-    return _ProfilePart(
-        T, nr.value, na, epsilons, reps, repaired, best,
-        cuts=(thetas[cut], thetas[cut + 1], cut_lv, base_d[cut] >= cut_lv),
-        peaks=(thetas[peak] - h, thetas[peak] + h, peak_lv),
-    )
+def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
+    """Each pass operator's share of the profile, row by row: distances, repair, the best feasible
+    evaluations, and per eps the brackets `_refine_2d` refines (boundary cells, top-10 local maxima)."""
+    G, space, V, k = P.thetas.size, P.ops[0].domain, P.V, len(nas)
+    reps, repaired = [[p.coords for p in na.points] for na in nas], [0] * k
+    D = _min_dists(space, P.C, reps)
+    vt, ct = (np.array([getattr(na, a) for na in nas]) for a in ("value_tol", "cluster_tol"))
+    for r in np.flatnonzero(((V > (P.value - vt)[:, None]) & (D > ct[:, None])).any(axis=1) & [bool(x) for x in reps]):
+        reps[r], repaired[r] = _repair(space, P.C[:, r], V[r], D[r], float(P.value[r]), nas[r])
+    best = _best_feasible(P.C, V, D, epsilons)
+
+    # every (row, eps) at once, found in (row, eps, index) order
+    lv = np.array([eps - FEAS_SLACK for eps in epsilons])
+    feas, v = D[:, None, :G] >= lv[:, None], V[:, None, :G]
+    r, e, i = np.unravel_index(np.flatnonzero(feas[..., 1:] != feas[..., :-1]), (k, lv.size, G - 1))
+    cuts = [np.split(a, np.searchsorted(r, np.arange(1, k))) for a in (i, lv[e])]
+    c = v[..., 1:-1]  # feasible and at least its feasible neighbours
+    local = feas[..., 1:-1] & (~feas[..., :-2] | (c >= v[..., :-2])) & (~feas[..., 2:] | (c >= v[..., 2:]))
+    r, e, i = np.unravel_index(np.flatnonzero(local), local.shape)
+    o = np.lexsort((i, -V[r, i + 1], e, r))  # each (row, eps) by value, ties to the lower index
+    g = r[o] * lv.size + e[o]
+    o = o[np.arange(o.size) - np.searchsorted(g, g) < 10]
+    peaks = [np.split(a, np.searchsorted(r[o], np.arange(1, k))) for a in (i[o] + 1, lv[e[o]])]
+    t, h = P.thetas, TWO_PI / (G - 1)
+    return [_ProfilePart(T, float(val), na, epsilons, [], 0, []) if na.na_empty else
+            _ProfilePart(T, float(val), na, epsilons, reps[r], repaired[r], best[r],
+                         cuts=(t[ci], t[ci + 1], clv, D[r, ci] >= clv), peaks=(t[pi] - h, t[pi] + h, plv))
+            for r, (T, val, na, ci, clv, pi, plv) in enumerate(zip(P.ops, P.value, nas, *cuts, *peaks))]
 
 
 def _refine_2d(parts: list[_ProfilePart]) -> None:
@@ -505,11 +541,8 @@ def _paired_dists(space, R, X, pairs) -> np.ndarray:
 
 
 def _ascend_nd(parts) -> None:
-    """Climb the starts of operators sharing a domain and a range in
-    dimension >= 3, all as columns of one `_constrained_ascend`, and fold
-    each operator's final points into its `best` as they would enter its
-    pool.  A column's distance is to its owner's attainment set and
-    repaired representatives, as `_profile_part` measured them."""
+    """Climb the starts of operators sharing a domain and a range in dimension >= 3 in one `_constrained_ascend`
+    (distances to each owner's set and repairs), and fold the final points into each one's `best`."""
     parts = [p for p in parts if p.starts]  # 2D and empty NA have none
     if not parts:
         return
@@ -537,31 +570,32 @@ def _ascend_nd(parts) -> None:
 
 def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, value_tol: float = 1e-6,
                    cluster_tol: float = 0.1, seed: int = 0, grid: int = DEFAULT_GRID) -> list[_ProfilePart]:
-    """The profiles of operators that share a domain and a range, in any
-    dimension: `sbpb_profile` of each T of `ops` with its entry of `norms`
-    and `nas` (computed when not given).
-
-    One operator at a time takes its certified norm, its pool and its
-    attainment set, and keeps only its share of the profile, so one pool of
-    values is live at a time; the first pool lends its points to the others.
-    One refinement then serves all the 2D shares, and one constrained ascent
-    all the nD ones.  Results are the same, bit for bit, as one call per
-    operator.
-    """
+    """`sbpb_profile` of each T of `ops`, which share a domain and a range, with its entry of `norms` and
+    `nas` (computed when not given), bit for bit.  On a 2D domain in passes of `pass_size(grid)` operators
+    (`_open_pass`, `_pass_na`, `_pass_parts`), then one refinement; in dimension >= 3 one operator at a
+    time, the first pool lending its points to the others, then one constrained ascent."""
     epsilons = sorted(float(e) for e in epsilons)
     for e in epsilons:
         if not (0.0 < e <= 4.2):
             raise ValueError(f"eps must lie in (0, 2 * max diameter]; got {e}")
     parts, base = [], None
+    if ops and ops[0].domain.dim == 2:
+        size = pass_size(grid)
+        for s in range(0, len(ops), size):
+            P = _open_pass(ops[s:s + size], None if norms is None else norms[s:s + size], grid, base, tol)
+            base = (P.thetas, P.X)
+            parts += _pass_parts(P, _pass_na(P, value_tol, cluster_tol) if nas is None else nas[s:s + size],
+                                 epsilons)
+        _refine_2d(parts)
+        return parts
     for k, T in enumerate(ops):
         nr = opnorm(T, tol=tol, seed=seed, grid=grid) if norms is None else norms[k]
         if not nr.certified:
             raise UncertifiedNormError("profile computation requires a certified norm")
-        pool = _base_pool(T, seed, grid, nr, base)
+        pool = _base_pool(T, seed, base)
         base = replace(pool, values=None) if base is None else base
-        na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid, pool) if nas is None else nas[k]
+        na = _na(T, nr, value_tol, cluster_tol, tol, seed, grid) if nas is None else nas[k]
         parts.append(_profile_part(T, na, nr, epsilons, pool))
-    _refine_2d(parts)
     _ascend_nd(parts)
     return parts
 

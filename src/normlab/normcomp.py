@@ -97,7 +97,6 @@ class EvalPool:
     coords: np.ndarray  # (dim, n)
     values: np.ndarray  # (n,)
     thetas: np.ndarray | None = None  # set for 2D sweep pools, aligned with columns
-    base_count: int = 0  # leading columns forming the uniform base grid/sample
 
 
 def _golden_max(f, a, b, iters: int = 48):
@@ -183,27 +182,14 @@ def _grid_pool(T: OperatorPQ, thetas, X) -> EvalPool:
     """T's evaluation pool on a shared read-only angle grid."""
     g = T.range_values(X)
     g.flags.writeable = False
-    return EvalPool(X, g, thetas, base_count=thetas.size)
+    return EvalPool(X, g, thetas)
 
 
-def _base_pool(T: OperatorPQ, seed: int, grid: int = DEFAULT_GRID, nr: NormResult | None = None,
-               base: EvalPool | None = None) -> EvalPool:
-    """Uniform evaluation pool: 2D angle grid, or samples + starts for n >= 3.
-
-    The 2D grid is rounded up to a multiple of 8 (quadrant and octant
-    breakpoints on the grid) and read-only; it is `nr.pool` when `nr` swept
-    T on a grid of that size.  `base`, the pool of an operator on the same
-    domain with the same seed and grid, lends T its points, so that a batch
-    builds them once.
-    """
-    if T.domain.dim == 2:
-        grid += (-grid) % 8
-        if nr is not None and nr.pool is not None and nr.grid_size == grid:
-            return nr.pool
-        return _grid_pool(T, *(_angle_grid(T.domain, grid) if base is None else (base.thetas, base.coords)))
+def _base_pool(T: OperatorPQ, seed: int, base: EvalPool | None = None) -> EvalPool:
+    """T's pool in dimension >= 3: samples + starts, or the points of `base` (same domain and seed)."""
     if base is None:
         samples = sample_sphere_coords(T.domain, 1024, seed + 7)
-        base = EvalPool(np.hstack([samples, _start_coords(T, 16, seed + 11)]), None, None, samples.shape[1])
+        base = EvalPool(np.hstack([samples, _start_coords(T, 16, seed + 11)]), None)
     return replace(base, values=T.range_values(base.coords))
 
 
@@ -524,35 +510,34 @@ def _multistart(T: OperatorPQ, seed: int, n_starts: int = 64):
     samples = sample_sphere_coords(T.domain, 512, seed + 1)
     coords = np.hstack([samples, finals])
     vals = np.concatenate([T.range_values(samples), values])
-    pool = EvalPool(coords, vals, thetas=None, base_count=samples.shape[1])
+    pool = EvalPool(coords, vals)
     k = int(np.argmax(vals))
     return float(vals[k]), pool
 
 
 def cluster_representatives(coords: np.ndarray, values: np.ndarray, space, value_floor: float, cluster_tol: float):
-    """Greedy clustering of near-maximal points, highest value first and,
-    among tied values, lowest column first.
-
-    Returns a list of (x, value) representatives with pairwise domain-norm
-    distance >= cluster_tol.
-    """
+    """Greedy clustering of near-maximal points, highest value first and, among tied values, lowest column
+    first: a list of (x, value) representatives with pairwise domain-norm distance >= cluster_tol."""
     idx = np.nonzero(values >= value_floor)[0]
-    if idx.size == 0:
-        return []
     order = idx[np.argsort(-values[idx], kind="stable")]
-    C = coords[:, order]
-    V = values[order]
+    return [(coords[:, k].copy(), float(values[k]))
+            for k in order[_greedy(coords[:, order], np.zeros(order.size, dtype=int), space.norm_cols, cluster_tol)]]
+
+
+def _greedy(C, own, norm_cols, cluster_tol) -> np.ndarray:
+    """Greedy clustering of the columns of C, each owner's (own, in runs) in column order: a column is a
+    representative unless within cluster_tol of an earlier one of its owner.  One `norm_cols` call per round."""
     alive = np.ones(C.shape[1], dtype=bool)
-    reps: list[tuple[np.ndarray, float]] = []
-    while True:
-        live = np.nonzero(alive)[0]
-        if live.size == 0:
-            break
-        k = live[0]
-        x = C[:, k]
-        reps.append((x.copy(), float(V[k])))
-        alive[live] &= space.norm_cols(C[:, live] - x[:, None]) >= cluster_tol
-    return reps
+    reps = []
+    while alive.any():
+        live = np.flatnonzero(alive)
+        lo = own[live]
+        first = live[np.r_[True, lo[1:] != lo[:-1]]]
+        reps.append(first)
+        x = C[:, first[np.searchsorted(own[first], lo)]]
+        alive[live] &= norm_cols(C[:, live] - x) >= cluster_tol
+    reps = np.concatenate(reps) if reps else np.zeros(0, dtype=int)
+    return reps[np.argsort(own[reps], kind="stable")]
 
 
 def _reduce(T: OperatorPQ):
@@ -646,11 +631,6 @@ def _by_spaces(ops: list[OperatorPQ], run) -> list:
         for i, r in zip(g, run([ops[i] for i in g])):
             out[i] = r
     return out
-
-
-def _angle_values(T: OperatorPQ):
-    """theta -> ||T x(theta)||_range over an array of sweep angles (a `_golden_max` objective)."""
-    return lambda ts, _live: T.range_values(T.domain.sphere_grid(ts))
 
 
 def _theta_of(space, x) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .spaces import INF, SequenceSpace, pnorm, sample_sphere_coords, unit
 from .operators import (
-    APPLY_CHUNK,
     DEFAULT_PARAMS,
     GALLERY_TAGS,
     HypothesisError,
@@ -32,7 +31,7 @@ from .operators import (
     to_json,
 )
 from .normcomp import DEFAULT_GRID, _sweep2d, opnorm, opnorm_oracle
-from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, sbpb_profile
+from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, pass_size, sbpb_profile
 
 TOL_NORM = 1e-6
 TOL_DIST = 1e-4
@@ -428,10 +427,8 @@ def monotonicity_certificate(q, grid: int = 10000) -> ReproReport:
     return _report("F-CERT", {"q": q, "grid": grid}, checks, t0, 0, {"pointwise_kink_bound_margin": kink_margin})
 
 
-# operators per group of POSITIVE-BATCH: a group's sweeps and profiles hold one
-# base grid of values per operator, at most 4 * APPLY_CHUNK values (1 MB) in all;
-# twice that raised the gallery's peak memory
-POSITIVE_GROUP = 4 * APPLY_CHUNK // DEFAULT_GRID
+# operators per group of POSITIVE-BATCH, whose sweeps and profile (one 2D pass) hold one grid of values each
+POSITIVE_GROUP = pass_size(DEFAULT_GRID)
 
 
 def positive_side_batch(

@@ -60,24 +60,30 @@ def pnorm(x, p) -> float:
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
 
 
-def pnorm_cols(X, p) -> np.ndarray:
+def pnorm_cols(X, p, scalar_root: bool = False) -> np.ndarray:
     """Column-wise p-norms of a (dim, n) array, overflow-safe.
 
     Each column's terms are summed in row order, so a column's norm does not
-    depend on the other columns (numpy sums a lone column pairwise).
-    """
+    depend on the other columns (numpy sums a lone column pairwise); a lone
+    row is its absolute value.  With `scalar_root` the root is Python's pow,
+    giving up to 7 rows the bits of `pnorm` (numpy's pow rounds some roots
+    differently)."""
     p = check_exponent(p)
     A = np.abs(np.asarray(X, dtype=float))
+    if p == INF or A.shape[0] == 1:
+        return A.max(axis=0)
     m = A.max(axis=0)
-    if p == INF:
-        return m
-    safe = np.where(m > 0.0, m, 1.0)
-    A /= safe
+    zero = m == 0.0
+    m[zero] = 1.0  # the scale of a zero column
+    A /= m
     A **= p
-    s = A[0]  # summed into A's first row, in place
-    for row in A[1:]:
+    s = A[0] + A[1]
+    for row in A[2:]:
         s += row
-    return np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
+    s = np.array([v ** (1.0 / p) for v in s.tolist()]) if scalar_root else s ** (1.0 / p)
+    s *= m
+    s[zero] = 0.0
+    return s
 
 
 @dataclass(frozen=True)

@@ -517,8 +517,10 @@ def test_profile_below_the_sweep_floor_evaluates_its_grid_once(monkeypatch):
     the profile builds that grid once, for its attainment set and itself."""
     T = OperatorPQ(np.array([[0.3, 0.9], [0.7, -0.2]]), SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))
     widths = []
-    real = OperatorPQ.range_values
+    real, table = OperatorPQ.range_values, attainment._row_values
     monkeypatch.setattr(OperatorPQ, "range_values",
                         lambda self, X: widths.append(np.shape(X)[1]) or real(self, X))
+    monkeypatch.setattr(attainment, "_row_values",  # a 2D pass's table of values, one row per operator
+                        lambda rng, mats, C: widths.append(C.shape[2]) or table(rng, mats, C))
     nl.sbpb_profile(T, [0.5], grid=8192)
     assert widths.count(8193) == 1
