@@ -8,6 +8,7 @@ import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormError
 from normlab import attainment, normcomp
 from normlab.attainment import default_epsilons
+from normlab.operators import apply_cols
 from normlab.spaces import pnorm_cols
 
 
@@ -524,3 +525,233 @@ def test_profile_below_the_sweep_floor_evaluates_its_grid_once(monkeypatch):
                         lambda rng, mats, C: widths.append(C.shape[2]) or table(rng, mats, C))
     nl.sbpb_profile(T, [0.5], grid=8192)
     assert widths.count(8193) == 1
+
+
+# Reference for the 2D profile passes: one operator at a time, as the profile
+# took it before passes (norm, base pool, attainment set, share of the
+# profile, then one refinement), with its own clustering, distances and folds.
+
+def _ref_min_dists(space, X, reps):
+    if not reps:
+        return np.full(X.shape[1], INF)
+    D = np.empty((len(reps), X.shape[1]))
+    for i, r in enumerate(reps):
+        D[i] = space.norm_cols(X - r[:, None])
+    return D.min(axis=0)
+
+
+def _ref_clusters(coords, values, space, value_floor, cluster_tol):
+    idx = np.nonzero(values >= value_floor)[0]
+    order = idx[np.argsort(-values[idx], kind="stable")]
+    C, V = coords[:, order], values[order]
+    alive, reps = np.ones(C.shape[1], dtype=bool), []
+    while alive.any():
+        k = np.nonzero(alive)[0][0]
+        reps.append((C[:, k].copy(), float(V[k])))
+        live = np.nonzero(alive)[0]
+        alive[live] &= space.norm_cols(C[:, live] - C[:, k][:, None]) >= cluster_tol
+    return reps
+
+
+def _ref_best_feasible(coords, values, dists, epsilons):
+    best = []
+    for eps in epsilons:
+        v = np.where(dists >= eps - attainment.FEAS_SLACK, values, -np.inf)
+        j = int(np.argmax(v))
+        best.append((float(v[j]), coords[:, j].copy()) if v[j] > -np.inf else None)
+    return best
+
+
+def _ref_pool(T, nr, grid):
+    """(coords, values, thetas) of T's base grid: the norm's pool when it swept this grid."""
+    grid += (-grid) % 8
+    if nr.pool is not None and nr.grid_size == grid:
+        return nr.pool.coords, nr.pool.values, nr.pool.thetas
+    thetas, X = normcomp._angle_grid(T.domain, grid)
+    return X, T.range_values(X), thetas
+
+
+def _ref_na_from_pool(T, pool, nr, value_tol, cluster_tol):
+    (coords, values, thetas), G = pool, pool[2].size
+    if nr.witnesses:
+        E = np.column_stack([w.coords for w in nr.witnesses])
+        coords, values = np.hstack([coords, E]), np.concatenate([values, T.range_values(E)])
+    continuum = float(np.mean(pool[1] >= nr.value - value_tol)) > attainment.CONTINUUM_FRACTION
+    reps = _ref_clusters(coords, values, T.domain, nr.value - value_tol, cluster_tol)
+    refined = list(reps)
+    todo = [i for i, (_x, v) in enumerate(reps) if v < nr.value - 1e-12]
+    if todo:
+        t0 = np.array([normcomp._theta_of(T.domain, reps[i][0]) for i in todo])
+        h = 2.0 * math.pi / (G - 1)
+        t_ref, v_ref = normcomp._golden_max(lambda ts, _live: T.range_values(T.domain.sphere_grid(ts)),
+                                            t0 - 2 * h, t0 + 2 * h)
+        for i, x, v in zip(todo, T.domain.sphere_grid(t_ref).T, v_ref.tolist()):
+            refined[i] = (x, v)
+    final = []
+    for x, v in sorted(refined, key=lambda t: -t[1]):
+        if v >= nr.value - value_tol and all(T.domain.norm(x - y) >= cluster_tol for y, _ in final):
+            final.append((x, v))
+    out = {}
+    for x, _ in final:
+        e = np.where(np.arange(x.size) == np.argmax(np.abs(x)), np.sign(x), 0.0)
+        e = e / T.domain.norm(e)
+        snap = T.domain.norm(e - x) < cluster_tol and T.range.norm(T.apply(e)) >= T.range.norm(T.apply(x))
+        out.setdefault(tuple(e if snap else x), e if snap else x)
+    points = sorted(out.values(), key=lambda x: normcomp._theta_of(T.domain, x))
+    return nl.AttainmentSet([nl.unit(x, T.domain) for x in points], value_tol, cluster_tol, continuum, nr.value)
+
+
+def _ref_profile_part(T, na, nr, epsilons, pool):
+    if na.na_empty:
+        return attainment._ProfilePart(T, nr.value, na, epsilons, [], 0, [])
+    (coords, values, thetas), G, slack = pool, pool[2].size, attainment.FEAS_SLACK
+    if nr.witnesses:
+        E = np.column_stack([w.coords for w in nr.witnesses])
+        coords, values = np.hstack([coords, E]), np.concatenate([values, T.range_values(E)])
+    reps = [p.coords for p in na.points]
+    dists = _ref_min_dists(T.domain, coords, reps)
+    for _ in range(3):
+        mask = (values > nr.value - na.value_tol) & (dists > na.cluster_tol)
+        if not np.any(mask):
+            break
+        add = [x for x, _ in _ref_clusters(coords[:, mask], values[mask], T.domain, nr.value - na.value_tol,
+                                           na.cluster_tol)]
+        reps += add
+        dists = np.minimum(dists, _ref_min_dists(T.domain, coords, add))
+    best = _ref_best_feasible(coords, values, dists, epsilons)
+    base_d, base_v, h = dists[:G], values[:G], 2.0 * math.pi / (G - 1)
+    cut, cut_lv, peak, peak_lv = [], [], [], []
+    for eps in epsilons:
+        feas = base_d >= eps - slack
+        i = np.nonzero(feas[:-1] != feas[1:])[0].tolist()
+        cut, cut_lv = cut + i, cut_lv + [eps - slack] * len(i)
+        vmask = np.where(feas, base_v, -np.inf)
+        local = np.nonzero((vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1])[0] + 1
+        top = local[np.argsort(-base_v[local], kind="stable")][:10].tolist()
+        peak, peak_lv = peak + top, peak_lv + [eps - slack] * len(top)
+    cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
+    cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
+    return attainment._ProfilePart(T, nr.value, na, epsilons, reps, len(reps) - len(na.points), best,
+                                   cuts=(thetas[cut], thetas[cut + 1], cut_lv, base_d[cut] >= cut_lv),
+                                   peaks=(thetas[peak] - h, thetas[peak] + h, peak_lv))
+
+
+def _ref_refine_2d(parts):
+    parts = [p for p in parts if p.cuts]
+    if not parts:
+        return
+    space, rng = parts[0].T.domain, parts[0].T.range
+    count = np.array([len(p.reps) for p in parts])
+    R = np.column_stack([r for p in parts for r in p.reps])
+    ids = np.arange(len(parts))
+    c_own = np.repeat(ids, [p.cuts[0].size for p in parts])
+    p_own = np.repeat(ids, [p.peaks[0].size for p in parts])
+    lo, hi, c_lv, lo_in = (np.concatenate([p.cuts[k] for p in parts]) for k in range(4))
+    c_pairs = attainment._pairing(count, c_own)
+    t_cut = normcomp._bisect(lambda t: attainment._paired_dists(space, R, space.sphere_grid(t), c_pairs),
+                             lo, hi, c_lv, lo_in)
+    mats = np.stack([p.T.matrix for p in parts])
+    a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
+    t_peak, _ = normcomp._golden_max(
+        lambda t, idx: rng.norm_cols(apply_cols(mats[p_own[idx]], space.sphere_grid(t))), a, b)
+    own = np.concatenate([c_own, p_own])
+    X_new = space.sphere_grid(np.concatenate([t_cut, t_peak]))
+    d_new = attainment._paired_dists(space, R, X_new, attainment._pairing(count, own))
+    keep = np.where(d_new >= np.concatenate([c_lv, p_lv]), own, -1)
+    values = rng.norm_cols(apply_cols(mats[own], X_new))
+    for j, part in enumerate(parts):
+        k = keep == j
+        if k.any():
+            new = _ref_best_feasible(X_new[:, k], values[k], d_new[k], part.epsilons)
+            part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
+
+
+def _ref_profile_parts(ops, epsilons, norms=None, grid=normcomp.DEFAULT_GRID):
+    parts = []
+    for k, T in enumerate(ops):
+        nr = nl.opnorm(T, grid=grid) if norms is None else norms[k]
+        pool = _ref_pool(T, nr, grid)
+        parts.append(_ref_profile_part(T, _ref_na_from_pool(T, pool, nr, 1e-6, 0.1), nr, sorted(epsilons), pool))
+    _ref_refine_2d(parts)
+    return parts
+
+
+def _bits(x):
+    """A nested structure of floats, arrays, tuples and lists with every float as its bytes."""
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return None if x is None else (np.asarray(x).dtype.str, np.asarray(x).tobytes())
+
+
+@pytest.mark.parametrize("case", ["1.0", "1.5", "2.0", "3.0", "inf", "continuum", "positive-batch", "gallery",
+                                  "handle"])
+def test_2d_profile_passes_match_per_operator_reference(case):
+    """A 2D group profiled in passes gives every operator the representatives,
+    continuum flag, best points, refinement brackets and profile of the
+    per-operator reference, bit for bit: 37 functionals on l_p^2 (passes of
+    15, 15 and 7; among them, for p = 1.5 and 3, attainers whose `unit`
+    takes a root numpy's pow rounds differently), the functionals at theta = 0 and pi/4 on l_1^2 and l_inf^2
+    (among them an edge of attainers on each), one POSITIVE-BATCH group on
+    its sweeps' grids, gallery operators, and a general-norm domain (sweeps
+    below its grid's floor)."""
+    scalar, eps, norms, grid = SequenceSpace(1, 2.0), [0.3, 0.5, 0.9], None, 8192
+    if case == "continuum":
+        groups = []
+        for p in (1.0, INF):
+            space = SequenceSpace(2, p)
+            F = space.dual().sphere_grid(np.array([0.0, math.pi / 4, 3 * math.pi / 4, 0.3]))
+            groups.append([OperatorPQ(f[None], space, scalar) for f in F.T])
+    elif case == "positive-batch":
+        domain, range_ = SequenceSpace(2, 3.0), SequenceSpace(2, 2.0)
+        mats = [np.random.default_rng(s).standard_normal((2, 2)) for s in range(5)]
+        scale = [nr.value for nr in normcomp._sweep2d([OperatorPQ(M, domain, range_) for M in mats], 1e-4,
+                                                      normcomp.DEFAULT_GRID)]
+        groups = [[OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]]
+        norms, grid, eps = normcomp._sweep2d(groups[0], 1e-4, normcomp.DEFAULT_GRID), normcomp.DEFAULT_GRID, [0.25]
+    elif case == "gallery":  # representatives refined below the norm, ties at beta = 1, snaps to an axis
+        c, s = math.cos(0.3), math.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        groups = [[nl.make_rot_lq(b, 1.5) for b in (0.5, 0.9, 1.0)],
+                  [nl.make_diag_beta(b, 3.0, 3.0) for b in (0.5, 0.9)],
+                  [OperatorPQ(R @ np.diag([1.0, 1.0 - 1e-8]) @ R.T, SequenceSpace(2, 1.5), SequenceSpace(2, 3.0)),
+                   nl.make_diag_beta(0.5, 1.5, 3.0)]]
+        grid = normcomp.DEFAULT_GRID
+    elif case == "handle":
+        space = nl.Norm2D(lambda X: pnorm_cols(X, 1.5))
+        groups = [[OperatorPQ(np.array([[0.3, 0.9], [0.7, -0.2]]), space, SequenceSpace(2, 3.0)),
+                   OperatorPQ(np.array([[0.3, 0.9], [-0.7, 0.2]]), space, SequenceSpace(2, 3.0))],
+                  [OperatorPQ(np.array([[0.6, -0.8]]), space, scalar)]]
+    else:
+        space = SequenceSpace(2, float(case))
+        F = nl.spaces.sample_sphere_coords(space.dual(), 256, 0)[:, 2::7]  # 37 of kim_lee_check's
+        groups = [[OperatorPQ(f[None], space, scalar) for f in F.T]]
+    for ops in groups:
+        parts = attainment._profile_parts(ops, eps, norms, grid=grid)
+        ref = _ref_profile_parts(ops, eps, norms, grid)
+        for part, r in zip(parts, ref):
+            assert _bits([p.coords for p in part.na.points]) == _bits([p.coords for p in r.na.points])
+            assert part.na.continuum_flag == r.na.continuum_flag and part.repaired == r.repaired
+            assert _bits(part.reps) == _bits(r.reps)
+            assert _bits(part.best) == _bits(r.best)
+            assert _bits(part.cuts) == _bits(r.cuts) and _bits(part.peaks) == _bits(r.peaks)
+            assert part.profile().to_json_dict() == r.profile().to_json_dict()
+        if case == "continuum":
+            assert any(r.na.continuum_flag for r in ref)
+
+
+def test_2d_profile_passes_hold_the_pool_budget(monkeypatch):
+    """A 2D group goes in passes of as many operators as POOL_BUDGET holds
+    grids of values: 37 functionals on an 8,193-point grid make passes of
+    15, 15 and 7; `sbpb_profile` and `na_set` make a pass of one."""
+    sizes, real = [], attainment._open_pass
+    monkeypatch.setattr(attainment, "_open_pass", lambda ops, *a: sizes.append(len(ops)) or real(ops, *a))
+    space = SequenceSpace(2, 3.0)
+    F = nl.spaces.sample_sphere_coords(space.dual(), 37, 0)
+    ops = [OperatorPQ(f[None], space, SequenceSpace(1, 2.0)) for f in F.T]
+    attainment._profile_parts(ops, [0.5], grid=8192)
+    assert sizes == [15, 15, 7] and attainment.pass_size(8192) == 15
+    assert attainment.pass_size(normcomp.DEFAULT_GRID) == nl.repro.POSITIVE_GROUP == 5
+    sizes.clear()
+    nl.sbpb_profile(ops[0], [0.5])
+    nl.na_set(nl.make_diag_beta(0.5, 2, 3.0))
+    assert sizes == [1, 1]

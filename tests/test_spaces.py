@@ -144,3 +144,15 @@ def test_space_validation():
         SequenceSpace(0, 2)
     with pytest.raises(ValueError):
         SequenceSpace(2, 0.9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, INF])
+def test_scalar_root_columns_get_the_bits_of_pnorm(p):
+    """pnorm_cols with scalar_root gives each column of up to 7 rows the bits
+    pnorm gives it, zero columns and lone rows included."""
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 7):
+        X = rng.standard_normal((dim, 4000)) * 10.0 ** rng.integers(-4, 5, 4000)
+        X[:, :3] = 0.0
+        got = pnorm_cols(X, p, scalar_root=True)
+        assert got.tobytes() == np.array([pnorm(x, p) for x in X.T]).tobytes()
