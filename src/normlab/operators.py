@@ -451,7 +451,7 @@ def make_auerbach_yy(basis, beta: float) -> OperatorPQ:
         gallery=GalleryId.make(
             "AUERBACH-YY",
             beta=beta,
-            p=getattr(basis.space, "p", float("nan")),
+            p=getattr(basis.space, "p", "custom"),  # a general 2D norm, as `space_to_json` writes it
         ),
     )
 

@@ -270,6 +270,16 @@ def test_space_json_round_trip():
         space_from_json(space_to_json(lp_handle(3.0)))
 
 
+def test_general_norm_auerbach_operator_writes_strict_json():
+    """An AUERBACH-YY operator on a general 2D norm writes its exponent as
+    "custom", as its spaces do, not as a bare NaN."""
+    from normlab.convexity import auerbach_2d
+
+    d = nl.make_auerbach_yy(auerbach_2d(lp_handle(3.0)), 0.5).to_json_dict()
+    json.dumps(d, allow_nan=False)
+    assert d["params"]["p"] == "custom" and d["p"] == "custom"
+
+
 def test_to_json_rules():
     space = SequenceSpace(2, INF)
     encoded = to_json({"a": (np.float64(0.5), np.arange(2.0)), "u": nl.unit([1.0, 0.0], space), "s": space})
