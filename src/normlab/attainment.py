@@ -106,8 +106,7 @@ def _min_dists(space, C, reps) -> np.ndarray:
     row against its i-th representative, in calls of up to APPLY_CHUNK columns (temporaries stay in cache)."""
     n = np.array([len(r) for r in reps])
     start = np.cumsum(n) - n
-    D = np.empty((n.sum(), C.shape[2]))
-    step = max(1, APPLY_CHUNK // (C.shape[2] or 1))
+    D, step = np.empty((n.sum(), C.shape[2])), max(1, APPLY_CHUNK // (C.shape[2] or 1))
     for i in range(n.max(initial=0)):
         js = np.flatnonzero(n > i)
         for j in np.split(js, range(step, js.size, step)):
@@ -468,23 +467,26 @@ def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
         reps[r], repaired[r] = _repair(space, P.C[:, r], V[r], D[r], float(P.value[r]), nas[r])
     best = _best_feasible(P.C, V, D, epsilons)
 
-    # every (row, eps) at once, found in (row, eps, index) order
-    lv = np.array([eps - FEAS_SLACK for eps in epsilons])
-    feas, v = D[:, None, :G] >= lv[:, None], V[:, None, :G]
-    r, e, i = np.unravel_index(np.flatnonzero(feas[..., 1:] != feas[..., :-1]), (k, lv.size, G - 1))
-    cuts = [np.split(a, np.searchsorted(r, np.arange(1, k))) for a in (i, lv[e])]
-    c = v[..., 1:-1]  # feasible and at least its feasible neighbours
-    local = feas[..., 1:-1] & (~feas[..., :-2] | (c >= v[..., :-2])) & (~feas[..., 2:] | (c >= v[..., 2:]))
-    r, e, i = np.unravel_index(np.flatnonzero(local), local.shape)
-    o = np.lexsort((i, -V[r, i + 1], e, r))  # each (row, eps) by value, ties to the lower index
-    g = r[o] * lv.size + e[o]
-    o = o[np.arange(o.size) - np.searchsorted(g, g) < 10]
-    peaks = [np.split(a, np.searchsorted(r[o], np.arange(1, k))) for a in (i[o] + 1, lv[e[o]])]
-    t, h = P.thetas, TWO_PI / (G - 1)
-    return [_ProfilePart(T, float(val), na, epsilons, [], 0, []) if na.na_empty else
-            _ProfilePart(T, float(val), na, epsilons, reps[r], repaired[r], best[r],
-                         cuts=(t[ci], t[ci + 1], clv, D[r, ci] >= clv), peaks=(t[pi] - h, t[pi] + h, plv))
-            for r, (T, val, na, ci, clv, pi, plv) in enumerate(zip(P.ops, P.value, nas, *cuts, *peaks))]
+    lv = [eps - FEAS_SLACK for eps in epsilons]
+    cuts, peaks = [], []  # per eps, each row's boundary cells and top-10 feasible local maxima
+    for level in lv:
+        feas, v = D[:, :G] >= level, V[:, :G]
+        r, i = np.divmod(np.flatnonzero(feas[:, 1:] != feas[:, :-1]), G - 1)
+        cuts.append(np.split(i, np.searchsorted(r, np.arange(1, k))))
+        c = v[:, 1:-1]  # feasible and at least its feasible neighbours
+        local = feas[:, 1:-1] & (~feas[:, :-2] | (c >= v[:, :-2])) & (~feas[:, 2:] | (c >= v[:, 2:]))
+        r, i = np.divmod(np.flatnonzero(local), G - 2)
+        o = np.lexsort((i, -c[r, i], r))  # each row's by value, ties to the lower index
+        o = o[np.arange(o.size) - np.searchsorted(r[o], r[o]) < 10]
+        peaks.append(np.split(i[o] + 1, np.searchsorted(r[o], np.arange(1, k))))
+    t, h, parts = P.thetas, TWO_PI / (G - 1), []
+    for r, (T, val, na) in enumerate(zip(P.ops, P.value, nas)):
+        (ci, clv), (pi, plv) = ((np.concatenate([x[r] for x in f] or [np.zeros(0, dtype=int)]),
+                                 np.repeat(lv, [x[r].size for x in f])) for f in (cuts, peaks))
+        parts.append(_ProfilePart(T, float(val), na, epsilons, [], 0, []) if na.na_empty else
+                     _ProfilePart(T, float(val), na, epsilons, reps[r], repaired[r], best[r],
+                                  cuts=(t[ci], t[ci + 1], clv, D[r, ci] >= clv), peaks=(t[pi] - h, t[pi] + h, plv)))
+    return parts
 
 
 def _refine_2d(parts: list[_ProfilePart]) -> None:
@@ -584,8 +586,7 @@ def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, va
         for s in range(0, len(ops), size):
             P = _open_pass(ops[s:s + size], None if norms is None else norms[s:s + size], grid, base, tol)
             base = (P.thetas, P.X)
-            parts += _pass_parts(P, _pass_na(P, value_tol, cluster_tol) if nas is None else nas[s:s + size],
-                                 epsilons)
+            parts += _pass_parts(P, _pass_na(P, value_tol, cluster_tol) if nas is None else nas[s:s + size], epsilons)
         _refine_2d(parts)
         return parts
     for k, T in enumerate(ops):

@@ -527,8 +527,7 @@ def cluster_representatives(coords: np.ndarray, values: np.ndarray, space, value
 def _greedy(C, own, norm_cols, cluster_tol) -> np.ndarray:
     """Greedy clustering of the columns of C, each owner's (own, in runs) in column order: a column is a
     representative unless within cluster_tol of an earlier one of its owner.  One `norm_cols` call per round."""
-    alive = np.ones(C.shape[1], dtype=bool)
-    reps = []
+    alive, reps = np.ones(C.shape[1], dtype=bool), []
     while alive.any():
         live = np.flatnonzero(alive)
         lo = own[live]
