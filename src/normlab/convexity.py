@@ -27,7 +27,7 @@ from .attainment import _profile_parts
 from .normcomp import _golden_max
 
 # Thresholds for the functional-case verdicts, at the default sampler
-# resolution (256 functionals on the dual sphere, eps <= 1).
+# resolution (256 functionals on the dual sphere, 33 profiled in 2D, eps <= 1).
 ETA_POSITIVE_FLOOR = 1e-6
 ETA_NEAR_ZERO_CEIL = 0.02
 
@@ -317,8 +317,10 @@ class KimLeeReport:
     """Functional-case modulus scan over sampled unit functionals.
 
     For each eps: the minimum over sampled functionals of eta(eps, x*) where
-    x* acts as a rank-one operator into the scalars, plus the minimizing
-    functional.  `uniformly_convex_expected` states the verdict the scan is
+    x* acts as a rank-one operator into the scalars, plus the first minimizing
+    functional among the `n_profiled` of the `n_samples` that were profiled
+    (on l_p^2 one per signed-permutation orbit, so a witness is an orbit
+    representative).  `uniformly_convex_expected` states the verdict the scan is
     checked against: min eta > 0 on p in (1, inf), and an eta ~ 0 witness on
     p in {1, inf}.
     """
@@ -328,6 +330,7 @@ class KimLeeReport:
     min_eta: list
     witness_functionals: list
     n_samples: int
+    n_profiled: int
     uniformly_convex_expected: bool
     consistent: bool
     positive_floor: float = ETA_POSITIVE_FLOOR
@@ -349,13 +352,18 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
     same machinery as full operators, in one `_profile_parts` call with the
     same results as one profile each: on a 2D space in passes of 15
     functionals over the shared grid, in dimension 3 one constrained ascent.
+    On l_p^2 with n % 8 == 0 the angle grid is closed under the eight signed
+    permutations, isometries that keep eta(eps, x*), so only j <= n/8, one
+    functional per orbit, is profiled (`n_profiled`); otherwise all n are.
     """
     if space.dim not in (2, 3):
         raise ValueError("functional scan supports dimensions 2 and 3")
     epsilons = sorted(float(e) for e in epsilons)
     F = sample_sphere_coords(space.dual(), functional_samples, seed)
+    orbits = isinstance(space, SequenceSpace) and space.dim == 2 and functional_samples % 8 == 0
+    n_profiled = functional_samples // 8 + 1 if orbits else functional_samples
     scalar = SequenceSpace(1, 2.0)  # all q-norms agree on the scalars
-    ops = [OperatorPQ(F[:, j].reshape(1, space.dim), space, scalar) for j in range(F.shape[1])]
+    ops = [OperatorPQ(F[:, j].reshape(1, space.dim), space, scalar) for j in range(n_profiled)]
     eta = np.array([part.profile().eta for part in _profile_parts(ops, epsilons, seed=seed, grid=8192)])
     first = eta.argmin(axis=0)  # per eps, the first functional of least eta
     min_eta, witnesses = eta[first, np.arange(first.size)].tolist(), [F[:, j] for j in first]
@@ -374,6 +382,7 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
         min_eta=min_eta,
         witness_functionals=witnesses,
         n_samples=functional_samples,
+        n_profiled=n_profiled,
         uniformly_convex_expected=expected_uc,
         consistent=consistent,
     )

@@ -146,13 +146,16 @@ def _bisect(f, lo, hi, level, lo_in):
     """Bisect every bracket [lo_i, hi_i] across which f crosses level_i, at once.
 
     `lo_in[i]` tells whether f(lo_i) >= level_i.  Returns the final end on the
-    side where f >= level.
+    side where f >= level.  A step depends only on (lo, hi), so once a step
+    moves no end none will: stopping there gives the ends of 60 halvings.
     """
     lo = np.array(lo, dtype=float, ndmin=1)
     hi = np.array(hi, dtype=float, ndmin=1)
     for _ in range(60):  # 60 halvings take any angle bracket below one ulp
         mid = 0.5 * (lo + hi)
         to_lo = (f(mid) >= level) == lo_in
+        if not np.any(mid != np.where(to_lo, lo, hi)):
+            break
         lo = np.where(to_lo, mid, lo)
         hi = np.where(to_lo, hi, mid)
     return np.where(lo_in, lo, hi)
@@ -335,10 +338,10 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
         reps = cluster_representatives(
             np.hstack([X] + [x for x, _ in mine] + [X_star[:, j:j + 1]]),
             np.concatenate([pool.values] + [g for _, g in mine] + [g_star[j:j + 1]]),
-            space, lb[j] - achieved[j], cluster_tol=0.1,
+            space, lb[j] - achieved[j], cluster_tol=0.1, limit=16,
         )
         w_cut.append(len(t0))
-        t0 += [_theta_of(space, x) for x, _v in reps[:16]]
+        t0 += [_theta_of(space, x) for x, _v in reps]
     w_cut.append(len(t0))
     t0 = np.array(t0)
     w_own = [j for j in range(n) for _ in range(w_cut[j], w_cut[j + 1])]
@@ -515,20 +518,24 @@ def _multistart(T: OperatorPQ, seed: int, n_starts: int = 64):
     return float(vals[k]), pool
 
 
-def cluster_representatives(coords: np.ndarray, values: np.ndarray, space, value_floor: float, cluster_tol: float):
+def cluster_representatives(coords: np.ndarray, values: np.ndarray, space, value_floor: float, cluster_tol: float,
+                            limit: int | None = None):
     """Greedy clustering of near-maximal points, highest value first and, among tied values, lowest column
-    first: a list of (x, value) representatives with pairwise domain-norm distance >= cluster_tol."""
+    first: a list of (x, value) representatives with pairwise domain-norm distance >= cluster_tol (the first
+    `limit` of them, if given)."""
     idx = np.nonzero(values >= value_floor)[0]
     order = idx[np.argsort(-values[idx], kind="stable")]
-    return [(coords[:, k].copy(), float(values[k]))
-            for k in order[_greedy(coords[:, order], np.zeros(order.size, dtype=int), space.norm_cols, cluster_tol)]]
+    keep = _greedy(coords[:, order], np.zeros(order.size, dtype=int), space.norm_cols, cluster_tol, limit)
+    return [(coords[:, k].copy(), float(values[k])) for k in order[keep]]
 
 
-def _greedy(C, own, norm_cols, cluster_tol) -> np.ndarray:
+def _greedy(C, own, norm_cols, cluster_tol, limit=None) -> np.ndarray:
     """Greedy clustering of the columns of C, each owner's (own, in runs) in column order: a column is a
-    representative unless within cluster_tol of an earlier one of its owner.  One `norm_cols` call per round."""
+    representative unless within cluster_tol of an earlier one of its owner.  One `norm_cols` call per round,
+    which takes each owner's next representative, so stopping after `limit` rounds keeps each owner's first
+    `limit` representatives."""
     alive, reps = np.ones(C.shape[1], dtype=bool), []
-    while alive.any():
+    while alive.any() and (limit is None or len(reps) < limit):
         live = np.flatnonzero(alive)
         lo = own[live]
         first = live[np.r_[True, lo[1:] != lo[:-1]]]
@@ -699,9 +706,9 @@ def _opnorm_structured(T, reduced, tol, grid, seed):
 def _opnorm_multistart(T, tol, seed):
     value, pool = _multistart(T, seed)
     reps = cluster_representatives(
-        pool.coords, pool.values, T.domain, value - tol, cluster_tol=0.1
+        pool.coords, pool.values, T.domain, value - tol, cluster_tol=0.1, limit=16
     )
-    witnesses = [unit(x, T.domain) for x, _ in reps[:16]]
+    witnesses = [unit(x, T.domain) for x, _ in reps]
     return NormResult(
         value=value,
         witnesses=witnesses,

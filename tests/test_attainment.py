@@ -755,3 +755,36 @@ def test_2d_profile_passes_hold_the_pool_budget(monkeypatch):
     nl.sbpb_profile(ops[0], [0.5])
     nl.na_set(nl.make_diag_beta(0.5, 2, 3.0))
     assert sizes == [1, 1]
+
+
+def test_bisect_stops_at_its_fixed_point_with_the_bits_of_60_halvings(monkeypatch):
+    """`_bisect` stops once a step moves no end and returns the ends of 60
+    halvings (the reference kept here), on the cuts of l_1, l_1.5 and l_inf
+    profiles, whose distances are measured for the whole batch every step."""
+    calls = []
+
+    def checked(f, lo, hi, level, lo_in):
+        steps = []
+        t = normcomp._bisect(lambda mid: steps.append(0) or f(mid), lo, hi, level, lo_in)
+        a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            to_lo = (f(mid) >= level) == lo_in
+            a, b = np.where(to_lo, mid, a), np.where(to_lo, b, mid)
+        assert np.array_equal(t, np.where(lo_in, a, b))
+        calls.append((len(steps), float(np.min(lo))))
+        return t
+
+    monkeypatch.setattr(attainment, "_bisect", checked)
+    for p in (1.0, 1.5, INF):
+        space = SequenceSpace(2, p)
+        nl.kim_lee_check(space, [0.5, 0.9], functional_samples=64)
+        # an eps between the distances of the first two grid points to the
+        # attainment set puts a cut in the cell next to theta = 0, where an ulp is tiny
+        T = OperatorPQ(nl.spaces.sample_sphere_coords(space.dual(), 64, 0)[:, 3][None], space, SequenceSpace(1, 2.0))
+        P = np.array([x.coords for x in nl.na_set(T).points]).T
+        X = space.sphere_grid(np.array([0.0, 2.0 * math.pi / 8192]))
+        d = [np.min(space.norm_cols(X[:, i:i + 1] - P)) for i in range(2)]
+        nl.sbpb_profile(T, [0.5 * (d[0] + d[1])], grid=8192)
+        assert calls[-1][1] == 0.0
+    assert len(calls) == 6 and all(steps < 60 for steps, _ in calls)

@@ -8,8 +8,8 @@ import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
 from normlab import attainment
 from normlab.attainment import _profile_parts
-from normlab.convexity import _pair_tables_2d, lp_handle
-from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords
+from normlab.convexity import ETA_NEAR_ZERO_CEIL, ETA_POSITIVE_FLOOR, _pair_tables_2d, lp_handle
+from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords, sphere_param_2d
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
 
@@ -134,13 +134,14 @@ def test_kim_lee_coherence_with_delta():
                          ids=[str(p) for p in EXPONENTS] + ["dim3-1.5", "dim3-3.0", "dim3-3.0-64"])
 def test_kim_lee_batch_matches_one_profile_per_functional(dim, p, count):
     """Reference: the scan as one sbpb_profile per rank-one functional, first
-    minimum kept; in dimension 3 the batch shares one base sample."""
+    minimum kept over the functionals the scan profiles (j <= n/8 in 2D, all
+    of them in dimension 3); in dimension 3 the batch shares one base sample."""
     space, eps = SequenceSpace(dim, p), [0.5, 0.9]
     F = sample_sphere_coords(space.dual(), count, 0)
     ops = [OperatorPQ(F[:, j].reshape(1, dim), space, SequenceSpace(1, 2.0)) for j in range(count)]
     profiles = [nl.sbpb_profile(T, eps, seed=0, grid=8192) for T in ops]
     min_eta, witnesses = [INF] * len(eps), [F[:, 0]] * len(eps)
-    for j, prof in enumerate(profiles):
+    for j, prof in enumerate(profiles[:count // 8 + 1 if dim == 2 else count]):
         for i, h in enumerate(prof.eta):
             if h < min_eta[i]:
                 min_eta[i], witnesses[i] = h, F[:, j]
@@ -149,6 +150,48 @@ def test_kim_lee_batch_matches_one_profile_per_functional(dim, p, count):
     assert all(np.array_equal(w, r) for w, r in zip(rep.witness_functionals, witnesses))
     batch = [part.profile() for part in _profile_parts(ops, eps, seed=0, grid=8192)]
     assert [b.to_json_dict() for b in batch] == [r.to_json_dict() for r in profiles]
+
+
+def _signed_permutations(n):
+    """The eight signed permutations of the plane as (matrix, index map of the
+    n-point angle grid): a quarter turn is j -> j + n/4, the reflection y -> -y
+    is j -> -j."""
+    turn, flip = np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    return [(np.linalg.matrix_power(turn, k) @ np.linalg.matrix_power(flip, e),
+             lambda j, k=k, e=e: (k * n // 4 + (-1) ** e * j) % n) for k in range(4) for e in range(2)]
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_kim_lee_scan_profiles_one_functional_per_orbit(p):
+    """On l_p^2 the sampled functionals are closed under the signed permutations,
+    which keep eta, so the scan profiles j <= n/8 only; against a full
+    per-functional eta table, its min eta is within the largest orbit spread."""
+    space, eps = SequenceSpace(2, p), [0.5, 0.9]
+    dual = space.dual()
+    for n in (8, 64, 256):
+        F, j = sample_sphere_coords(dual, n, 0), np.arange(n)
+        theta = lambda X: np.array([sphere_param_2d(x, dual.p) for x in X.T])
+        for M, act in _signed_permutations(n):
+            # closed up to rounding: sigma(F_j) sits at the sphere parameter of F_sigma(j)
+            gap = (theta(M @ F) - theta(F[:, act(j)]) + math.pi) % TWO_PI - math.pi
+            assert np.all(np.abs(gap) <= 4 * np.spacing(TWO_PI))
+    for n in (64, 256):
+        F = sample_sphere_coords(dual, n, 0)
+        ops = [OperatorPQ(F[:, j].reshape(1, 2), space, SequenceSpace(1, 2.0)) for j in range(n)]
+        table = np.array([part.profile().eta for part in _profile_parts(ops, eps, seed=0, grid=8192)])
+        orbit = np.array([[act(j) for _, act in _signed_permutations(n)] for j in range(n)])
+        spread = np.max(np.ptp(table[orbit], axis=1))
+        assert spread <= 1e-10
+        rep = nl.kim_lee_check(space, eps, functional_samples=n, seed=0)
+        assert rep.n_samples == n and rep.n_profiled == n // 8 + 1
+        full_min = table.min(axis=0)
+        assert np.all(np.abs(np.array(rep.min_eta) - full_min) <= spread)
+        assert all(any(np.array_equal(w, F[:, j]) for j in range(n // 8 + 1)) for w in rep.witness_functionals)
+        if rep.uniformly_convex_expected:
+            assert rep.consistent == bool(np.all(full_min > ETA_POSITIVE_FLOOR))
+        else:
+            assert rep.consistent == bool(np.any(full_min < ETA_NEAR_ZERO_CEIL))
+    assert nl.kim_lee_check(space, eps, functional_samples=12).n_profiled == 12
 
 
 def test_dim3_batch_climbs_in_one_constrained_ascent(monkeypatch):
@@ -240,6 +283,7 @@ def test_kim_lee_dim3_functionals():
     """The 3D scan profiles each functional by ascent; on l_2^3 min eta is eps^2/2."""
     rep = nl.kim_lee_check(SequenceSpace(3, 2.0), [0.5], functional_samples=8)
     assert rep.min_eta[0] == pytest.approx(0.125, abs=1e-9)
+    assert rep.n_profiled == rep.n_samples == 8  # no orbit reduction in dimension 3
 
 
 def test_kim_lee_rejects_high_dim():

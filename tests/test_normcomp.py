@@ -672,3 +672,21 @@ def test_cluster_representatives_order_ties_by_column():
     assert len(reps) == len(expected) > 2
     for (x, v), j in zip(reps, expected):
         assert np.array_equal(x, X[:, j]) and v == values[j]
+
+
+def test_cluster_limit_keeps_the_first_representatives():
+    """Stopping the greedy rounds at `limit` keeps the first `limit`
+    representatives bit for bit: on an l_inf continuum (two faces of the
+    square attain), and for each owner of a multi-owner `_greedy` call."""
+    space = SequenceSpace(2, INF)
+    X = space.sphere_grid(np.linspace(0.0, 2.0 * math.pi, 8193))
+    values = np.abs(X[0])  # 1 on the faces x = +-1
+    full = normcomp.cluster_representatives(X, values, space, 1.0 - 1e-9, cluster_tol=0.1)
+    first = normcomp.cluster_representatives(X, values, space, 1.0 - 1e-9, cluster_tol=0.1, limit=16)
+    assert len(full) > 16 and len(first) == 16
+    assert all(np.array_equal(x, y) and v == w for (x, v), (y, w) in zip(first, full))
+    C = np.hstack([X[:, 7000:], X, X[:, :2000]])
+    own = np.repeat([0, 1, 2], [1193, 8193, 2000])
+    reps = normcomp._greedy(C, own, space.norm_cols, 0.1)
+    assert np.array_equal(normcomp._greedy(C, own, space.norm_cols, 0.1, limit=5),
+                          np.concatenate([reps[own[reps] == o][:5] for o in range(3)]))
