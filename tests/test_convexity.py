@@ -168,9 +168,9 @@ def test_kim_lee_scan_profiles_one_functional_per_orbit(p):
     per-functional eta table, its min eta is within the largest orbit spread."""
     space, eps = SequenceSpace(2, p), [0.5, 0.9]
     dual = space.dual()
+    theta = lambda X: np.array([sphere_param_2d(x, dual.p) for x in X.T])
     for n in (8, 64, 256):
         F, j = sample_sphere_coords(dual, n, 0), np.arange(n)
-        theta = lambda X: np.array([sphere_param_2d(x, dual.p) for x in X.T])
         for M, act in _signed_permutations(n):
             # closed up to rounding: sigma(F_j) sits at the sphere parameter of F_sigma(j)
             gap = (theta(M @ F) - theta(F[:, act(j)]) + math.pi) % TWO_PI - math.pi
