@@ -53,6 +53,7 @@ from .convexity import (
     KimLeeReport,
     Norm2D,
     auerbach_2d,
+    delta_closed_form_hanner,
     delta_closed_form_high_p,
     delta_numeric,
     kim_lee_check,

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_parse_exponent, required=True)
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--eps", type=float, action="append", default=None)
-    sp.add_argument("--grid", type=int, default=640)
+    sp.add_argument("--grid", type=int, default=None,
+                    help="coarse angle count on the fundamental domain (default: the library's)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--output", default=None)
@@ -168,7 +169,7 @@ def _cmd_eta(args) -> int:
 def _cmd_delta(args) -> int:
     space = SequenceSpace(args.dim, args.p)
     eps = args.eps if args.eps else [0.25, 0.5, 1.0, 1.5, 2.0]
-    mod = delta_numeric(space, eps, grid=args.grid)
+    mod = delta_numeric(space, eps, **({"grid": args.grid} if args.grid else {}))
     if args.format == "csv":
         _emit(mod.to_csv_text(), args.output)
     else:

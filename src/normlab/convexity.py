@@ -24,7 +24,7 @@ from .spaces import (
 )
 from .operators import OperatorPQ, space_from_json, to_json
 from .attainment import _profile_parts
-from .normcomp import _golden_max
+from .normcomp import _bisect, _golden_max
 
 # Thresholds for the functional-case verdicts, at the default sampler
 # resolution (256 functionals on the dual sphere, 33 profiled in 2D, eps <= 1).
@@ -103,130 +103,97 @@ class ConvexityModulus:
         return ConvexityModulus(**dict(d, space=space_from_json(d["space"]), witness_pairs=pairs))
 
 
-def _pair_tables_2d(space, grid: int):
-    grid += (-grid) % 4  # keep the axes on the grid
-    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    X = space.sphere_grid(thetas)
-    iu, ju = np.triu_indices(grid, k=1)
-    DX = X[:, iu] - X[:, ju]
-    MX = (X[:, iu] + X[:, ju]) / 2.0
-    dist = space.norm_cols(DX)
-    val = 1.0 - space.norm_cols(MX)
-    return thetas, X, iu, ju, dist, val
+# pi - phi at or below which an eps-chord is taken as the antipodal pair
+ANTIPODAL_GAP = 1e-7
 
 
-def delta_numeric(space, epsilons, *, grid: int = 640, refine: bool = True) -> ConvexityModulus:
-    """Sampled modulus of uniform convexity with local refinement (dim <= 3).
+def delta_numeric(space, epsilons, *, grid: int = 64) -> ConvexityModulus:
+    """Modulus of uniform convexity by the eps-chord (dim <= 3).
 
-    One shared pair table serves every eps, so delta is nondecreasing in eps
-    exactly as computed.  Ties are broken toward the lexicographically
-    smallest angle pair, which lands on (e1, e2) for the flat square cases.
+    In a normed plane delta(eps) is the infimum of 1 - ||(x + y)/2|| over
+    unit x, y with ||x - y|| = eps, and ||x - y|| does not decrease as y
+    runs along the circle from x to -x: each x(theta) has one chord point,
+    found by bisection.  The first least of `grid` angles on the fundamental
+    domain ([0, pi/2) on l_p^2, [0, pi) on a `Norm2D`) is refined on
+    shrinking 9-point grids.  A 3D `SequenceSpace` takes l_p^2's values
+    (delta(l_p^n) = delta(l_p^2)), witnesses padded with a zero.  A pair
+    feasible at eps is feasible below it, so the running minimum from the
+    largest eps down makes delta nondecreasing in eps exactly as computed.
     """
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
         if not (0.0 < e <= 2.0 + 1e-9):
             raise ValueError(f"eps must lie in (0, 2]; got {e}")
+    if isinstance(space, SequenceSpace) and space.dim == 3:
+        mod = delta_numeric(SequenceSpace(2, space.p), epsilons, grid=grid)
+        pad = [(np.append(x, 0.0), np.append(y, 0.0)) for x, y in mod.witness_pairs]
+        return ConvexityModulus(space, epsilons, mod.delta, pad)
     if space.dim == 2:
-        return _delta_2d(space, epsilons, grid, refine)
-    if space.dim == 3:
-        return _delta_3d(space, epsilons)
-    raise ValueError("modulus sweep supports dimensions 2 and 3 only")
-
-
-def _delta_2d(space, epsilons, grid, refine):
-    thetas, X, iu, ju, dist, val = _pair_tables_2d(space, grid)
-    ti, tj = thetas[iu], thetas[ju]
-    # the pool of (angle 1, angle 2, distance, value) pairs: the table, then the
-    # exact antipodal pairs, whose distances are 2 ||x|| = 2 to rounding
-    pool = [(ti, tj, dist, val),
-            (thetas, (thetas + math.pi) % TWO_PI, 2.0 * space.norm_cols(X), 1.0 - np.zeros(X.shape[1]))]
-
-    if refine:
-        # chains: the six best feasible pairs of each eps, refined on shrinking
-        # 9x9 angle grids around their best pair, all chains one level at a time
-        chains = []
-        for eps in epsilons:
-            feas = dist >= eps - 1e-12
-            if np.any(feas):
-                # the six smallest by (value, index): no tie at rank six is
-                # left to the order a sort kernel happens to leave it in
-                key = np.where(feas, val, np.inf)
-                cand = np.flatnonzero(key <= np.partition(key, 5)[5])
-                order = cand[np.lexsort((cand, key[cand]))][:6]
-                chains += [(eps, k) for k in order if feas[k]]
-        n = len(chains)
-        rows = np.arange(n)
-        eps_lo = np.array([e for e, _ in chains]) - 1e-12
-        k = np.array([k for _, k in chains], dtype=int)
-        best_v, best_1, best_2 = val[k], ti[k], tj[k]
-        span = TWO_PI / grid
-        found = []  # per level: (a, b, dist, value, row has a feasible pair), each (n, 9)
-        for _ in range(7 if n else 0):
-            g1 = np.linspace(best_1 - span, best_1 + span, 9, axis=1)
-            g2 = np.linspace(best_2 - span, best_2 + span, 9, axis=1)
-            P = space.sphere_grid(np.hstack([g1, g2]).ravel()).reshape(2, n, 18)
-            x0, Y = P[:, :, :9, None], P[:, :, None, 9:]  # row a, column b
-            dloc = space.norm_cols((Y - x0).reshape(2, -1)).reshape(n, 9, 9)
-            vloc = 1.0 - space.norm_cols(((Y + x0) / 2.0).reshape(2, -1)).reshape(n, 9, 9)
-            ok = dloc >= eps_lo[:, None, None]
-            m = np.argmin(np.where(ok, vloc, np.inf), axis=2)[:, :, None]
-            v_row = np.take_along_axis(vloc, m, axis=2)[:, :, 0]
-            b_row = np.take_along_axis(g2, m[:, :, 0], axis=1)
-            row_ok = ok.any(axis=2)
-            found.append((g1, b_row, np.take_along_axis(dloc, m, axis=2)[:, :, 0], v_row, row_ok))
-            # the first strict improvement in row order, as a sequential scan takes it
-            cand = np.where(row_ok, v_row, np.inf)
-            i = np.argmin(cand, axis=1)
-            better = cand[rows, i] < best_v
-            best_v = np.where(better, cand[rows, i], best_v)
-            best_1 = np.where(better, g1[rows, i], best_1)
-            best_2 = np.where(better, b_row[rows, i], best_2)
-            span /= 2.0
-        if found:
-            # pool order: chain, then level, then row
-            a, b, d, v, ok = (np.stack(f, axis=1).ravel() for f in zip(*found))
-            pool.append((a[ok], b[ok], d[ok], v[ok]))
-    T1, T2, D, V = (np.concatenate(c) for c in zip(*pool))
-
-    deltas = []
-    witnesses = []
-    for eps in epsilons:
-        feas = D >= eps - 1e-12
-        if not np.any(feas):
-            deltas.append(1.0)
-            x = space.sphere_grid(0.0)[:, 0]
-            witnesses.append((x, -x))
-            continue
-        vmin = float(np.min(V[feas]))
-        cand = np.nonzero(feas & (V <= vmin + 1e-9))[0]
-        # lexicographically smallest angle pair among the near-minimal ones
-        a1 = np.round(T1[cand] % TWO_PI, 12)
-        a2 = np.round(T2[cand] % TWO_PI, 12)
-        k = cand[np.lexsort((a2, a1))][0]
-        P = space.sphere_grid(np.asarray([T1[k], T2[k]]))
-        deltas.append(max(vmin, 0.0))
-        witnesses.append((P[:, 0], P[:, 1]))
+        period = math.pi / 2.0 if isinstance(space, SequenceSpace) else math.pi
+        deltas, witnesses = _delta_chord(space, epsilons, grid, period)
+    elif space.dim == 3:
+        deltas, witnesses = _delta_3d(space, epsilons)
+    else:
+        raise ValueError("modulus sweep supports dimensions 2 and 3 only")
+    best = None
+    for i in sorted(range(len(epsilons)), key=epsilons.__getitem__, reverse=True):
+        if best is not None and deltas[best] < deltas[i]:
+            deltas[i], witnesses[i] = deltas[best], witnesses[best]
+        else:
+            best = i
     return ConvexityModulus(space, epsilons, deltas, witnesses)
+
+
+def _chords(space, thetas, eps):
+    """(1 - ||(x + y)/2||, x, y) at the eps-chord of every x(theta_i), eps_i.
+
+    The level is eps exactly: a slack below it would let through, at eps = 2
+    on l_2, a chord at pi - phi ~ 1e-6 of value 1 - 1e-6.  Where the distance
+    is flat near -x, the chord angle is known only to about sqrt(u), so a
+    chord within ANTIPODAL_GAP of pi is (x, -x), of value exactly 1; that
+    moves only values within about ANTIPODAL_GAP / 2 of 1.  An outward level,
+    eps (1 + 8u), would lose l_1's (e1, e2), whose distance computes to 2.0.
+    """
+    n = thetas.size
+    X = space.sphere_grid(thetas)
+    phi = _bisect(lambda f: space.norm_cols(X - space.sphere_grid(thetas + f)),
+                  np.zeros(n), np.full(n, math.pi), eps, np.zeros(n, bool))
+    antipodal = math.pi - phi <= ANTIPODAL_GAP
+    Y = np.where(antipodal, -X, space.sphere_grid(thetas + phi))
+    return np.where(antipodal, 1.0, 1.0 - space.norm_cols((X + Y) / 2.0)), X, Y
+
+
+def _delta_chord(space, epsilons, grid, period):
+    """The least chord value of each eps over `grid` angles on [0, period),
+    then ten levels of 9 angles around the best, spans shrinking 4x per
+    level; every (theta, eps) column of a level in one bisection."""
+    m = len(epsilons)
+    rows = np.arange(m)
+    T = np.tile(np.linspace(0.0, period, grid, endpoint=False), (m, 1))
+    best_t, best_g, best_x, best_y = np.zeros(m), np.full(m, np.inf), np.zeros((2, m)), np.zeros((2, m))
+    span = period / grid
+    for _ in range(11):
+        g, X, Y = _chords(space, T.ravel(), np.repeat(epsilons, T.shape[1]))
+        k = g.reshape(T.shape).argmin(axis=1) + T.shape[1] * rows  # the first least angle
+        better = g[k] < best_g
+        best_t = np.where(better, T.ravel()[k], best_t)
+        best_g = np.where(better, g[k], best_g)
+        best_x = np.where(better, X[:, k], best_x)
+        best_y = np.where(better, Y[:, k], best_y)
+        T = best_t[:, None] + np.linspace(-span, span, 9)
+        span /= 4.0
+    return np.maximum(best_g, 0.0).tolist(), list(zip(best_x.T, best_y.T))
 
 
 def _delta_3d(space, epsilons):
     X = _sphere_grid_3d(space, 26)
-    n = X.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
-    dist = space.norm_cols(X[:, iu] - X[:, ju])
-    val = 1.0 - space.norm_cols((X[:, iu] + X[:, ju]) / 2.0)
-    deltas = []
-    witnesses = []
-    for eps in epsilons:
-        feas = dist >= eps - 1e-12
-        if not np.any(feas):
-            deltas.append(1.0)
-            witnesses.append((X[:, 0], -X[:, 0]))
-            continue
-        k = int(np.argmin(np.where(feas, val, np.inf)))
-        deltas.append(max(float(val[k]), 0.0))
-        witnesses.append((X[:, iu[k]], X[:, ju[k]]))
-    return ConvexityModulus(space, epsilons, deltas, witnesses)
+    iu, ju = np.triu_indices(X.shape[1], k=1)
+    # every pair, then (x, -x), the witness of delta 1 where no pair is feasible
+    P, Q = np.hstack([X[:, iu], X[:, :1]]), np.hstack([X[:, ju], -X[:, :1]])
+    dist = np.append(space.norm_cols(P - Q)[:-1], np.inf)
+    val = 1.0 - space.norm_cols((P + Q) / 2.0)
+    k = [int(np.argmin(np.where(dist >= eps - 1e-12, val, np.inf))) for eps in epsilons]
+    return [max(float(val[i]), 0.0) for i in k], [(P[:, i], Q[:, i]) for i in k]
 
 
 def delta_closed_form_high_p(eps: float, p: float) -> float:
@@ -234,6 +201,20 @@ def delta_closed_form_high_p(eps: float, p: float) -> float:
     if p < 2.0:
         raise ValueError("closed form used as an oracle only for p >= 2")
     return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
+
+
+def delta_closed_form_hanner(eps: float, p: float) -> float:
+    """Hanner's modulus, the root d of (1 - d + eps/2)^p + |1 - d - eps/2|^p
+    = 2 (decreasing in d on [0, 1]) by float bisection: oracle for l_p, 1 < p < 2."""
+    if not 1.0 < p < 2.0:
+        raise ValueError("Hanner's modulus used as an oracle only for 1 < p < 2")
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (1.0 - mid + eps / 2.0) ** p + abs(1.0 - mid - eps / 2.0) ** p > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass

@@ -8,7 +8,8 @@ import normlab as nl
 from normlab import INF, OperatorPQ, SequenceSpace
 from normlab import attainment
 from normlab.attainment import _profile_parts
-from normlab.convexity import ETA_NEAR_ZERO_CEIL, ETA_POSITIVE_FLOOR, _pair_tables_2d, lp_handle
+from normlab.convexity import ANTIPODAL_GAP, ETA_NEAR_ZERO_CEIL, ETA_POSITIVE_FLOOR, _delta_chord, lp_handle
+from normlab.normcomp import _bisect
 from normlab.spaces import TWO_PI, pnorm_cols, sample_sphere_coords, sphere_param_2d
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
@@ -46,13 +47,56 @@ def test_delta_monotone_and_bounded():
 
 
 def test_delta_witnesses_on_the_square_are_pinned():
-    """On l_inf^2 every pair at distance >= eps has delta 0, so the witness
-    pair depends only on which chains are refined: the six smallest pairs by
-    (value, index), whatever order a sort kernel leaves ties in."""
+    """On l_inf^2 delta is 0 on a whole arc of angles, so the witness pair is
+    the tie rule's: the first least angle of the coarse grid, x = (1, 1),
+    which no refinement level improves on strictly."""
     mod = nl.delta_numeric(SequenceSpace(2, INF), [1.3731377833825171, 1.8998257078325158])
     assert mod.delta == [0.0, 0.0]
     pairs = [(x.tolist(), y.tolist()) for x, y in mod.witness_pairs]
-    assert pairs == [([1.0, 0.3734375], [1.0, -1.0]), ([1.0, 0.899853515625], [1.0, -1.0])]
+    assert pairs == [([1.0, 1.0], [-0.37313778338251735, 1.0]), ([1.0, 1.0], [-0.8998257078325165, 1.0])]
+
+
+def test_delta_nondecreasing_in_unsorted_eps():
+    """Each eps is refined on its own; the running minimum from the largest
+    eps down keeps delta nondecreasing exactly, in the input order, also
+    across eps a few ulps apart, whose refined values can differ by rounding
+    the wrong way (l_1.5^2's at 0.3 + 6e-15 and 0.3 + 7e-15 do, with numpy
+    2.4.6 at its AVX-512 dispatch level)."""
+    eps = [1.1, 0.3 + 7e-15, 1.97, 0.05, 0.3 + 6e-15, 1.5, 0.31, 2.0, 0.3 + 8e-15, 0.9, 0.5, 1.7]
+    for p in EXPONENTS:
+        mod = nl.delta_numeric(SequenceSpace(2, p), eps)
+        assert mod.epsilons == eps
+        assert np.all(np.diff(np.asarray(mod.delta)[np.argsort(eps)]) >= 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
+def test_delta_matches_the_exact_modulus(p, dim):
+    """Hanner's root for p < 2, the closed form for p >= 2; delta(l_p^3) =
+    delta(l_p^2), with the l_p^2 witnesses padded by a zero."""
+    eps = [0.25, 0.5, 1.0, 1.5, 1.9]
+    exact = nl.delta_closed_form_hanner if p < 2.0 else nl.delta_closed_form_high_p
+    mod = nl.delta_numeric(SequenceSpace(dim, p), eps)
+    for e, d in zip(eps, mod.delta):
+        assert abs(d - exact(e, p)) <= 1e-9
+    if dim == 3:
+        plane = nl.delta_numeric(SequenceSpace(2, p), eps)
+        assert mod.delta == plane.delta
+        for (x, y), (px, py) in zip(mod.witness_pairs, plane.witness_pairs):
+            assert x.tolist() == px.tolist() + [0.0] and y.tolist() == py.tolist() + [0.0]
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_delta_fundamental_domain_matches_the_full_circle(p):
+    """[0, pi/2) on l_p^2 and [0, pi) on a general handle give the full
+    circle's delta, at the same angle spacing, within 4 units in the last
+    place of 1, the scale at which 1 - ||(x + y)/2|| is rounded."""
+    eps = [0.25, 0.5, 1.0, 1.5, 1.9, 2.0]
+    spaces = [(SequenceSpace(2, p), math.pi / 2.0)] + ([(lp_handle(p), math.pi)] if p != INF else [])
+    for space, period in spaces:
+        domain = nl.delta_numeric(space, eps).delta
+        full = _delta_chord(space, eps, round(64 * TWO_PI / period), TWO_PI)[0]
+        assert np.all(np.abs(np.subtract(domain, full)) <= 4 * np.spacing(1.0))
 
 
 def test_delta_dim3_and_rejection():
@@ -214,57 +258,58 @@ def test_dim3_batch_climbs_in_one_constrained_ascent(monkeypatch):
     assert owners[1:] == [(1, 1)]
 
 
-def _delta_2d_sequential(space, epsilons, grid=640):
-    """Reference: the 2D modulus sweep refining one (eps, pair) chain and one row at a time."""
-    thetas, X, iu, ju, dist, val = _pair_tables_2d(space, grid)
-    ti, tj = thetas[iu], thetas[ju]
-    pool = [(ti, tj, dist, val),
-            (thetas, (thetas + math.pi) % TWO_PI, 2.0 * space.norm_cols(X), 1.0 - np.zeros(X.shape[1]))]
-    for eps in epsilons:
-        feas = dist >= eps - 1e-12
-        if not np.any(feas):
-            continue
-        key = np.where(feas, val, np.inf)
-        for k in np.lexsort((np.arange(key.size), key))[:6]:  # the six smallest by (value, index)
-            if not feas[k]:
-                continue
-            span, best = TWO_PI / grid, (val[k], float(ti[k]), float(tj[k]))
-            for _ in range(7):
-                g1 = np.linspace(best[1] - span, best[1] + span, 9)
-                g2 = np.linspace(best[2] - span, best[2] + span, 9)
-                for a in g1:
-                    P = space.sphere_grid(np.concatenate([[a], g2]))
-                    dloc = space.norm_cols(P[:, 1:] - P[:, :1])
-                    vloc = 1.0 - space.norm_cols((P[:, 1:] + P[:, :1]) / 2.0)
-                    ok = dloc >= eps - 1e-12
-                    if np.any(ok):
-                        m = int(np.argmin(np.where(ok, vloc, np.inf)))
-                        pool.append(([a], [g2[m]], [dloc[m]], [vloc[m]]))
-                        if vloc[m] < best[0]:
-                            best = (float(vloc[m]), float(a), float(g2[m]))
-                span /= 2.0
-    T1, T2, D, V = (np.concatenate([np.asarray(c[i]) for c in pool]) for i in range(4))
+def _delta_chord_sequential(space, epsilons, grid=64):
+    """Reference: the chord sweep one eps and one refinement level at a time,
+    then the running minimum from the largest eps down."""
+    period = math.pi / 2.0 if isinstance(space, SequenceSpace) else math.pi
+
+    def chords(thetas, eps):
+        X = space.sphere_grid(thetas)
+        n = thetas.size
+        phi = _bisect(lambda f: space.norm_cols(X - space.sphere_grid(thetas + f)),
+                      np.zeros(n), np.full(n, math.pi), np.full(n, eps), np.zeros(n, bool))
+        out = []
+        for j in range(n):
+            x = X[:, j]
+            if math.pi - phi[j] <= ANTIPODAL_GAP:
+                out.append((1.0, x, -x))
+            else:
+                y = space.sphere_grid(thetas[j] + phi[j])[:, 0]
+                out.append((1.0 - space.norm_cols(((x + y) / 2.0)[:, None])[0], x, y))
+        return out
+
     deltas, witnesses = [], []
     for eps in epsilons:
-        feas = D >= eps - 1e-12
-        vmin = float(np.min(V[feas]))
-        cand = np.nonzero(feas & (V <= vmin + 1e-9))[0]
-        order = np.lexsort((np.round(T2[cand] % TWO_PI, 12), np.round(T1[cand] % TWO_PI, 12)))
-        k = cand[order][0]
-        P = space.sphere_grid(np.asarray([T1[k], T2[k]]))
-        deltas.append(max(vmin, 0.0))
-        witnesses.append((P[:, 0], P[:, 1]))
-    return deltas, witnesses
+        thetas = np.linspace(0.0, period, grid, endpoint=False)
+        vals = chords(thetas, eps)
+        k = min(range(grid), key=lambda j: (vals[j][0], j))
+        t, (g, x, y), span = thetas[k], vals[k], period / grid
+        for _ in range(10):
+            level = t + np.linspace(-span, span, 9)
+            vals = chords(level, eps)
+            i = min(range(9), key=lambda j: (vals[j][0], j))
+            if vals[i][0] < g:
+                t, (g, x, y) = level[i], vals[i]
+            span /= 4.0
+        deltas.append(max(g, 0.0))
+        witnesses.append((x, y))
+    # each eps takes the least delta at or above it, on ties the one of the least eps
+    n = len(epsilons)
+    best = [min((j for j in range(n) if epsilons[j] >= e), key=lambda j: (deltas[j], epsilons[j])) for e in epsilons]
+    return [deltas[j] for j in best], [witnesses[j] for j in best]
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
 def test_delta_batch_matches_sequential_refinement(p):
-    space, eps = SequenceSpace(2, p), [0.3, 0.6, 1.0, 1.4, 1.8]
-    mod = nl.delta_numeric(space, eps)
-    deltas, witnesses = _delta_2d_sequential(space, eps)
-    assert mod.delta == deltas
-    for (x, y), (rx, ry) in zip(mod.witness_pairs, witnesses):
-        assert np.array_equal(x, rx) and np.array_equal(y, ry)
+    """Batched over eps and over every (theta, eps) column of a level, the
+    sweep matches one eps at a time bit for bit."""
+    eps = [1.8, 0.3, 1.0, 0.6, 1.4, 2.0]
+    for space in [SequenceSpace(2, p)] + ([lp_handle(p)] if p != INF else []):
+        mod = nl.delta_numeric(space, eps)
+        deltas, witnesses = _delta_chord_sequential(space, eps)
+        assert mod.delta == deltas
+        for (x, y), (rx, ry) in zip(mod.witness_pairs, witnesses):
+            assert np.array_equal(x, rx) and np.array_equal(y, ry)
 
 
 def test_kim_lee_rejects_bad_inputs():
@@ -310,7 +355,7 @@ def test_custom_norm_results_refuse_to_load():
     handle = lp_handle(3.0)
     for result, load in (
         (nl.auerbach_2d(handle), nl.AuerbachSystem.from_json_dict),
-        (nl.delta_numeric(handle, [0.5], refine=False), nl.ConvexityModulus.from_json_dict),
+        (nl.delta_numeric(handle, [0.5]), nl.ConvexityModulus.from_json_dict),
     ):
         d = result.to_json_dict()
         assert d["space"] == {"dim": 2, "p": "custom"}

@@ -309,7 +309,7 @@ def test_every_result_round_trips_through_json():
         nr = nl.opnorm(T)
         results += [nr, nl.na_set(T, norm_result=nr), nl.sbpb_profile(T, [0.5], norm_result=nr)]
     results.append(nl.opnorm(OperatorPQ(np.random.default_rng(2).standard_normal((3, 3)), s3, s3)))
-    results += [nl.delta_numeric(space, [0.5], refine=False) for space in (s2, s3, mixed, norm2d)]
+    results += [nl.delta_numeric(space, [0.5]) for space in (s2, s3, mixed, norm2d)]
     results += [nl.auerbach_2d(space) for space in (s2, norm2d)]
     results += [nl.kim_lee_check(space, [0.5], functional_samples=8) for space in (s2, s3)]
     report = nl.reproduce("BLOCK-N", {"blocks": 2})
