@@ -44,6 +44,7 @@ from .spaces import (
     pnorm_cols,
     sample_sphere_coords,
     sphere_param_2d,
+    uniform_grid_2d,
     unit,
 )
 from .operators import OperatorPQ, apply_cols, dual_attainer, norm_dual_vector, space_from_json, to_json
@@ -173,9 +174,9 @@ def _owner_runs(keys, counts):
 
 
 def _angle_grid(space, grid: int):
-    """The read-only uniform angle grid of a 2D space with `grid` cells, and its points."""
+    """The read-only uniform angle grid of a 2D space with `grid` cells, and its points (closed)."""
     thetas = np.linspace(0.0, TWO_PI, grid + 1)
-    X = space.sphere_grid(thetas)
+    X = uniform_grid_2d(space, grid, closed=True)
     for a in (thetas, X):
         a.flags.writeable = False
     return thetas, X
@@ -286,7 +287,12 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
 
     levels = []  # every level's runs (owner, first, end), points and values
     while cells:
-        # all midpoints of the level evaluated at once, each owner's in one run
+        # All midpoints of the level at once, each owner's in one run.  Cells still cover the
+        # circle: a tiled base end is the formula point of a real angle a few ulps from its grid
+        # angle (axis ends exact), so a midpoint, the formula at tm, leaves its cell's arc only in a
+        # cell a few ulps wide, beyond the nearer end, and [a, m], [m, b] still cover [a, b].  A child's
+        # coordinates are monotone in one closed quadrant; one past an axis by d moves the other
+        # coordinate off +-1 by d^2 at most (|x|^p = cos^2; 0 on the square), far inside `rnd`.
         runs = _owner_runs([j for j, _ in cells], [C.shape[1] for _, C in cells])
         tm = np.concatenate([0.5 * (C[0] + C[4]) for _, C in cells])
         Xm = space.sphere_grid(tm)

@@ -280,8 +280,12 @@ class OperatorPQ:
         return self.matrix @ x
 
     def range_values(self, X) -> np.ndarray:
-        """||T x||_range for each column x of X."""
-        return self.range.norm_cols(apply_cols(self.matrix, np.asarray(X, dtype=float)))
+        """||T x||_range per column x of X; wide X in APPLY_CHUNK-column slices (cache-sized, same bits)."""
+        X = np.asarray(X, dtype=float)
+        if X.shape[1] <= APPLY_CHUNK:
+            return self.range.norm_cols(apply_cols(self.matrix, X))
+        return np.concatenate([self.range.norm_cols(apply_cols(self.matrix, X[:, s:s + APPLY_CHUNK]))
+                               for s in range(0, X.shape[1], APPLY_CHUNK)])
 
     def adjoint(self) -> "OperatorPQ":
         structure = None

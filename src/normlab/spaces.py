@@ -229,17 +229,37 @@ def _sphere_grid_3d(space, m: int) -> np.ndarray:
     return U / np.where(norms > 0.0, norms, 1.0)
 
 
+def uniform_grid_2d(space, n: int, closed: bool = False) -> np.ndarray:
+    """`space.sphere_grid` at the angles 2 pi j / n, j < n (and j = n if `closed`: point 0
+    again, or the formula at 2 pi), as a (2, n + closed) array.  On a `SequenceSpace` with n % 8 == 0
+    only octant 0, j <= n/8, is the formula's, its diagonal made (d, d), d = 2^(-1/p); the
+    rest are exact signed permutations of it (x <-> y, the quarter turn (x, y) -> (-y, x),
+    negation), +0.0 on the axes, so the grid is closed under all eight bit for bit."""
+    thetas = np.linspace(0.0, TWO_PI, n + 1)[:n + closed]
+    if not isinstance(space, SequenceSpace) or n % 8:
+        return space.sphere_grid(thetas)
+    e = n // 8
+    X = np.empty((2, n + closed))
+    X[:, :e + 1] = space.sphere_grid(thetas[:e + 1])
+    X[:, e] = 2.0 ** (-1.0 / space.p)
+    X[:, e + 1:2 * e] = X[::-1, e - 1:0:-1]
+    X[0, 2 * e:4 * e], X[1, 2 * e:4 * e] = -X[1, :2 * e], X[0, :2 * e]
+    np.negative(X[:, :4 * e], out=X[:, 4 * e:n])
+    X[0, 2 * e::4 * e] = X[1, ::4 * e] = 0.0  # negation leaves -0.0 on the axes
+    X[:, n:] = X[:, :1]
+    return X
+
+
 def sample_sphere_coords(space, count: int, seed: int) -> np.ndarray:
     """(dim, count) array of unit vectors of `space`, deterministic in seed.
 
-    dim = 2 uses a uniform angle grid; higher dimensions p-normalize draws
-    from a rotation-invariant Gaussian generator (all sign orthants reachable).
+    dim = 2 uses the angle grid `uniform_grid_2d`; higher dimensions p-normalize
+    draws from a rotation-invariant Gaussian generator (all sign orthants reachable).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if space.dim == 2 and hasattr(space, "sphere_grid"):
-        thetas = TWO_PI * np.arange(count) / count
-        return space.sphere_grid(thetas)
+        return uniform_grid_2d(space, count)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((space.dim, count))
     norms = space.norm_cols(G)

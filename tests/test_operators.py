@@ -249,6 +249,22 @@ def test_apply_cols_chunks_are_bit_identical():
         assert np.array_equal(apply_cols(M, X), Mt[0] * X[0] + Mt[1] * X[1] + Mt[2] * X[2])
 
 
+def test_range_values_in_slices_match_one_column_at_a_time():
+    """range_values takes wide X in APPLY_CHUNK-column slices with the bits of
+    one pass and of one column at a time (the columns at every slice border
+    and a random sample of the rest)."""
+    rng = np.random.default_rng(17)
+    for p, q in ((1.5, 3.0), (3.0, INF), (2.0, 1.5)):
+        T = OperatorPQ(rng.standard_normal((3, 2)), SequenceSpace(2, p), SequenceSpace(3, q))
+        for n in (APPLY_CHUNK - 1, APPLY_CHUNK + 1, 100001):
+            X = sample_sphere_coords(T.domain, n, 0)
+            values = T.range_values(X)
+            assert np.array_equal(values, T.range.norm_cols(apply_cols(T.matrix, X)))
+            borders = [c + d for c in range(0, n, APPLY_CHUNK) for d in (-1, 0) if 0 <= c + d < n]
+            for j in borders + rng.choice(n, 200, replace=False).tolist() + [n - 1]:
+                assert T.range_values(X[:, j:j + 1])[0] == values[j]
+
+
 def test_gallery_serialization_round_trip():
     T = nl.make_diag_beta(0.5, 2, INF)
     d = T.to_json_dict()

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from normlab import INF, SequenceSpace, dual_exponent, pnorm, sphere_point_2d, sphere_sample
-from normlab.spaces import pnorm_cols, sample_sphere_coords, sphere_grid_2d, sphere_param_2d
+from normlab.convexity import lp_handle
+from normlab.spaces import (
+    TWO_PI,
+    UNIT_NORM_TOL,
+    pnorm_cols,
+    sample_sphere_coords,
+    sphere_grid_2d,
+    sphere_param_2d,
+    uniform_grid_2d,
+)
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
 
@@ -73,6 +82,37 @@ def test_sphere_param_inverts_parametrization(p):
         t = sphere_param_2d(X[:, i], p)
         diff = abs(((t - thetas[i] + math.pi) % (2 * math.pi)) - math.pi)
         assert diff <= 1e-9
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 6.0, INF])
+def test_uniform_grid_is_exactly_dihedral(p):
+    """On l_p^2 with n % 8 == 0 the grid is closed under the eight signed
+    permutations bit for bit (a quarter turn is j -> j + n/4, the reflection
+    y -> -y is j -> -j), with its axis points exactly (+-1, 0) and (0, +-1),
+    no -0.0, and its diagonal point exactly (d, d); octant 0 below the
+    diagonal is the formula's, and a closed grid ends with its first point.
+    A Norm2D, or n % 8 != 0, takes the formula, at 2 pi too when closed."""
+    space = SequenceSpace(2, p)
+    turn, flip = np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    for n in (8, 64, 256, 24576):
+        X, j = uniform_grid_2d(space, n), np.arange(n)
+        for k in range(4):
+            for e in range(2):
+                M = np.linalg.matrix_power(turn, k) @ np.linalg.matrix_power(flip, e)
+                assert np.array_equal(M @ X, X[:, (k * n // 4 + (-1) ** e * j) % n])
+        assert np.array_equal(X[:, ::n // 4], [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+        assert not np.any(np.signbit(X[X == 0.0]))
+        assert X[0, n // 8] == X[1, n // 8]
+        thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        assert np.array_equal(X[:, :n // 8], sphere_grid_2d(thetas[:n // 8], p))
+        assert np.max(np.abs(pnorm_cols(X, p) - 1.0)) <= UNIT_NORM_TOL
+        assert np.array_equal(uniform_grid_2d(space, n, closed=True), X[:, np.r_[:n, 0]])
+    thetas = np.linspace(0.0, TWO_PI, 13)
+    assert np.array_equal(uniform_grid_2d(space, 12), sphere_grid_2d(thetas[:12], p))
+    assert np.array_equal(uniform_grid_2d(space, 12, closed=True), sphere_grid_2d(thetas, p))
+    handle, thetas = lp_handle(p), np.linspace(0.0, TWO_PI, 65)
+    assert np.array_equal(uniform_grid_2d(handle, 64), handle.sphere_grid(thetas[:64]))
+    assert np.array_equal(uniform_grid_2d(handle, 64, closed=True), handle.sphere_grid(thetas))
 
 
 def test_sphere_sample_grid_mode_hits_axes():
