@@ -33,13 +33,13 @@ from .normcomp import (
     _base_pool,
     _bisect,
     _climb,
-    _golden_max,
     _greedy,
     _rank1_attainers,
     _reduce,
     _sweep2d,
     _swept,
     _theta_of,
+    _zoom_max,
     cluster_representatives,
     opnorm,
 )
@@ -278,7 +278,7 @@ def _open_pass(ops, norms, grid, shared, tol) -> _Pass:
 def _pass_na(P: _Pass, value_tol, cluster_tol) -> list[AttainmentSet]:
     """The attainment sets of a pass's operators (`na_set` on a 2D domain): each row's values within
     value_tol of its norm, clustered greedily by value; the representatives below the norm refined by
-    golden section in one call, re-merged, and each replaced by the signed unit axis vector nearest it
+    one zoom call, re-merged, and each replaced by the signed unit axis vector nearest it
     when that is in its cluster and attains as much (an exact attainer, as a spanned sphere needs)."""
     space, G, floor = P.ops[0].domain, P.thetas.size, P.value - value_tol
     near = P.V >= floor[:, None]
@@ -290,8 +290,8 @@ def _pass_na(P: _Pass, value_tol, cluster_tol) -> list[AttainmentSet]:
     if todo.size:
         mats, rng, h = np.stack([T.matrix for T in P.ops])[own[todo]], P.ops[0].range, TWO_PI / (G - 1)
         t0 = np.array([_theta_of(space, x) for x in X[:, todo].T])
-        t, v[todo] = _golden_max(lambda t, idx: rng.norm_cols(apply_cols(mats[idx], space.sphere_grid(t))),
-                                 t0 - 2 * h, t0 + 2 * h)
+        t, v[todo] = _zoom_max(lambda t, idx: rng.norm_cols(apply_cols(mats[idx], space.sphere_grid(t))),
+                               t0 - 2 * h, t0 + 2 * h)
         X[:, todo] = space.sphere_grid(t)
     order = np.lexsort((-v, own))
     order = order[v[order] >= floor[own[order]]]
@@ -491,7 +491,7 @@ def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
 
 def _refine_2d(parts: list[_ProfilePart]) -> None:
     """Refine the brackets of operators sharing a 2D domain and range, in one
-    bisection and one golden-section call, and fold each operator's refined
+    bisection and one zoom call, and fold each operator's refined
     points into its `best` as they would enter its evaluation pool."""
     parts = [p for p in parts if p.cuts]  # higher dimensions and empty NA have none
     if not parts:
@@ -508,7 +508,7 @@ def _refine_2d(parts: list[_ProfilePart]) -> None:
 
     mats = np.stack([p.T.matrix for p in parts])
     a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
-    t_peak, _ = _golden_max(
+    t_peak, _ = _zoom_max(
         lambda t, idx: rng.norm_cols(apply_cols(mats[p_own[idx]], space.sphere_grid(t))), a, b)
 
     # each operator's refined cuts, then its peaks, as one pool extension

@@ -24,7 +24,7 @@ from .spaces import (
 )
 from .operators import OperatorPQ, space_from_json, to_json
 from .attainment import _profile_parts
-from .normcomp import _bisect, _golden_max
+from .normcomp import _bisect, _zoom_max
 
 # Thresholds for the functional-case verdicts, at the default sampler
 # resolution (256 functionals on the dual sphere, 33 profiled in 2D, eps <= 1).
@@ -254,7 +254,7 @@ def _dual_norm_2d(space, f) -> float:
     vals = np.abs(f @ X)
     k = int(np.argmax(vals))
     h = thetas[1] - thetas[0]
-    _, v = _golden_max(lambda t, _: np.abs(f @ space.sphere_grid(t)), thetas[k] - h, thetas[k] + h)
+    _, v = _zoom_max(lambda t, _: np.abs(f @ space.sphere_grid(t)), thetas[k] - h, thetas[k] + h)
     return max(float(vals[k]), float(v[0]))
 
 
@@ -286,8 +286,8 @@ def auerbach_2d(norm_handle) -> AuerbachSystem:
 
     sphere = norm_handle.sphere_grid
     for _ in range(6):  # alternating 1D refinements converge fast here
-        t1 = float(_golden_max(lambda t, _: dets(sphere(t), sphere(t2)), t1 - 0.01, t1 + 0.01)[0][0])
-        t2 = float(_golden_max(lambda t, _: dets(sphere(t1), sphere(t)), t2 - 0.01, t2 + 0.01)[0][0])
+        t1 = float(_zoom_max(lambda t, _: dets(sphere(t), sphere(t2)), t1 - 0.01, t1 + 0.01)[0][0])
+        t2 = float(_zoom_max(lambda t, _: dets(sphere(t1), sphere(t)), t2 - 0.01, t2 + 0.01)[0][0])
     E = norm_handle.sphere_grid(np.asarray([t1, t2]))
     F = np.linalg.inv(E)
     return AuerbachSystem(vectors=(E[:, 0], E[:, 1]), functionals=(F[0], F[1]), space=norm_handle)

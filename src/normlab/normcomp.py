@@ -11,7 +11,7 @@ cells: prune, split (one evaluation call for all midpoints), bound the
 children.  At most DEFAULT_BUDGET cells are split, a constant; the level
 that would pass it splits the highest bounds first, and the bounds of the
 cells left unsplit stay in the bracket.  A result's n_evals counts every
-column the sweep evaluates, golden-section probes included.  Operators
+column the sweep evaluates, zoom probes included.  Operators
 that share a 2D domain and a range are swept together, each with the
 result of its lone sweep.
 
@@ -57,6 +57,7 @@ METHOD_EXACT = "EXACT"
 DEFAULT_GRID = 24576  # multiple of 8: quadrant and square-corner breakpoints on-grid
 DEFAULT_BUDGET = 40000  # cells one 2D sweep splits at most
 ASCENT_ITERS = 500
+ZOOM_PROBES = 33  # probes per bracket and level of `_zoom_max`
 
 
 class UncertifiedNormError(RuntimeError):
@@ -100,47 +101,39 @@ class EvalPool:
     thetas: np.ndarray | None = None  # set for 2D sweep pools, aligned with columns
 
 
-def _golden_max(f, a, b, iters: int = 48):
-    """Golden-section maximization on every bracket [a_i, b_i] at once.
+def _zoom_max(f, a, b):
+    """Maximization on every bracket [a_i, b_i] at once, by zooming.
 
-    `f(t, idx)` maps the angles `t` probed in the live brackets `idx` (an
-    increasing index array) to their values; it is called once per step, so
-    each bracket may have its own objective.  Each bracket takes exactly the
-    steps it would take alone and is frozen once b - a < 1e-15.  Bookkeeping
-    is in plain floats: cheaper than arrays for the usual one to few brackets.
-    Returns the arrays (argmax, max).
+    A level probes ZOOM_PROBES equally spaced interior angles of every live
+    bracket in one call `f(t, idx)`, `idx` the (nondecreasing) bracket of
+    each probe, so each bracket may have its own objective, then keeps the
+    two cells around the middle of the first run of the bracket's largest
+    values.  A bracket stops once no wider than golden section's after 48
+    steps, (b - a) 0.618^48, or below 1e-15, after one level at least.
+    Elementwise steps give each bracket the bits it gets alone.  Returns
+    the arrays (argmax, max) of the best probe seen, ties to the first.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    idx = np.arange(a.size)
-    # one state [a, b, c, d, f(c), f(d), index] per bracket
-    brackets = [list(s) for s in zip(*(x.tolist() for x in (a, b, c, d, f(c, idx), f(d, idx), idx)))]
-    live = brackets
-    for _ in range(iters):
-        still = [s for s in live if s[1] - s[0] >= 1e-15]
-        if len(still) < len(live):
-            live, idx = still, np.array([s[6] for s in still], dtype=int)
-        if not live:
-            break
-        slots = []  # 2: a new c is probed, 3: a new d
-        for s in live:
-            lo, hi, c, d, fc, fd, _i = s
-            if fc >= fd:  # the maximum lies in [lo, d]
-                s[1], s[3], s[5] = d, c, fc
-                s[2] = d - invphi * (d - lo)
-                slots.append(2)
-            else:
-                s[0], s[2], s[4] = c, d, fd
-                s[3] = c + invphi * (hi - c)
-                slots.append(3)
-        values = f(np.array([s[k] for s, k in zip(live, slots)]), idx).tolist()
-        for s, k, v in zip(live, slots, values):
-            s[k + 2] = v
-    best = [(s[2], s[4]) if s[4] >= s[5] else (s[3], s[5]) for s in brackets]
-    return np.array([t for t, _ in best]), np.array([v for _, v in best])
+    stop = (b - a) * ((math.sqrt(5.0) - 1.0) / 2.0) ** 48
+    u = np.arange(ZOOM_PROBES + 2) / (ZOOM_PROBES + 1)  # the cell ends of a level, as fractions
+    t_best, v_best = np.empty(a.size), np.full(a.size, -np.inf)
+    live = np.arange(a.size)
+    while live.size:
+        lo, w = a[live], b[live] - a[live]
+        T = lo[:, None] + w[:, None] * u[1:-1]
+        V = f(T.ravel(), np.repeat(live, ZOOM_PROBES)).reshape(T.shape)
+        m = V.max(axis=1)
+        top = V == m[:, None]
+        first = top.argmax(axis=1)
+        end = (~top & (np.arange(ZOOM_PROBES) > first[:, None])).argmax(axis=1)  # 0: the run reaches the last probe
+        k = (first + np.where(end > 0, end, ZOOM_PROBES) - 1) // 2
+        better = m > v_best[live]
+        t_best[live[better]], v_best[live[better]] = T[better, k[better]], m[better]
+        a[live], b[live] = lo + w * u[k], lo + w * u[k + 2]
+        w = b[live] - a[live]
+        live = live[(w > stop[live]) & (w >= 1e-15)]
+    return t_best, v_best
 
 
 def _bisect(f, lo, hi, level, lo_in):
@@ -314,22 +307,22 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
     upper = np.maximum(lb, held)
 
     def objective(owner):
-        """The golden-section objective of brackets owned by `owner` (in
-        runs), counting each probe in its owner's n_evals."""
-        live = [None, None, None]  # the live brackets, their owners, and runs of owners
+        """The zoom objective of brackets owned by `owner` (nondecreasing),
+        counting each probe in its owner's n_evals."""
+        owner = np.asarray(owner, dtype=int)
 
         def f(ts, idx):
-            if idx is not live[0]:  # `_golden_max` makes a new idx when a bracket freezes
-                own = [owner[i] for i in idx.tolist()]
-                live[:] = idx, own, _owner_runs(*zip(*[(j, len(list(g))) for j, g in itertools.groupby(own)]))
-            for j in live[1]:
-                n_evals[j] += 1
-            return values(space.sphere_grid(ts), live[2])
+            own = owner[idx]
+            ends = np.append(np.flatnonzero(np.diff(own)) + 1, own.size)
+            runs = _owner_runs(own[ends - 1].tolist(), np.diff(ends, prepend=0).tolist())
+            for j, a, b in runs:
+                n_evals[j] += b - a
+            return values(space.sphere_grid(ts), runs)
         return f
 
     # sharpen each maximizer within its bracket
     h = TWO_PI / grid
-    t_star, g_star = _golden_max(objective(range(n)), theta_best - h, theta_best + h)
+    t_star, g_star = _zoom_max(objective(range(n)), theta_best - h, theta_best + h)
     better = g_star > lb
     lb = np.where(better, g_star, lb)
     upper = np.where(better, np.maximum(upper, lb), upper)
@@ -351,7 +344,7 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
     w_cut.append(len(t0))
     t0 = np.array(t0)
     w_own = [j for j in range(n) for _ in range(w_cut[j], w_cut[j + 1])]
-    t_ref, _ = _golden_max(objective(w_own), t0 - 2 * h, t0 + 2 * h)
+    t_ref, _ = _zoom_max(objective(w_own), t0 - 2 * h, t0 + 2 * h)
     W = space.sphere_grid(t_ref)
 
     results = []
@@ -775,9 +768,13 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
 
 def _oracle_2d(ops: list[OperatorPQ], grid: int) -> list[NormResult]:
     """The 2D angle-grid oracle of operators sharing a domain: one grid, each
-    operator evaluated on it in turn."""
+    operator evaluated on it in turn; on l_p^2 with grid % 8 == 0 only columns
+    0 to grid/2, as the grid is exactly antipodal and x, -x have the same value
+    bit for bit (negation is exact in `apply_cols` and `pnorm_cols`)."""
     space = ops[0].domain
     _, X = _angle_grid(space, grid)
+    if isinstance(space, SequenceSpace) and grid % 8 == 0:
+        X = X[:, :grid // 2 + 1]
     step = float(np.max(np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))))
     results = []
     for T in ops:
@@ -794,7 +791,7 @@ def _oracle_2d(ops: list[OperatorPQ], grid: int) -> list[NormResult]:
             lower_bound=value,
             upper_bound=value + slack,
             certified=isinstance(space, SequenceSpace),
-            n_evals=grid + 1,
+            n_evals=int(X.shape[1]),
             space=space,
         ))
     return results

@@ -352,19 +352,19 @@ def test_evaluation_is_column_invariant(p):
 
 def test_batched_witnesses_and_representatives_match_one_bracket_per_call(monkeypatch):
     """The sweep's witnesses and na_set's representatives, each refined in one
-    golden-section call, get the bits of one call per bracket."""
-    real, widths = normcomp._golden_max, []
+    zoom call, get the bits of one call per bracket."""
+    real, widths = normcomp._zoom_max, []
 
-    def checked(f, a, b, iters=48):
-        t, v = real(f, a, b, iters)
+    def checked(f, a, b):
+        t, v = real(f, a, b)
         for i, (a_i, b_i) in enumerate(zip(np.atleast_1d(a), np.atleast_1d(b))):
-            t_i, v_i = real(f, a_i, b_i, iters)
+            t_i, v_i = real(f, a_i, b_i)
             assert (t_i[0], v_i[0]) == (t[i], v[i])
         widths.append(t.size)
         return t, v
 
-    monkeypatch.setattr(normcomp, "_golden_max", checked)
-    monkeypatch.setattr(attainment, "_golden_max", checked)
+    monkeypatch.setattr(normcomp, "_zoom_max", checked)
+    monkeypatch.setattr(attainment, "_zoom_max", checked)
     c, s = math.cos(0.3), math.sin(0.3)
     R = np.array([[c, -s], [s, c]])
     T = OperatorPQ(R @ np.diag([1.0, 1.0 - 1e-8]) @ R.T, SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))
@@ -583,7 +583,7 @@ def _ref_na_from_pool(T, pool, nr, value_tol, cluster_tol):
     if todo:
         t0 = np.array([normcomp._theta_of(T.domain, reps[i][0]) for i in todo])
         h = 2.0 * math.pi / (G - 1)
-        t_ref, v_ref = normcomp._golden_max(lambda ts, _live: T.range_values(T.domain.sphere_grid(ts)),
+        t_ref, v_ref = normcomp._zoom_max(lambda ts, _live: T.range_values(T.domain.sphere_grid(ts)),
                                             t0 - 2 * h, t0 + 2 * h)
         for i, x, v in zip(todo, T.domain.sphere_grid(t_ref).T, v_ref.tolist()):
             refined[i] = (x, v)
@@ -652,7 +652,7 @@ def _ref_refine_2d(parts):
                              lo, hi, c_lv, lo_in)
     mats = np.stack([p.T.matrix for p in parts])
     a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
-    t_peak, _ = normcomp._golden_max(
+    t_peak, _ = normcomp._zoom_max(
         lambda t, idx: rng.norm_cols(apply_cols(mats[p_own[idx]], space.sphere_grid(t))), a, b)
     own = np.concatenate([c_own, p_own])
     X_new = space.sphere_grid(np.concatenate([t_cut, t_peak]))

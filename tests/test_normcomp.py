@@ -18,9 +18,9 @@ from normlab.normcomp import (
     DEFAULT_GRID,
     _backtrack,
     _bisect,
-    _golden_max,
     _start_coords,
     _sweep2d,
+    _zoom_max,
     ascend,
 )
 from normlab.operators import apply_cols, dual_attainer, norm_dual_vector
@@ -65,37 +65,41 @@ def test_opnorm_bounds_and_witnesses_contract():
             assert T.range.norm(T.apply(w.coords)) >= r.value - r.tol
 
 
-def _golden_one(f, a, b, iters=48):
-    """Reference: golden-section maximization of one bracket, one probe at a time."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-15:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _zoom_one(f, a, b):
+    """Reference: zoom maximization of one bracket, one probe at a time."""
+    P = normcomp.ZOOM_PROBES
+    stop = (b - a) * ((math.sqrt(5.0) - 1.0) / 2.0) ** 48
+    t_best, v_best = None, -math.inf
+    while True:
+        w = b - a
+        ts = [a + w * ((k + 1) / (P + 1)) for k in range(P)]
+        vs = [f(t) for t in ts]
+        m = max(vs)
+        first = vs.index(m)
+        end = first
+        while end + 1 < P and vs[end + 1] == m:
+            end += 1
+        k = (first + end) // 2  # the middle of the first run of maximal probes
+        if m > v_best:
+            t_best, v_best = ts[k], m
+        a, b = a + w * (k / (P + 1)), a + w * ((k + 2) / (P + 1))
+        if not (b - a > stop and b - a >= 1e-15):
+            return t_best, v_best
 
 
 def test_batched_refiners_match_one_bracket_at_a_time():
-    """Each bracket of a batched call takes exactly the steps it takes alone."""
+    """Each bracket of a batched call takes exactly the levels it takes alone."""
+    P = normcomp.ZOOM_PROBES
     f = lambda t: np.cos(3.0 * t) + 0.3 * np.sin(7.0 * t)  # elementwise: same bits in any batch
     rng = np.random.default_rng(5)
     a = rng.uniform(-3.0, 3.0, 300)
     b = a + rng.uniform(0.0, 0.5, 300)
-    b[:30] = a[:30] + 1e-16  # frozen from the start
-    b[30:60] = a[30:60] + rng.uniform(1e-14, 1e-11, 30)  # frozen after 5 to 20 steps
-    t, v = _golden_max(lambda x, _live: f(x), a, b)
+    b[:30] = a[:30] + 1e-16  # frozen from the start: one level
+    b[30:60] = a[30:60] + rng.uniform(1e-14, 1e-11, 30)  # frozen after one to four levels
+    t, v = _zoom_max(lambda x, _live: f(x), a, b)
     for i in range(a.size):
-        assert (t[i], v[i]) == _golden_one(lambda x: float(f(np.float64(x))), a[i], b[i])
-    # one objective per bracket: f is told which brackets it probes
+        assert (t[i], v[i]) == _zoom_one(lambda x: float(f(np.float64(x))), a[i], b[i])
+    # one objective per bracket: f is told the bracket of each probe
     phase = rng.uniform(0.0, 2.0 * math.pi, 300)
     probed = []
 
@@ -103,11 +107,13 @@ def test_batched_refiners_match_one_bracket_at_a_time():
         probed.append(live)
         return np.cos(3.0 * x + phase[live]) + 0.3 * np.sin(7.0 * x)
 
-    t, v = _golden_max(g, a, b)
+    t, v = _zoom_max(g, a, b)
+    calls = list(probed)
     for i in range(a.size):
-        assert (t[i], v[i]) == _golden_one(lambda x: float(g(np.float64(x), i)), a[i], b[i])
-    assert all(np.array_equal(live, np.arange(300)) for live in probed[:2])
-    assert all(np.all(np.diff(live) > 0) and live[0] >= 60 for live in probed[22:50])
+        assert (t[i], v[i]) == _zoom_one(lambda x: float(g(np.float64(x), i)), a[i], b[i])
+    assert len(calls) == 9 and np.array_equal(calls[0], np.repeat(np.arange(300), P))
+    assert all(np.all(np.diff(live) >= 0) and np.all(np.bincount(live)[live] == P) for live in calls)
+    assert calls[1][0] >= 30 and all(live[0] >= 60 for live in calls[4:])
     level = rng.uniform(-0.5, 0.5, 300)
     lo_in = f(a) >= level
     t = _bisect(f, a, b, level, lo_in)
@@ -120,6 +126,60 @@ def test_batched_refiners_match_one_bracket_at_a_time():
             else:
                 hi = mid
         assert t[i] == (lo if lo_in[i] else hi)
+
+
+def test_zoom_lands_within_golden_sections_final_width():
+    """The zoom's argmax lies within the width golden section reaches after 48
+    steps, (b - a) 0.618^48, of the maximizer, and its value is at least the
+    objective's at the bracket's midpoint (the first level's middle probe)."""
+    rng = np.random.default_rng(11)
+    n = 200
+    w = rng.uniform(1e-3, 0.5, n)
+    t_star = rng.uniform(-3.0, 3.0, n)
+    a = t_star - rng.uniform(0.05, 0.95, n) * w
+    a[:20] = t_star[:20]  # the maximum at an end of the bracket
+    b = a + w
+    shrink = ((math.sqrt(5.0) - 1.0) / 2.0) ** 48
+    mid = a + 0.5 * (b - a)
+    # cos 3(t - t*) as 1 - 2 sin^2(1.5 (t - t*)): the same smooth objective, its top not flat in floats
+    for f in (lambda t, i: -np.sin(1.5 * (t - t_star[i])) ** 2, lambda t, i: -np.abs(t - t_star[i])):
+        t, v = _zoom_max(f, a, b)
+        assert np.all(np.abs(t - t_star) <= w * shrink)
+        assert np.all(v >= f(mid, np.arange(n)))
+    # l_1 -> l_inf: the norm, the second column's, is attained at the vertex e_2 (theta = pi/2).  The
+    # parametrization is quadratic in theta there, so the value is flat in floats within about 1e-8 of
+    # pi/2: the distance is measured from the witness to the vertex, in the domain norm.
+    T = OperatorPQ(np.array([[1.0, 0.5], [0.3, 2.0]]), SequenceSpace(2, 1.0), SequenceSpace(2, INF))
+    a = math.pi / 2 - rng.uniform(0.01, 0.5, 20)
+    b = math.pi / 2 + rng.uniform(0.01, 0.5, 20)
+    f = lambda t, _idx: T.range_values(T.domain.sphere_grid(t))
+    t, v = _zoom_max(f, a, b)
+    assert np.all(T.domain.norm_cols(T.domain.sphere_grid(t) - [[0.0], [1.0]]) <= (b - a) * shrink)
+    assert np.all(v == 2.0) and np.all(v >= f(a + 0.5 * (b - a), None))
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_oracle_evaluates_half_of_an_antipodal_grid(p):
+    """On l_p^2 with grid % 8 == 0 the oracle evaluates columns 0 to grid/2
+    only, and its result (value, witness bits, bounds) is the full grid's
+    first argmax; a grid with grid % 8 != 0, and a `Norm2D`, evaluate every
+    point."""
+    rng = np.random.default_rng(int(p) if p != INF else 9)
+    space = SequenceSpace(2, p)
+    cases = [(space, grid, grid // 2 + 1) for grid in (1000, 100000)] + [(space, 1004, 1005)]
+    if p != INF:
+        cases.append((nl.Norm2D(lambda X: pnorm_cols(X, p)), 1000, 1001))
+    for dom, grid, evaluated in cases:
+        for q in EXPONENTS:
+            T = OperatorPQ(rng.standard_normal((2, 2)), dom, SequenceSpace(2, q))
+            _, X = normcomp._angle_grid(dom, grid)
+            g = T.range_values(X)
+            k = int(np.argmax(g))
+            slack = float(np.max(np.abs(np.diff(X[0])) + np.abs(np.diff(X[1])))) * normcomp._column_lipschitz(T)
+            o = nl.opnorm_oracle(T, grid)
+            assert o.n_evals == evaluated
+            assert (o.value, o.lower_bound, o.upper_bound, o.tol) == (g[k], g[k], g[k] + slack, max(slack / 2, 1e-15))
+            assert np.array_equal(o.witnesses[0].coords, nl.unit(X[:, k], dom).coords)
 
 
 def _dec_pnorm(xs, r) -> Decimal:

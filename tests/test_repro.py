@@ -27,8 +27,8 @@ def test_reproduce_diag_pq():
 
 
 def test_reproduce_diag_p3_attains_exactly_on_the_axis():
-    """On l_3^2 the value falls off only as |x_1|^3 near e2, so golden section
-    alone places the attainer about 5e-6 off the axis; the axis vector is kept."""
+    """On l_3^2 the value falls off only as |x_1|^3 near e2, so the zoom alone
+    places the attainer up to about 3e-11 off the axis; the axis vector is kept."""
     rep = nl.reproduce("DIAG-P-Q", {"beta": 0.5, "p": 3.0, "q": 3.0})
     by_name = {c.name: c for c in rep.checks}
     assert by_name["attainment_representative_error"].computed == 0.0
