@@ -36,6 +36,7 @@ from .normcomp import (
     _greedy,
     _rank1_attainers,
     _reduce,
+    _shared,
     _sweep2d,
     _swept,
     _theta_of,
@@ -206,8 +207,10 @@ def na_set(
 def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid) -> AttainmentSet:
     """NA(T) from its certified norm: on a 2D domain as a pass of one on
     the norm's grid; in dimension >= 3 from T's structure or its row."""
-    if T.domain.dim == 2:
-        return _pass_na(_open_pass([T], [nr], grid, None, tol), value_tol, cluster_tol)[0]
+    if T.domain.dim == 2:  # shared by the bits of the norm's value and witnesses
+        bits = [float(nr.value).hex()] + [w.coords.tobytes() for w in nr.witnesses]
+        return _shared("na", [T], lambda ops, *_: _pass_na(_open_pass(ops, [nr], grid, None, tol), value_tol,
+                                                            cluster_tol), value_tol, cluster_tol, tol, grid, *bits)[0]
     reduced, spans = _reduce(T), None
     if reduced is None:
         if T.range.dim != 1 or not isinstance(T.domain, SequenceSpace):
@@ -258,7 +261,7 @@ def _open_pass(ops, norms, grid, shared, tol) -> _Pass:
         x /= pnorm_cols(x, dom.p, True)  # as `unit` does
         value, W, pools = pnorm_cols(mats[:, 0].T, dual_exponent(dom.p), True), [[w, -w] for w in x.T], []
     else:
-        norms = norms if norms is not None else _sweep2d(ops, tol, grid)
+        norms = norms if norms is not None else _shared("sweep", ops, _sweep2d, tol, grid)
         if not all(nr.certified for nr in norms):
             raise UncertifiedNormError("profile computation requires a certified norm")
         value, W = np.array([nr.value for nr in norms]), [[w.coords for w in nr.witnesses] for nr in norms]

@@ -186,7 +186,8 @@ def _delta_chord(space, epsilons, grid, period):
 
 
 def _delta_3d(space, epsilons):
-    X = _sphere_grid_3d(space, 26)
+    """The least pair value over the product grid of 52 x 26 directions and the six signed axes, rescaled."""
+    X = np.hstack([_sphere_grid_3d(space, 26)] + [E / space.norm_cols(E) for E in (np.eye(3), -np.eye(3))])
     iu, ju = np.triu_indices(X.shape[1], k=1)
     # every pair, then (x, -x), the witness of delta 1 where no pair is feasible
     P, Q = np.hstack([X[:, iu], X[:, :1]]), np.hstack([X[:, ju], -X[:, :1]])

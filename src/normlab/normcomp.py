@@ -23,12 +23,16 @@ outer domain exponent <= outer range exponent, or a zero-padded 2D block),
 in which case the certificate composes from certified 2D sweeps.
 
 An independent brute-force grid oracle cross-checks every certified value.
+Inside `_sharing` (one `repro.run_all`) 2D results are shared by operator content.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,6 +103,35 @@ class EvalPool:
     coords: np.ndarray  # (dim, n)
     values: np.ndarray  # (n,)
     thetas: np.ndarray | None = None  # set for 2D sweep pools, aligned with columns
+
+
+_SHARED = ContextVar("shared_2d_results", default=None)  # the store of the innermost open `_sharing`
+
+
+@contextmanager
+def _sharing():
+    """Share 2D sweeps, oracles and attainment sets (`_shared`) in this context until the block exits."""
+    token = _SHARED.set({} if _SHARED.get() is None else _SHARED.get())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(kind, ops, run, *key):
+    """run(ops, *key), one result per operator, through the store of `_sharing`: an operator between
+    sequence spaces is looked up by its matrix bits and spaces, `kind` and `key` (any other, a `Norm2D`'s
+    say, is run), the misses in one call.  The store keeps no pool; a hit is a copy of its own, no pool."""
+    store = _SHARED.get()
+    keys = [(kind, T.matrix.shape, T.matrix.tobytes(), T.domain, T.range) + key
+            if store is not None and type(T.domain) is type(T.range) is SequenceSpace else None for T in ops]
+    out = [copy.deepcopy(store.get(k)) if k else None for k in keys]
+    miss = [i for i, r in enumerate(out) if r is None]
+    for i, r in zip(miss, run([ops[i] for i in miss], *key) if miss else ()):
+        out[i] = r
+        if keys[i]:
+            store[keys[i]] = copy.deepcopy(replace(r, pool=None) if isinstance(r, NormResult) else r)
+    return out
 
 
 def _zoom_max(f, a, b):
@@ -609,7 +642,7 @@ def opnorm(
     if reduced is not None:
         return _opnorm_structured(T, reduced, tol, grid, seed)
     if _swept(T):
-        return _sweep2d([T], tol, grid)[0]
+        return _shared("sweep", [T], _sweep2d, tol, grid)[0]
     if T.range.dim == 1 and isinstance(T.domain, SequenceSpace):
         return _opnorm_rank1(T, tol)
     return _opnorm_multistart(T, tol, seed)
@@ -689,7 +722,7 @@ def _rank1_attainers(space: SequenceSpace, row, value_tol) -> tuple[list[np.ndar
 
 def _opnorm_structured(T, reduced, tol, grid, seed):
     parts, offsets, note, _ = reduced
-    subs = _by_spaces(parts, lambda ops: _sweep2d(ops, tol, grid) if _swept(ops[0])
+    subs = _by_spaces(parts, lambda ops: _shared("sweep", ops, _sweep2d, tol, grid) if _swept(ops[0])
                       else [opnorm(R, tol, grid=grid, seed=seed) for R in ops])
     result = _max_of(subs, T.domain)
     # the attainers of every part within its tol of the norm, embedded at its offset
@@ -737,12 +770,12 @@ def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
     reduced = _reduce(T)
     if reduced is not None:
         parts, _, _, note = reduced
-        subs = _by_spaces(parts, lambda ops: _oracle_2d(ops, grid) if ops[0].domain.dim == 2
+        subs = _by_spaces(parts, lambda ops: _shared("oracle", ops, _oracle_2d, grid) if ops[0].domain.dim == 2
                           else [opnorm_oracle(R, grid) for R in ops])
         return replace(_max_of(subs, T.domain), notes=note)
 
     if T.domain.dim == 2:
-        return _oracle_2d([T], grid)[0]
+        return _shared("oracle", [T], _oracle_2d, grid)[0]
     if T.domain.dim == 3:
         m = int(math.ceil(math.sqrt(grid)))
         X = _sphere_grid_3d(T.domain, m)

@@ -30,7 +30,7 @@ from .operators import (
     params_to_json,
     to_json,
 )
-from .normcomp import DEFAULT_GRID, _sweep2d, opnorm, opnorm_oracle
+from .normcomp import DEFAULT_GRID, _sharing, _sweep2d, opnorm, opnorm_oracle
 from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, pass_size, sbpb_profile
 
 TOL_NORM = 1e-6
@@ -487,17 +487,19 @@ def gallery_default_cases() -> list[tuple[str, dict]]:
 
 def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[ReproReport]:
     """Every harness at default parameters, plus the derivative certificates
-    and the positive-side batch; failures are recorded, never thrown."""
+    and the positive-side batch; failures are recorded, never thrown.  Their
+    2D results are shared by operator content for the call (`normcomp._sharing`)."""
     reports: list[ReproReport] = []
-    for tag, params in gallery_default_cases():
-        if tags is not None and tag not in tags:
-            continue
-        reports.append(reproduce(tag, params, seed=seed))
-    if tags is None or "F-CERT" in (tags or []):
-        for q in (1.0, 1.2, 1.5, 1.9):
-            reports.append(monotonicity_certificate(q))
-    if tags is None:
-        reports.append(positive_side_batch(seed=seed))
+    with _sharing():
+        for tag, params in gallery_default_cases():
+            if tags is not None and tag not in tags:
+                continue
+            reports.append(reproduce(tag, params, seed=seed))
+        if tags is None or "F-CERT" in (tags or []):
+            for q in (1.0, 1.2, 1.5, 1.9):
+                reports.append(monotonicity_certificate(q))
+        if tags is None:
+            reports.append(positive_side_batch(seed=seed))
     if out_dir is not None:
         write_reports(reports, out_dir)
     return reports

@@ -327,6 +327,7 @@ def test_witness_validates_eps(eps):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, INF])
+@pytest.mark.dispatch
 def test_evaluation_is_column_invariant(p):
     """sphere_grid, norm_cols and range_values give a column the same bits
     whichever other columns are evaluated with it."""
@@ -350,6 +351,7 @@ def test_evaluation_is_column_invariant(p):
             assert np.array_equal(T.range_values(X[:, J]), values[J])
 
 
+@pytest.mark.dispatch
 def test_batched_witnesses_and_representatives_match_one_bracket_per_call(monkeypatch):
     """The sweep's witnesses and na_set's representatives, each refined in one
     zoom call, get the bits of one call per bracket."""
@@ -685,6 +687,7 @@ def _bits(x):
 
 @pytest.mark.parametrize("case", ["1.0", "1.5", "2.0", "3.0", "inf", "continuum", "positive-batch", "gallery",
                                   "handle"])
+@pytest.mark.dispatch
 def test_2d_profile_passes_match_per_operator_reference(case):
     """A 2D group profiled in passes gives every operator the representatives,
     continuum flag, best points, refinement brackets and profile of the
@@ -739,6 +742,7 @@ def test_2d_profile_passes_match_per_operator_reference(case):
             assert any(r.na.continuum_flag for r in ref)
 
 
+@pytest.mark.dispatch
 def test_2d_profile_passes_hold_the_pool_budget(monkeypatch):
     """A 2D group goes in passes of as many operators as POOL_BUDGET holds
     grids of values: 37 functionals on an 8,193-point grid make passes of
@@ -757,6 +761,7 @@ def test_2d_profile_passes_hold_the_pool_budget(monkeypatch):
     assert sizes == [1, 1]
 
 
+@pytest.mark.dispatch
 def test_bisect_stops_at_its_fixed_point_with_the_bits_of_60_halvings(monkeypatch):
     """`_bisect` stops once a step moves no end and returns the ends of 60
     halvings (the reference kept here), on the cuts of l_1, l_1.5 and l_inf

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import INF, OperatorPQ, SequenceSpace
+from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace
 from normlab import attainment
 from normlab.attainment import _profile_parts
 from normlab.convexity import ANTIPODAL_GAP, ETA_NEAR_ZERO_CEIL, ETA_POSITIVE_FLOOR, _delta_chord, lp_handle
@@ -46,6 +46,7 @@ def test_delta_monotone_and_bounded():
         assert np.all((0.0 <= d) & (d <= 1.0))
 
 
+@pytest.mark.dispatch
 def test_delta_witnesses_on_the_square_are_pinned():
     """On l_inf^2 delta is 0 on a whole arc of angles, so the witness pair is
     the tie rule's: the first least angle of the coarse grid, x = (1, 1),
@@ -176,6 +177,7 @@ def test_kim_lee_coherence_with_delta():
 
 @pytest.mark.parametrize("dim, p, count", [(2, p, 64) for p in EXPONENTS] + [(3, 1.5, 16), (3, 3.0, 16), (3, 3.0, 64)],
                          ids=[str(p) for p in EXPONENTS] + ["dim3-1.5", "dim3-3.0", "dim3-3.0-64"])
+@pytest.mark.dispatch
 def test_kim_lee_batch_matches_one_profile_per_functional(dim, p, count):
     """Reference: the scan as one sbpb_profile per rank-one functional, first
     minimum kept over the functionals the scan profiles (j <= n/8 in 2D, all
@@ -206,6 +208,7 @@ def _signed_permutations(n):
 
 
 @pytest.mark.parametrize("p", EXPONENTS + [1.2])
+@pytest.mark.dispatch
 def test_kim_lee_scan_profiles_one_functional_per_orbit(p):
     """On l_p^2 the sampled functionals are closed under the signed permutations
     bit for bit, and eta is invariant under them, so the scan profiles j <= n/8
@@ -298,6 +301,7 @@ def _delta_chord_sequential(space, epsilons, grid=64):
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.dispatch
 def test_delta_batch_matches_sequential_refinement(p):
     """Batched over eps and over every (theta, eps) column of a level, the
     sweep matches one eps at a time bit for bit."""
@@ -366,3 +370,11 @@ def test_kim_lee_report_round_trip(dim):
     rep = nl.kim_lee_check(SequenceSpace(dim, 1.5), [0.25, 0.5], functional_samples=8)
     back = nl.KimLeeReport.from_json_dict(json.loads(json.dumps(rep.to_json_dict())))
     assert back.space == rep.space and back.to_json_dict() == rep.to_json_dict()
+
+
+def test_delta_3d_candidates_include_the_signed_axes():
+    """BlockSpace(2, (l_1^2, l_3^1)) holds l_1^2 isometrically, so delta is 0 up to
+    eps = 2, at the pair (e1, e2) of the first block; the product grid alone gave
+    0.001973 at eps = 2."""
+    mod = nl.delta_numeric(BlockSpace(2, (SequenceSpace(2, 1.0), SequenceSpace(1, 3.0))), [0.5, 1.0, 1.5, 2.0])
+    assert mod.delta == [0.0, 0.0, 0.0, 0.0]

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import threading
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -87,6 +89,7 @@ def _zoom_one(f, a, b):
             return t_best, v_best
 
 
+@pytest.mark.dispatch
 def test_batched_refiners_match_one_bracket_at_a_time():
     """Each bracket of a batched call takes exactly the levels it takes alone."""
     P = normcomp.ZOOM_PROBES
@@ -128,6 +131,7 @@ def test_batched_refiners_match_one_bracket_at_a_time():
         assert t[i] == (lo if lo_in[i] else hi)
 
 
+@pytest.mark.dispatch
 def test_zoom_lands_within_golden_sections_final_width():
     """The zoom's argmax lies within the width golden section reaches after 48
     steps, (b - a) 0.618^48, of the maximizer, and its value is at least the
@@ -159,6 +163,7 @@ def test_zoom_lands_within_golden_sections_final_width():
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.dispatch
 def test_oracle_evaluates_half_of_an_antipodal_grid(p):
     """On l_p^2 with grid % 8 == 0 the oracle evaluates columns 0 to grid/2
     only, and its result (value, witness bits, bounds) is the full grid's
@@ -360,6 +365,7 @@ def test_sweep_multistart_agreement_2d():
         assert abs(v1 - r2.value) <= 1e-6
 
 
+@pytest.mark.dispatch
 def test_ascent_is_column_invariant():
     """Each column of a batched ascent ends with the bits of that start
     climbing alone, over the exponent grid, on block spaces and from the
@@ -442,6 +448,7 @@ def _serial_backtrack(dom, rng, A, X, Y, f, D, cols, steps, cap, floor, gain, ad
 @pytest.mark.parametrize("floor, cap, gain", [(1e-12, 1.0, 1e-15), (1e-10, 0.5, 1e-16)])
 @pytest.mark.parametrize("fenced", [False, True], ids=["free", "admits"])
 @pytest.mark.parametrize("stacked", [False, True], ids=["one-matrix", "per-column"])
+@pytest.mark.dispatch
 def test_backtrack_ladder_matches_serial_halving(floor, cap, gain, fenced, stacked):
     """The step ladder gives X, Y, f, the steps and the accepted flags of
     halving one evaluation at a time, bit for bit: for columns accepted on
@@ -670,6 +677,7 @@ def _sweep_bits(r):
     return (r.to_json_dict(), r.n_evals, [w.coords.tobytes() for w in r.witnesses], r.pool.values.tobytes())
 
 
+@pytest.mark.dispatch
 def test_batched_sweeps_match_each_operator_alone():
     """A batched sweep's result for each operator is its lone sweep's, bit for
     bit: JSON fields, evaluation count, witnesses and base-grid values."""
@@ -717,6 +725,7 @@ def test_rank_one_norm_is_the_dual_norm(row, p):
         assert abs(float(row @ pt.coords)) >= nr.value * (1.0 - 1e-12)
 
 
+@pytest.mark.dispatch
 def test_cluster_representatives_order_ties_by_column():
     """Tied values are taken lowest column first, whatever the sort kernel:
     the greedy order is (value descending, column ascending)."""
@@ -734,6 +743,7 @@ def test_cluster_representatives_order_ties_by_column():
         assert np.array_equal(x, X[:, j]) and v == values[j]
 
 
+@pytest.mark.dispatch
 def test_cluster_limit_keeps_the_first_representatives():
     """Stopping the greedy rounds at `limit` keeps the first `limit`
     representatives bit for bit: on an l_inf continuum (two faces of the
@@ -750,3 +760,87 @@ def test_cluster_limit_keeps_the_first_representatives():
     reps = normcomp._greedy(C, own, space.norm_cols, 0.1)
     assert np.array_equal(normcomp._greedy(C, own, space.norm_cols, 0.1, limit=5),
                           np.concatenate([reps[own[reps] == o][:5] for o in range(3)]))
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    """Wrap module.name so that counts[name] adds the number of operators it computes."""
+    run = getattr(module, name)
+
+    def counted(ops, *args):
+        counts[name] += len(ops)
+        return run(ops, *args)
+    counts[name] = 0
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_shared_results_live_only_inside_run_all(monkeypatch):
+    """The store is dropped when run_all returns or raises, and is not seen by another thread."""
+    from normlab import repro
+
+    nl.run_all(seed=0, tags=["DIAG-2-2"])
+    assert normcomp._SHARED.get() is None
+    seen = []
+
+    def fail(q):
+        seen.append(len(normcomp._SHARED.get()))
+        raise RuntimeError("stop")
+    monkeypatch.setattr(repro, "monotonicity_certificate", fail)
+    with pytest.raises(RuntimeError, match="stop"):
+        nl.run_all(seed=0, tags=["DIAG-2-2", "F-CERT"])
+    assert seen[0] > 0 and normcomp._SHARED.get() is None
+    in_thread = []
+    with normcomp._sharing():  # another thread runs in its own context, with no store
+        worker = threading.Thread(target=lambda: in_thread.append(normcomp._SHARED.get()))
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive() and in_thread == [None]
+
+
+def test_shared_results_keep_every_setting_in_the_key(monkeypatch):
+    """A repeated sweep, oracle or attainment set is a hit; another tol, grid,
+    value_tol, cluster_tol or norm value is a miss; a Norm2D handle is never stored."""
+    from normlab import attainment
+
+    counts = {}
+    for module, name in ((normcomp, "_sweep2d"), (normcomp, "_oracle_2d"), (attainment, "_open_pass")):
+        _count_calls(monkeypatch, module, name, counts)
+    T = nl.make_diag_beta(0.5, 1.5, 3.0)
+    with normcomp._sharing():
+        for kw in ({}, {}, {"tol": 1e-5}, {"grid": 32768}, {}):
+            nr = nl.opnorm(T, **kw)
+        for grid in (100000, 100000, 50000):
+            nl.opnorm_oracle(T, grid=grid)
+        for kw in ({}, {}, {"value_tol": 1e-7}, {"cluster_tol": 0.05}, {"tol": 1e-5}, {"grid": 32768}, {}):
+            nl.na_set(T, norm_result=nr, **kw)
+        nl.na_set(T, norm_result=replace(nr, value=float(np.nextafter(nr.value, 2.0))))
+        stored = len(normcomp._SHARED.get())
+        handles = [nl.Norm2D(lambda X: pnorm_cols(X, 1.5)), nl.Norm2D(lambda X: pnorm_cols(X, 1.5))]
+        got = [nl.opnorm(OperatorPQ(T.matrix, h, SequenceSpace(2, 3.0))) for h in handles]
+        assert len(normcomp._SHARED.get()) == stored
+    assert counts == {"_sweep2d": 3 + 2, "_oracle_2d": 2, "_open_pass": 6}
+    alone = nl.opnorm(OperatorPQ(T.matrix, handles[0], SequenceSpace(2, 3.0)))
+    assert [r.to_json_dict() for r in got] == [alone.to_json_dict()] * 2
+
+
+def test_shared_hits_are_pool_free_copies_with_the_fresh_bits():
+    """A hit has no pool and the JSON of the result computed afresh, as do the
+    attainment set and profile built from it; mutating a hit changes no later one."""
+    T = nl.make_diag_beta(0.5, 1.5, 3.0)
+    fresh = nl.opnorm(T)
+    na_fresh = nl.na_set(T, norm_result=fresh)
+    prof_fresh = nl.sbpb_profile(T, [0.25, 1.0], norm_result=fresh, na=na_fresh)
+    with normcomp._sharing():
+        first, hit = nl.opnorm(T), nl.opnorm(T)
+        na_first, na_hit = nl.na_set(T, norm_result=hit), nl.na_set(T, norm_result=hit)
+        hit.witnesses[0].coords[:] = 0.0  # mutate the hits' arrays and lists in place
+        hit.witnesses.clear()
+        na_hit.points[0].coords[:] = 0.0
+        na_hit.points.clear()
+        again, na_again = nl.opnorm(T), nl.na_set(T, norm_result=fresh)
+    assert first.pool is not None and again.pool is None
+    assert again.to_json_dict() == first.to_json_dict() == fresh.to_json_dict()
+    assert na_again.to_json_dict() == na_first.to_json_dict() == na_fresh.to_json_dict()
+    na = nl.na_set(T, norm_result=again)
+    assert na.to_json_dict() == na_fresh.to_json_dict()
+    prof = nl.sbpb_profile(T, [0.25, 1.0], norm_result=again, na=na)
+    assert prof.to_json_dict() == prof_fresh.to_json_dict()

@@ -203,6 +203,7 @@ def test_scaling_invariant():
         assert vc == pytest.approx(abs(c) * v, rel=1e-9)
 
 
+@pytest.mark.dispatch
 def test_dual_vector_and_attainer_contracts():
     rng = np.random.default_rng(9)
     spaces = [SequenceSpace(4, p) for p in (1.0, 1.5, 2.0, 3.0, INF)] + [
@@ -249,6 +250,7 @@ def test_apply_cols_chunks_are_bit_identical():
         assert np.array_equal(apply_cols(M, X), Mt[0] * X[0] + Mt[1] * X[1] + Mt[2] * X[2])
 
 
+@pytest.mark.dispatch
 def test_range_values_in_slices_match_one_column_at_a_time():
     """range_values takes wide X in APPLY_CHUNK-column slices with the bits of
     one pass and of one column at a time (the columns at every slice border

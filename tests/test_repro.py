@@ -162,6 +162,7 @@ def test_written_reports_are_strict_json(tmp_path):
     assert inf_params == 2 * 10  # DIAG-P-Q 6, BIORTH-INF 2, AUERBACH-YY 2; again in stdout
 
 
+@pytest.mark.dispatch
 def test_positive_side_batch_matches_one_operator_at_a_time():
     """The grouped POSITIVE-BATCH report equals, apart from runtime_ms, the
     report of one opnorm -> na_set -> sbpb_profile chain per operator."""
@@ -177,3 +178,23 @@ def test_positive_side_batch_matches_one_operator_at_a_time():
     loop = nl.ReproReport(tag="POSITIVE-BATCH", params={"count": 50, "eps": 0.25, "p": 3.0, "q": 2.0},
                           checks=checks, overall=all(c.passed for c in checks), runtime_ms=0, seed=0)
     assert _strip_runtime(nl.positive_side_batch().to_json_dict()) == _strip_runtime(loop.to_json_dict())
+
+
+def test_run_all_shares_2d_results_without_changing_a_report(monkeypatch):
+    """Every report of run_all equals, apart from runtime_ms, the same report
+    made alone, while the gallery sweeps and oracle-checks each of its 46
+    distinct 2D operators once; made alone, its reports do each 96 times."""
+    from normlab import normcomp
+
+    counts = dict.fromkeys(("_sweep2d", "_oracle_2d"), 0)
+    for name in counts:
+        def counted(ops, *args, _run=getattr(normcomp, name), _name=name):
+            counts[_name] += len(ops)
+            return _run(ops, *args)
+        monkeypatch.setattr(normcomp, name, counted)
+    shared = [_strip_runtime(r.to_json_dict()) for r in nl.run_all(seed=0)]
+    assert counts == {"_sweep2d": 46, "_oracle_2d": 46}
+    alone = [nl.reproduce(tag, params) for tag, params in gallery_default_cases()]
+    assert counts == {"_sweep2d": 46 + 96, "_oracle_2d": 46 + 96}
+    alone += [nl.monotonicity_certificate(q) for q in (1.0, 1.2, 1.5, 1.9)] + [nl.positive_side_batch()]
+    assert shared == [_strip_runtime(r.to_json_dict()) for r in alone]

@@ -85,6 +85,7 @@ def test_sphere_param_inverts_parametrization(p):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 6.0, INF])
+@pytest.mark.dispatch
 def test_uniform_grid_is_exactly_dihedral(p):
     """On l_p^2 with n % 8 == 0 the grid is closed under the eight signed
     permutations bit for bit (a quarter turn is j -> j + n/4, the reflection
