@@ -11,9 +11,9 @@ cells: prune, split (one evaluation call for all midpoints), bound the
 children.  At most DEFAULT_BUDGET cells are split, a constant; the level
 that would pass it splits the highest bounds first, and the bounds of the
 cells left unsplit stay in the bracket.  A result's n_evals counts every
-column the sweep evaluates, zoom probes included.  Operators
-that share a 2D domain and a range are swept together, each with the
-result of its lone sweep.
+column the sweep evaluates, zoom probes included.  Operators that share a
+2D domain and a range are swept together, as one array of cells with an
+owner per column, each with the result of its lone sweep.
 
 Higher dimensions use multistart ascent (a dual-map fixed point step with a
 projected-gradient fallback), with every start climbing as one column of a
@@ -194,11 +194,6 @@ def _column_lipschitz(T: OperatorPQ) -> float:
     return float(np.max(cols)) if cols.size else 0.0
 
 
-def _owner_runs(keys, counts):
-    """(key, first, end) of consecutive blocks of `counts` columns, empty blocks left out."""
-    return [(k, e - c, e) for k, c, e in zip(keys, counts, itertools.accumulate(counts)) if c]
-
-
 def _angle_grid(space, grid: int):
     """The read-only uniform angle grid of a 2D space with `grid` cells, and its points (closed)."""
     thetas = np.linspace(0.0, TWO_PI, grid + 1)
@@ -223,139 +218,116 @@ def _base_pool(T: OperatorPQ, seed: int, base: EvalPool | None = None) -> EvalPo
     return replace(base, values=T.range_values(base.coords))
 
 
+def _rounding_allowance(m: int) -> float:
+    """A computed ||A x||_q into an m-dimensional range, or a cell bound, errs by at most (32 + m) u ||T||
+    (u = 2^-53; sphere coordinates, products and slack 32 u, the q-norm's sum one u per term).  Bounds move
+    out by twice that, the relative allowance returned (at least 2^-46): a bracket holds the exact norm."""
+    return (64 + 2 * max(m, 32)) * 2.0 ** -53
+
+
 def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
     """The certified branch-and-bound sweeps of operators that share a 2D
     domain and a range, and their witnesses: one result per operator, each
     the same, bit for bit, as the sweep of that operator alone.
 
-    The base grid is built once and shared by every result's pool.  Each
-    operator's live cells are the columns of an array: rows (t, x_0, x_1, g)
-    of the cell's left end over the same rows of its right end.  Each
-    refinement level evaluates the midpoints of all operators' cells at once
-    (one `sphere_grid` and one `norm_cols` call, one product per operator),
-    then bounds, prunes and splits each operator's children against its own
-    lower bound, tolerance and budget, as its lone sweep would.
+    The base grid is built once and shared by every result's pool.  The live
+    cells of all operators are the columns of one array: rows (t, x_0, x_1, g)
+    of the cell's left end over the same rows of its right end, with `own`
+    the operator of each cell.  The cells are sorted by owner, each owner's
+    in the order of its lone sweep.  Each refinement level evaluates the
+    midpoints of all cells at once (one `sphere_grid` and one `norm_cols`
+    call, each column by its owner's matrix), then bounds, prunes and splits
+    every child against its owner's lower bound, tolerance and budget.
     """
     space, rng = ops[0].domain, ops[0].range
     n = len(ops)
-    mats = [T.matrix for T in ops]
+    mats = np.array([T.matrix for T in ops])
     grid = max(grid, 20000)
     grid += (-grid) % 8
     thetas, X = _angle_grid(space, grid)
-    n_evals = [grid + 1] * n
-
-    # Rounding allowance: a computed ||A x||_q, or a cell bound, errs by at most
-    # (32 + m) u ||T|| for an m-dimensional range (u = 2^-53; sphere coordinates,
-    # products and slack 32 u, the q-norm's sum one u per term).  Bounds move out
-    # by twice that (at least 2^-46), so the bracket holds the exact norm of the
-    # float matrix.  A tol below twice it never prunes the top cell: use the floor.
-    rnd = (64 + 2 * max(rng.dim, 32)) * 2.0 ** -53
+    n_evals = np.full(n, grid + 1)  # until the zoom, grid + 1 plus the cells split so far
+    rnd = _rounding_allowance(rng.dim)
     up, down = 1.0 + rnd, 1.0 - rnd
 
-    lip = np.empty(n)
+    lip = np.array([_column_lipschitz(T) for T in ops])
     rate = None  # slack per unit theta on a generic 2D norm
     notes = ""
     if not isinstance(space, SequenceSpace):
         # generic 2D norm handle: estimated theta-Lipschitz bound, safety 2x
         speed = float(np.max((np.abs(np.diff(X[0])) + np.abs(np.diff(X[1]))) / np.diff(thetas)))
-        rate = np.empty(n)
+        rate = 2.0 * lip * speed
         notes = "cell bounds use a numerically estimated parametrization Lipschitz constant"
 
-    def bound(C, j):
-        """Rounded-up bound of ||T_j x||_range over each cell (column of the rows C)."""
+    lb, theta_best, prune_tol = np.empty(n), np.empty(n), np.empty(n)
+    held = np.zeros(n)  # each operator's largest bound of a cell left unsplit
+
+    def values(X, own):
+        """||T x||_range for each column x of X, T the operator `own` names; counted in n_evals."""
+        n_evals[:] += np.bincount(own, minlength=n)
+        return rng.norm_cols(apply_cols(mats[0] if n == 1 else mats[own], X))
+
+    def split(C, own):
+        """The cells (columns of the rows C, operators `own`) to split, in
+        the order owner, highest bound first, ties to the lower angle: cells
+        whose rounded-up bound cannot beat their owner's rounded-down lower
+        bound by more than 2 tol are pruned, and the rest split as far as the
+        owner's budget allows.  The bounds of the cells not split go into
+        `held`."""
         t0, a0, b0, g0, t1, a1, b1, g1 = C
-        if rate is None:  # both sphere coordinates are monotone within a cell
-            slack = lip[j] * (np.abs(a1 - a0) + np.abs(b1 - b0))
-        else:
-            slack = rate[j] * (t1 - t0)
-        return (np.maximum(g0, g1) + slack) * up
-
-    lb, theta_best = np.empty(n), np.empty(n)
-    prune_tol = np.empty(n)
-    held = [0.0] * n  # each operator's largest bound of a cell left unsplit
-    splits = [0] * n
-
-    def split(C, j):
-        """Operator j's cells (columns of C) to split: cells whose rounded-up
-        bound cannot beat the rounded-down lower bound by more than 2 tol are
-        pruned; the rest split in the order highest bound first, ties to the
-        lower angle, as far as the budget allows.  The largest bound of the
-        cells not split goes into `held`."""
-        ub = bound(C, j)
-        live = np.flatnonzero(ub > lb[j] * down + 2.0 * prune_tol[j])
-        s = live[np.lexsort((C[0][live], -ub[live]))][:DEFAULT_BUDGET - splits[j]]
-        held[j] = max(held[j], float(np.max(np.delete(ub, s), initial=0.0)))
+        # on l_p^2 both sphere coordinates are monotone within a cell
+        slack = lip[own] * (np.abs(a1 - a0) + np.abs(b1 - b0)) if rate is None else rate[own] * (t1 - t0)
+        ub = (np.maximum(g0, g1) + slack) * up
+        live = np.flatnonzero(ub > (lb * down + 2.0 * prune_tol)[own])
+        s = live[np.lexsort((t0[live], -ub[live], own[live]))]
+        o = own[s]
+        s = s[np.arange(s.size) - np.searchsorted(o, o) < DEFAULT_BUDGET - (n_evals[o] - grid - 1)]
+        ub[s] = 0.0  # every bound is >= 0: a run's largest is now that of a cell not split
+        first = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])  # the first cell of each run of one owner
+        np.maximum.at(held, own[first], np.maximum.reduceat(ub, first))
         return s
 
-    def values(X, runs):
-        """||T_j x||_range for the columns x of X in each run (j, a, b):
-        columns a to b belong to operator j."""
-        if len(runs) == 1:
-            return rng.norm_cols(apply_cols(mats[runs[0][0]], X))
-        return rng.norm_cols(np.hstack([apply_cols(mats[j], X[:, a:b]) for j, a, b in runs]))
-
     # the base level, one operator at a time; the cells are views of the grid
-    pools, cells = [], []  # cells: (owner, its cells to split) for each owner with any
+    pools, cells = [], []
     for j, T in enumerate(ops):
         pool = _grid_pool(T, thetas, X)
-        lip[j] = _column_lipschitz(T)
-        if rate is not None:
-            rate[j] = 2.0 * lip[j] * speed
         best = int(np.argmax(pool.values))
         lb[j], theta_best[j] = pool.values[best], thetas[best]
-        prune_tol[j] = max(tol, 2.0 * rnd * lb[j])
+        prune_tol[j] = max(tol, 2.0 * rnd * lb[j])  # a tol below this floor would never prune the top cell
         ends = (thetas, *X, pool.values)
         C = [r[:-1] for r in ends] + [r[1:] for r in ends]
-        s = split(C, j)
+        s = split(C, np.full(grid, j))
         pools.append(pool)
-        if s.size:
-            cells.append((j, np.vstack([r[s] for r in C])))
+        cells.append(np.vstack([r[s] for r in C]))
+    C, own = np.hstack(cells), np.repeat(np.arange(n), [c.shape[1] for c in cells])
 
-    levels = []  # every level's runs (owner, first, end), points and values
-    while cells:
-        # All midpoints of the level at once, each owner's in one run.  Cells still cover the
-        # circle: a tiled base end is the formula point of a real angle a few ulps from its grid
-        # angle (axis ends exact), so a midpoint, the formula at tm, leaves its cell's arc only in a
-        # cell a few ulps wide, beyond the nearer end, and [a, m], [m, b] still cover [a, b].  A child's
-        # coordinates are monotone in one closed quadrant; one past an axis by d moves the other
-        # coordinate off +-1 by d^2 at most (|x|^p = cos^2; 0 on the square), far inside `rnd`.
-        runs = _owner_runs([j for j, _ in cells], [C.shape[1] for _, C in cells])
-        tm = np.concatenate([0.5 * (C[0] + C[4]) for _, C in cells])
+    levels = []  # every level's owners, points and values
+    while own.size:
+        # All midpoints of the level at once.  Cells still cover the circle: a tiled base end is the
+        # formula point of a real angle a few ulps from its grid angle (axis ends exact), so a midpoint,
+        # the formula at tm, leaves its cell's arc only in a cell a few ulps wide, beyond the nearer end,
+        # and [a, m], [m, b] still cover [a, b].  A child's coordinates are monotone in one closed
+        # quadrant; one past an axis by d moves the other coordinate off +-1 by d^2 at most (|x|^p =
+        # cos^2; 0 on the square), far inside `rnd`.
+        tm = 0.5 * (C[0] + C[4])
         Xm = space.sphere_grid(tm)
-        gm = values(Xm, runs)
-        levels.append((runs, Xm, gm))
-        children = []
-        for (j, C), (_, a, b) in zip(cells, runs):
-            n_evals[j] += b - a
-            splits[j] += b - a
-            k = a + int(np.argmax(gm[a:b]))  # the owner's first maximum of the level
-            if gm[k] > lb[j]:
-                lb[j], theta_best[j] = gm[k], tm[k]
-            mid = np.vstack([tm[a:b], Xm[:, a:b], gm[a:b]])
-            C = np.hstack([np.vstack([C[:4], mid]), np.vstack([mid, C[4:]])])
-            s = split(C, j)
-            if s.size:
-                children.append((j, C[:, s]))
-        cells = children
+        gm = values(Xm, own)
+        levels.append((own, Xm, gm))
+        first = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])  # each owner's first cell
+        top = np.repeat(np.maximum.reduceat(gm, first), np.diff(first, append=own.size))
+        at = np.flatnonzero(gm == top)
+        k = at[np.r_[True, own[at][1:] != own[at][:-1]]]  # each owner's first maximum of the level
+        k = k[gm[k] > lb[own[k]]]
+        lb[own[k]], theta_best[own[k]] = gm[k], tm[k]
+        mid = np.vstack([tm, Xm, gm])
+        C = np.hstack([np.vstack([C[:4], mid]), np.vstack([mid, C[4:]])])
+        own = np.concatenate([own, own])
+        s = split(C, own)
+        C, own = C[:, s], own[s]
     upper = np.maximum(lb, held)
-
-    def objective(owner):
-        """The zoom objective of brackets owned by `owner` (nondecreasing),
-        counting each probe in its owner's n_evals."""
-        owner = np.asarray(owner, dtype=int)
-
-        def f(ts, idx):
-            own = owner[idx]
-            ends = np.append(np.flatnonzero(np.diff(own)) + 1, own.size)
-            runs = _owner_runs(own[ends - 1].tolist(), np.diff(ends, prepend=0).tolist())
-            for j, a, b in runs:
-                n_evals[j] += b - a
-            return values(space.sphere_grid(ts), runs)
-        return f
 
     # sharpen each maximizer within its bracket
     h = TWO_PI / grid
-    t_star, g_star = _zoom_max(objective(range(n)), theta_best - h, theta_best + h)
+    t_star, g_star = _zoom_max(lambda t, i: values(space.sphere_grid(t), i), theta_best - h, theta_best + h)
     better = g_star > lb
     lb = np.where(better, g_star, lb)
     upper = np.where(better, np.maximum(upper, lb), upper)
@@ -363,21 +335,19 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
     lower = lb * down
     achieved = np.maximum(tol, 0.5 * (upper - lower))
     X_star = space.sphere_grid(t_star)
-    t0, w_cut = [], []  # the witness brackets, operator j's from w_cut[j] to w_cut[j + 1]
+    t0, w_own = [], []  # the witness brackets and their operators
     for j, pool in enumerate(pools):
         # the operator's evaluations: base grid, refinement levels, sharpened maximizer
-        mine = [(Xm[:, a:b], gm[a:b]) for runs, Xm, gm in levels for i, a, b in runs if i == j]
+        mine = [(Xm[:, o == j], gm[o == j]) for o, Xm, gm in levels]
         reps = cluster_representatives(
             np.hstack([X] + [x for x, _ in mine] + [X_star[:, j:j + 1]]),
             np.concatenate([pool.values] + [g for _, g in mine] + [g_star[j:j + 1]]),
             space, lb[j] - achieved[j], cluster_tol=0.1, limit=16,
         )
-        w_cut.append(len(t0))
         t0 += [_theta_of(space, x) for x, _v in reps]
-    w_cut.append(len(t0))
-    t0 = np.array(t0)
-    w_own = [j for j in range(n) for _ in range(w_cut[j], w_cut[j + 1])]
-    t_ref, _ = _zoom_max(objective(w_own), t0 - 2 * h, t0 + 2 * h)
+        w_own += [j] * len(reps)
+    t0, w_own = np.array(t0), np.array(w_own)
+    t_ref, _ = _zoom_max(lambda t, i: values(space.sphere_grid(t), w_own[i]), t0 - 2 * h, t0 + 2 * h)
     W = space.sphere_grid(t_ref)
 
     results = []
@@ -387,7 +357,7 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
             note = (note + "; " if note else "") + (
                 f"tolerance relaxed to {achieved[j]:.2e} (plateau, refinement budget or rounding floor)"
             )
-        witnesses = [unit(x, space) for x in W[:, w_cut[j]:w_cut[j + 1]].T]
+        witnesses = [unit(x, space) for x in W[:, w_own == j].T]
         witnesses.sort(key=lambda w: _theta_of(space, w.coords))
         results.append(NormResult(
             value=float(lb[j]),
@@ -398,7 +368,7 @@ def _sweep2d(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
             lower_bound=float(lower[j]),
             upper_bound=float(upper[j]),
             certified=True,
-            n_evals=n_evals[j],
+            n_evals=int(n_evals[j]),
             notes=note,
             space=space,
             pool=pool,
@@ -689,8 +659,8 @@ def _opnorm_rank1(T, tol):
         method=METHOD_EXACT,
         grid_size=0,
         tol=tol,
-        lower_bound=value,
-        upper_bound=value,
+        lower_bound=value * (1.0 - _rounding_allowance(row.size)),  # the float dual norm, rounded outward
+        upper_bound=value * (1.0 + _rounding_allowance(row.size)),
         certified=True,
         n_evals=1,
         notes="rank-one closed form (dual norm of the row)",
