@@ -4,8 +4,9 @@ On a 2D domain NA(T) is represented by cluster representatives of the
 near-attaining evaluations; a continuum of maximizers (more than 25% of the
 grid nearly attains) is flagged, and distances to it can only be
 overestimated.  In dimension >= 3 NA(T) is built exactly from the structure
-or the row that certified the norm, with no search; a continuum spanned by
-parts keeps them, and `AttainmentSet.dists` measures the distance to it.
+or the rows that certified the norm (the union of the attainers of the rows
+within value_tol of ||T||), with no search; a continuum spanned by parts
+keeps them, and `AttainmentSet.dists` measures the distance to it.
 
 The profile rho(eps) = sup{ ||T x|| : dist(x, NA) >= eps } is computed from
 one evaluation pool per operator (base grid or samples plus every refined
@@ -22,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, dual_exponent, pnorm_cols, unit
-from .operators import APPLY_CHUNK, OperatorPQ, apply_cols, dual_attainer, space_from_json, to_json
+from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
+from .operators import APPLY_CHUNK, OperatorPQ, apply_cols, space_from_json, to_json
 from .normcomp import (
     DEFAULT_GRID,
     EvalPool,
@@ -32,13 +33,15 @@ from .normcomp import (
     _angle_grid,
     _base_pool,
     _bisect,
+    _by_rows,
     _climb,
     _greedy,
+    _norms,
     _rank1_attainers,
     _reduce,
+    _rounding_allowance,
+    _row_norms,
     _shared,
-    _sweep2d,
-    _swept,
     _theta_of,
     _zoom_max,
     cluster_representatives,
@@ -206,16 +209,20 @@ def na_set(
 
 def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid) -> AttainmentSet:
     """NA(T) from its certified norm: on a 2D domain as a pass of one on
-    the norm's grid; in dimension >= 3 from T's structure or its row."""
+    the norm's grid; in dimension >= 3 from T's structure or its rows."""
     if T.domain.dim == 2:  # shared by the bits of the norm's value and witnesses
         bits = [float(nr.value).hex()] + [w.coords.tobytes() for w in nr.witnesses]
         return _shared("na", [T], lambda ops, *_: _pass_na(_open_pass(ops, [nr], grid, None, tol), value_tol,
                                                             cluster_tol), value_tol, cluster_tol, tol, grid, *bits)[0]
     reduced, spans = _reduce(T), None
-    if reduced is None:
-        if T.range.dim != 1 or not isinstance(T.domain, SequenceSpace):
-            raise ValueError("a certified norm in dimension >= 3 comes from a structure or a rank-one row")
-        points, continuum = _rank1_attainers(T.domain, T.matrix[0], value_tol)
+    if reduced is None:  # the union of the attainers of the rows within value_tol of the norm
+        if not _by_rows(T):
+            raise ValueError("a certified norm in dimension >= 3 comes from a structure or the rows")
+        (norms,), _ = _row_norms([T])
+        level = nr.value - value_tol
+        sets = [_rank1_attainers(T.domain, row, level) for row in T.matrix[norms >= level]]
+        points = list({x.tobytes(): x for pts, _ in sets for x in pts}.values())  # rows may share attainers
+        continuum = any(c for _, c in sets)
     else:
         subs = nr.parts or [opnorm(R, tol=tol, seed=seed, grid=grid) for R in reduced[0]]
         top = max(sub.value for sub in subs)
@@ -253,37 +260,38 @@ def _row_values(rng, mats, C) -> np.ndarray:
 
 def _open_pass(ops, norms, grid, shared, tol) -> _Pass:
     """The pass of `ops` on `grid` cells, (thetas, X) = `shared` or built here, from their certified `norms`;
-    None computes them: a rank-one group's closed forms at once, any other's in one batched sweep."""
+    None takes them from `_norms`, a row group's as `_row_norms`' arrays."""
     grid += (-grid) % 8
     dom, rng, k, mats = ops[0].domain, ops[0].range, len(ops), np.stack([T.matrix for T in ops])
-    if norms is None and not _swept(ops[0]):
-        x = dual_attainer(dom, mats[:, 0].T)
-        x /= pnorm_cols(x, dom.p, True)  # as `unit` does
-        value, W, pools = pnorm_cols(mats[:, 0].T, dual_exponent(dom.p), True), [[w, -w] for w in x.T], []
+    if norms is None and _by_rows(ops[0]):
+        row_norms, W = _row_norms(ops)
+        value, pools = row_norms.max(axis=1), []
     else:
-        norms = norms if norms is not None else _shared("sweep", ops, _sweep2d, tol, grid)
+        norms = norms if norms is not None else _norms(ops, tol, grid)
         if not all(nr.certified for nr in norms):
             raise UncertifiedNormError("profile computation requires a certified norm")
-        value, W = np.array([nr.value for nr in norms]), [[w.coords for w in nr.witnesses] for nr in norms]
+        value = np.array([nr.value for nr in norms])
+        W = [np.reshape([w.coords for w in nr.witnesses], (-1, 2)).T for nr in norms]
         pools = [nr.pool for nr in norms if nr.pool is not None and nr.grid_size == grid]
     thetas, X = shared or ((pools[0].thetas, pools[0].coords) if pools else _angle_grid(dom, grid))
-    G, w = thetas.size, max(map(len, W))
+    G, n = thetas.size, np.array([ws.shape[1] for ws in W])
+    w = n.max()
     C = np.concatenate([np.broadcast_to(X[:, None], (2, k, G)), np.zeros((2, k, w))], axis=2)
     for j, ws in enumerate(W):
-        C[:, j, G:G + len(ws)] = np.reshape(ws, (-1, 2)).T
+        C[:, j, G:G + n[j]] = ws
     V = np.empty((k, G + w))
     V[:, :G] = [pl.values for pl in pools] if len(pools) == k else _row_values(rng, mats, X[:, None])
-    V[:, G:] = np.where(np.arange(w) < np.array([len(ws) for ws in W])[:, None], _row_values(rng, mats, C[:, :, G:]),
-                        -np.inf)
+    V[:, G:] = np.where(np.arange(w) < n[:, None], _row_values(rng, mats, C[:, :, G:]), -np.inf)
     return _Pass(ops, value, thetas, X, C, V)
 
 
 def _pass_na(P: _Pass, value_tol, cluster_tol) -> list[AttainmentSet]:
     """The attainment sets of a pass's operators (`na_set` on a 2D domain): each row's values within
     value_tol of its norm, clustered greedily by value; the representatives below the norm refined by
-    one zoom call, re-merged, and each replaced by the signed unit axis vector nearest it
-    when that is in its cluster and attains as much (an exact attainer, as a spanned sphere needs)."""
+    one zoom call, re-merged, and each replaced by the signed unit axis vector nearest it when that is
+    in its cluster and attains as much up to rounding (an exact attainer, as a spanned sphere needs)."""
     space, G, floor = P.ops[0].domain, P.thetas.size, P.value - value_tol
+    down = 1.0 - _rounding_allowance(P.ops[0].range.dim)  # antipodes snap alike
     near = P.V >= floor[:, None]
     rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])
     order = np.lexsort((cols, -P.V[rows, cols], rows))  # each row's by value, ties to the lower column
@@ -306,7 +314,7 @@ def _pass_na(P: _Pass, value_tol, cluster_tol) -> list[AttainmentSet]:
     points = [{} for _ in P.ops]
     for o, e, x, c in zip(own.tolist(), E.T, X.T, (_norms_of(space, E - X) < cluster_tol).tolist()):
         T = P.ops[o]
-        y = e if c and T.range.norm(T.apply(e)) >= T.range.norm(T.apply(x)) else x
+        y = e if c and T.range.norm(T.apply(e)) >= T.range.norm(T.apply(x)) * down else x
         points[o].setdefault(tuple(y), y)
     points = [sorted(pts.values(), key=lambda x: _theta_of(space, x)) for pts in points]
     U = np.array(sum(points, [])).T.reshape(2, -1)

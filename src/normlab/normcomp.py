@@ -15,12 +15,12 @@ column the sweep evaluates, zoom probes included.  Operators that share a
 2D domain and a range are swept together, as one array of cells with an
 owner per column, each with the result of its lone sweep.
 
-Higher dimensions use multistart ascent (a dual-map fixed point step with a
-projected-gradient fallback), with every start climbing as one column of a
-single batched `ascend`; those values are flagged as heuristic unless
-the operator carries an exactly reducible structure (block diagonal with
-outer domain exponent <= outer range exponent, or a zero-padded 2D block),
-in which case the certificate composes from certified 2D sweeps.
+`opnorm` tries, in order: an exactly reducible structure (block diagonal
+with outer domain exponent <= outer range exponent, or a zero-padded 2D
+block), composing its parts' norms; the row closed form max_i ||r_i||_p'
+(`_row_norms`) of a functional, or of l_p^n (n >= 3) into l_inf^m; the 2D
+sweep; multistart ascent (one batched `ascend`), flagged heuristic.
+`_norms` decides how a group's certified norms are taken: by rows or swept.
 
 An independent brute-force grid oracle cross-checks every certified value.
 Inside `_sharing` (one `repro.run_all`) 2D results are shared by operator content.
@@ -44,7 +44,6 @@ from .spaces import (
     UnitVector,
     _sphere_grid_3d,
     dual_exponent,
-    pnorm,
     pnorm_cols,
     sample_sphere_coords,
     sphere_param_2d,
@@ -600,9 +599,9 @@ def opnorm(
 ) -> NormResult:
     """sup of ||T x||_range over the domain unit sphere, with witnesses.
 
-    Dispatch: exactly reducible structures compose certified 2D sweeps;
-    2D domains run the certified sweep; rank-one operators into the scalars
-    use the closed-form dual norm; anything else is multistart ascent and is
+    Dispatch, in order: an exactly reducible structure composes its parts'
+    norms; a functional, or l_p^n (n >= 3) into l_inf^m, takes the row closed
+    form; a 2D domain the certified sweep; anything else multistart ascent,
     flagged heuristic.
     """
     if not (0.0 < tol <= 1e-2):
@@ -611,17 +610,44 @@ def opnorm(
     reduced = _reduce(T)
     if reduced is not None:
         return _opnorm_structured(T, reduced, tol, grid, seed)
-    if _swept(T):
-        return _shared("sweep", [T], _sweep2d, tol, grid)[0]
-    if T.range.dim == 1 and isinstance(T.domain, SequenceSpace):
-        return _opnorm_rank1(T, tol)
+    if _by_rows(T) or T.domain.dim == 2:
+        return _norms([T], tol, grid)[0]
     return _opnorm_multistart(T, tol, seed)
 
 
-def _swept(T: OperatorPQ) -> bool:
-    """Whether `opnorm` runs the 2D sweep on T: a 2D domain, and not a
-    rank-one functional on a sequence space."""
-    return T.domain.dim == 2 and not (T.range.dim == 1 and isinstance(T.domain, SequenceSpace))
+def _by_rows(T: OperatorPQ) -> bool:
+    """Whether T's norm is the row closed form: T maps l_p^n into the scalars, or, n >= 3, into l_inf^m (on a
+    2D domain the sweep's grid pool serves the attainment set and the profile)."""
+    return isinstance(T.domain, SequenceSpace) and (T.range.dim == 1 or T.domain.dim >= 3 and isinstance(
+        T.range, SequenceSpace) and T.range.p == INF)
+
+
+def _row_norms(ops: list[OperatorPQ]):
+    """The row closed form ||T|| = max_i ||r_i||_p' of operators that share their spaces (`_by_rows`), in one
+    array pass: the (k, m) dual norms of their rows, and each one's attainers as the columns of an array,
+    +-`dual_attainer` of its maximal rows (ties kept, 16 points at most), normalized as `unit` does."""
+    dom = ops[0].domain
+    R = np.concatenate([T.matrix for T in ops])
+    norms = pnorm_cols(R.T, dual_exponent(dom.p), True).reshape(len(ops), -1)
+    top = norms == norms.max(axis=1, keepdims=True)
+    top &= np.cumsum(top, axis=1) <= 8
+    X = dual_attainer(dom, R[top.ravel()].T)
+    X /= pnorm_cols(X, dom.p, True)
+    X = np.stack([X, -X], axis=2).reshape(dom.dim, -1)  # x_1, -x_1, x_2, -x_2, ...
+    return norms, np.split(X, 2 * np.cumsum(top.sum(axis=1))[:-1], axis=1)
+
+
+def _norms(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:
+    """The certified norms of operators that share their spaces: by rows, each bracket rounded outward by
+    `_rounding_allowance`, or in one batched 2D sweep."""
+    if not _by_rows(ops[0]):
+        return _shared("sweep", ops, _sweep2d, tol, grid)
+    (norms, W), dom = _row_norms(ops), ops[0].domain
+    rnd = _rounding_allowance(dom.dim)
+    return [NormResult(value=float(v), witnesses=[UnitVector(w, dom) for w in ws.T], method=METHOD_EXACT,
+                       grid_size=0, tol=tol, lower_bound=float(v * (1.0 - rnd)), upper_bound=float(v * (1.0 + rnd)),
+                       certified=True, n_evals=norms.shape[1], notes="closed form: the largest dual norm of a row",
+                       space=dom) for v, ws in zip(norms.max(axis=1), W)]
 
 
 def _by_spaces(ops: list[OperatorPQ], run) -> list:
@@ -648,51 +674,30 @@ def _theta_of(space, x) -> float:
     return float(math.atan2(x[1], x[0]) % TWO_PI)
 
 
-def _opnorm_rank1(T, tol):
-    row = T.matrix[0]
-    value = pnorm(row, dual_exponent(T.domain.p))
-    x = dual_attainer(T.domain, row)
-    witnesses = [unit(x, T.domain), unit(-x, T.domain)]
-    return NormResult(
-        value=value,
-        witnesses=witnesses,
-        method=METHOD_EXACT,
-        grid_size=0,
-        tol=tol,
-        lower_bound=value * (1.0 - _rounding_allowance(row.size)),  # the float dual norm, rounded outward
-        upper_bound=value * (1.0 + _rounding_allowance(row.size)),
-        certified=True,
-        n_evals=1,
-        notes="rank-one closed form (dual norm of the row)",
-        space=T.domain,
-    )
-
-
-def _rank1_attainers(space: SequenceSpace, row, value_tol) -> tuple[list[np.ndarray], bool]:
-    """The attainers of x -> |<row, x>| on the unit sphere of `space`, and
-    whether they span a continuum: +-`dual_attainer` for 1 < p < inf; for
-    p in {1, inf} the vertices x of the ball (the +-e_i, or the sign vectors)
-    with |<row, x>| >= ||row||_* - value_tol, a continuum when more than one
-    per sign."""
+def _rank1_attainers(space: SequenceSpace, row, level) -> tuple[list[np.ndarray], bool]:
+    """The points x of the unit sphere of `space` with |<row, x>| >= level (within value_tol of ||row||_*),
+    and whether they span a continuum: +-`dual_attainer` for 1 < p < inf; for p in {1, inf} the vertices
+    of the ball (the +-e_i, or the sign vectors) that reach it, or the best one, a continuum when more than
+    one per sign."""
     if 1.0 < space.p < INF:
         x = dual_attainer(space, row)
         return [x, -x], not row.any()
     X = np.diag(np.where(row >= 0.0, 1.0, -1.0))
-    if space.p == INF:  # sign(row), flipped where |row_i| <= value_tol / 2
-        free = np.flatnonzero(2.0 * np.abs(row) <= value_tol)
+    if space.p == INF:  # sign(row), flipped where 2 |row_i| <= ||row||_1 - level
+        free = np.flatnonzero(2.0 * np.abs(row) <= np.abs(row).sum() - level)
         if free.size > 20:
             raise ValueError(f"{2 ** free.size} attaining sign vectors are too many to list")
         X = np.tile(X.sum(axis=0), (2 ** free.size, 1))
         flips = list(itertools.product((1.0, -1.0), repeat=free.size))
         X[:, free] *= np.reshape(flips, (len(flips), free.size))
     v = X @ row
-    X = X[v >= v.max() - value_tol]
+    X = X[v >= min(level, v.max())]
     return list(np.unique(np.vstack([X, -X]), axis=0)), len(X) > 1
 
 
 def _opnorm_structured(T, reduced, tol, grid, seed):
     parts, offsets, note, _ = reduced
-    subs = _by_spaces(parts, lambda ops: _shared("sweep", ops, _sweep2d, tol, grid) if _swept(ops[0])
+    subs = _by_spaces(parts, lambda ops: _norms(ops, tol, grid) if ops[0].domain.dim == 2
                       else [opnorm(R, tol, grid=grid, seed=seed) for R in ops])
     result = _max_of(subs, T.domain)
     # the attainers of every part within its tol of the norm, embedded at its offset

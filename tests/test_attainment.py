@@ -30,6 +30,15 @@ def test_na_rot_beta1_four_points():
         assert min(T.domain.norm(p.coords - e) for p in na.points) <= 1e-6
 
 
+def test_axis_snap_keeps_attainment_sets_symmetric():
+    """A representative snaps to its axis vector when that attains as much up
+    to rounding: the rotation into l_1.5 attains at exactly the four axes at
+    beta = 1, and at exactly +-e_2 at beta = 0.9, antipodes alike."""
+    for beta, axes in ((1.0, [[1, 0], [0, 1], [-1, 0], [0, -1]]), (0.9, [[0, 1], [0, -1]])):
+        na = nl.na_set(nl.make_rot_lq(beta, 1.5))
+        assert [p.coords.tolist() for p in na.points] == axes
+
+
 def test_na_identity_continuum_flag():
     I = OperatorPQ(np.eye(2), SequenceSpace(2, 2), SequenceSpace(2, 2))
     na = nl.na_set(I)
@@ -411,14 +420,16 @@ def _search_counters(monkeypatch) -> dict:
 
 
 def test_na_set_runs_no_search_in_higher_dimensions(monkeypatch):
-    """Every certified nD gallery set, and a rank-one set on l_3^3, is built
-    from the structure or the closed form: no multistart, ascent or polish."""
+    """Every certified nD gallery set, a rank-one set on l_3^3 and a set of
+    l_1.5^3 -> l_inf^2 are built from the structure or the row closed form:
+    no multistart, ascent or polish."""
     from normlab.repro import gallery_default_cases
 
     ops = [T for T in (nl.from_gallery(tag, **params) for tag, params in gallery_default_cases())
            if T.domain.dim >= 3]
     ops.append(OperatorPQ(np.array([[0.3, -1.2, 0.7]]), SequenceSpace(3, 3.0), SequenceSpace(1, 2.0)))
-    assert len(ops) == 23
+    ops.append(OperatorPQ(np.array([[0.3, -1.2, 0.7], [1.1, 0.2, -0.4]]), SequenceSpace(3, 1.5), SequenceSpace(2, INF)))
+    assert len(ops) == 24
     results = [nl.opnorm(T) for T in ops]
     assert all(nr.certified for nr in results)
     calls = _search_counters(monkeypatch)
@@ -597,7 +608,8 @@ def _ref_na_from_pool(T, pool, nr, value_tol, cluster_tol):
     for x, _ in final:
         e = np.where(np.arange(x.size) == np.argmax(np.abs(x)), np.sign(x), 0.0)
         e = e / T.domain.norm(e)
-        snap = T.domain.norm(e - x) < cluster_tol and T.range.norm(T.apply(e)) >= T.range.norm(T.apply(x))
+        rnd = normcomp._rounding_allowance(T.range.dim)  # e attains as much as x up to rounding
+        snap = T.domain.norm(e - x) < cluster_tol and T.range.norm(T.apply(e)) >= T.range.norm(T.apply(x)) * (1 - rnd)
         out.setdefault(tuple(e if snap else x), e if snap else x)
     points = sorted(out.values(), key=lambda x: normcomp._theta_of(T.domain, x))
     return nl.AttainmentSet([nl.unit(x, T.domain) for x in points], value_tol, cluster_tol, continuum, nr.value)

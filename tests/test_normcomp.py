@@ -648,11 +648,12 @@ def test_norm_result_json_round_trip():
             "certified", "n_evals", "notes", "space"}
     mixed = BlockSpace(2.0, (SequenceSpace(2, 3.0), SequenceSpace(2, 3.0)))
     rank_one = OperatorPQ(np.ones((1, 3)), SequenceSpace(3, 2), SequenceSpace(1, 2))
+    into_inf = OperatorPQ(np.array([[1.0, 2.0, 0.5], [-2.0, 1.0, 0.5]]), SequenceSpace(3, 3), SequenceSpace(2, INF))
     multistart = OperatorPQ(np.random.default_rng(4).standard_normal((4, 4)), mixed, SequenceSpace(4, 2.0))
     cases = {
         METHOD_SWEEP2D: [nl.make_diag_beta(0.5, 2, 2), nl.make_lplq_fail(2, 2, 2),
                          nl.make_block(nl.make_shrinking_blocks(2, p=3.0, q=3.0), 2.0, INF)],
-        "EXACT": [rank_one],
+        "EXACT": [rank_one, into_inf],
         METHOD_MULTISTART: [multistart],
     }
     for method, ops in cases.items():
@@ -708,25 +709,54 @@ def test_batched_sweeps_match_each_operator_alone():
 _rows = st.integers(2, 6).flatmap(
     lambda n: st.lists(st.integers(-8192, 8192), min_size=n, max_size=n)
 ).filter(any).map(lambda ks: np.array(ks) / 1024.0)
+# 1 to 4 such rows of 3 to 6 entries
+_mats = st.tuples(st.integers(1, 4), st.integers(3, 6)).flatmap(
+    lambda s: st.lists(st.lists(st.integers(-8192, 8192), min_size=s[1], max_size=s[1]), min_size=s[0],
+                       max_size=s[0])
+).map(lambda ks: np.array(ks) / 1024.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_rows, st.sampled_from(EXPONENTS))
-def test_rank_one_norm_is_the_dual_norm(row, p):
-    """A functional's norm on l_p^n is the dual norm of its row (60-digit
-    reference), and every attainer na_set reports attains it."""
-    T = OperatorPQ(row.reshape(1, -1), SequenceSpace(row.size, p), SequenceSpace(1, 2.0))
-    nr = nl.opnorm(T)
+@given(_rows, st.sampled_from(EXPONENTS), _mats)
+def test_rank_one_norm_is_the_dual_norm(row, p, mat):
+    """A functional's norm on l_p^n is the dual norm of its row, and the norm
+    of l_p^n -> l_inf^m (n >= 3) the largest dual norm of a row (60-digit
+    references, inside the certified bracket).  Every attainer na_set reports
+    attains the norm: a functional's exactly, the rows' within value_tol; and
+    the rows' profile has eta >= 0."""
     pd = INF if p == 1.0 else (1.0 if p == INF else p / (p - 1.0))
-    with localcontext() as ctx:
-        ctx.prec = 60
-        ref = _dec_pnorm(row, pd)
-        assert abs(Decimal(nr.value) - ref) <= Decimal(1e-14) * ref
-        assert Decimal(nr.lower_bound) <= ref <= Decimal(nr.upper_bound)
-    na = nl.na_set(T, norm_result=nr)
-    assert na.points
-    for pt in na.points:
-        assert abs(float(row @ pt.coords)) >= nr.value * (1.0 - 1e-12)
+    for M, rng in ((row.reshape(1, -1), SequenceSpace(1, 2.0)), (mat, SequenceSpace(len(mat), INF))):
+        T = OperatorPQ(M, SequenceSpace(M.shape[1], p), rng)
+        nr = nl.opnorm(T)
+        assert nr.method == "EXACT" and nr.certified and nr.n_evals == len(M)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = max(_dec_pnorm(r, pd) for r in M)
+            assert abs(Decimal(nr.value) - ref) <= Decimal(1e-14) * ref
+            assert Decimal(nr.lower_bound) <= ref <= Decimal(nr.upper_bound)
+        na = nl.na_set(T, norm_result=nr)
+        assert na.points
+        for pt in na.points:
+            assert T.range.norm(T.apply(pt.coords)) >= nr.value - na.value_tol
+            if M is not mat:
+                assert abs(float(row @ pt.coords)) >= nr.value * (1.0 - 1e-12)
+    prof = nl.sbpb_profile(T, [0.3, 0.9], norm_result=nr, na=na)
+    assert all(h >= 0.0 for h in prof.eta)
+
+
+@pytest.mark.dispatch
+def test_functional_norms_alone_match_their_batch():
+    """`opnorm` of each of 33 functionals, the orbit representatives of
+    `kim_lee_check`'s 256-functional scan on l_p^2 (and on l_3^3), has the
+    value and witness bits of its row of one `_row_norms` call for all 33."""
+    for space in [SequenceSpace(2, p) for p in EXPONENTS] + [SequenceSpace(3, 3.0)]:
+        F = nl.spaces.sample_sphere_coords(space.dual(), 256, 0)[:, :33]
+        ops = [OperatorPQ(f[None], space, SequenceSpace(1, 2.0)) for f in F.T]
+        norms, W = normcomp._row_norms(ops)
+        for T, v, ws in zip(ops, norms.max(axis=1), W):
+            nr = nl.opnorm(T)
+            assert float(nr.value).hex() == float(v).hex()
+            assert [w.coords.tobytes() for w in nr.witnesses] == [w.tobytes() for w in ws.T]
 
 
 @pytest.mark.dispatch
