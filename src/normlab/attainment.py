@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, pnorm_cols, unit
+from .spaces import INF, TWO_PI, SequenceSpace, UnitVector, dual_exponent, pnorm_cols, unit
 from .operators import APPLY_CHUNK, OperatorPQ, apply_cols, space_from_json, to_json
 from .normcomp import (
     DEFAULT_GRID,
@@ -218,7 +218,7 @@ def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid) 
     if reduced is None:  # the union of the attainers of the rows within value_tol of the norm
         if not _by_rows(T):
             raise ValueError("a certified norm in dimension >= 3 comes from a structure or the rows")
-        (norms,), _ = _row_norms([T])
+        norms = pnorm_cols(T.matrix.T, dual_exponent(T.domain.p), True)  # `_row_norms`' bits
         level = nr.value - value_tol
         sets = [_rank1_attainers(T.domain, row, level) for row in T.matrix[norms >= level]]
         points = list({x.tobytes(): x for pts, _ in sets for x in pts}.values())  # rows may share attainers

@@ -115,10 +115,12 @@ def delta_numeric(space, epsilons, *, grid: int = 64) -> ConvexityModulus:
     runs along the circle from x to -x: each x(theta) has one chord point,
     found by bisection.  The first least of `grid` angles on the fundamental
     domain ([0, pi/2) on l_p^2, [0, pi) on a `Norm2D`) is refined on
-    shrinking 9-point grids.  A 3D `SequenceSpace` takes l_p^2's values
-    (delta(l_p^n) = delta(l_p^2)), witnesses padded with a zero.  A pair
-    feasible at eps is feasible below it, so the running minimum from the
-    largest eps down makes delta nondecreasing in eps exactly as computed.
+    shrinking 9-point grids, each bisecting from a bracket predicted by the
+    grid before and checked at its ends (else from [0, pi]).  A 3D
+    `SequenceSpace` takes l_p^2's values (delta(l_p^n) = delta(l_p^2)),
+    witnesses padded with a zero.  A pair feasible at eps is feasible below
+    it, so the running minimum from the largest eps down makes delta
+    nondecreasing in eps exactly as computed.
     """
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
@@ -144,8 +146,8 @@ def delta_numeric(space, epsilons, *, grid: int = 64) -> ConvexityModulus:
     return ConvexityModulus(space, epsilons, deltas, witnesses)
 
 
-def _chords(space, thetas, eps):
-    """(1 - ||(x + y)/2||, x, y) at the eps-chord of every x(theta_i), eps_i.
+def _chords(space, thetas, eps, lo=None, hi=None):
+    """(1 - ||(x + y)/2||, x, y, phi) at the eps-chord of every x(theta_i), eps_i.
 
     The level is eps exactly: a slack below it would let through, at eps = 2
     on l_2, a chord at pi - phi ~ 1e-6 of value 1 - 1e-6.  Where the distance
@@ -153,33 +155,50 @@ def _chords(space, thetas, eps):
     chord within ANTIPODAL_GAP of pi is (x, -x), of value exactly 1; that
     moves only values within about ANTIPODAL_GAP / 2 of 1.  An outward level,
     eps (1 + 8u), would lose l_1's (e1, e2), whose distance computes to 2.0.
+    A bracket [lo_i, hi_i] is kept where the distance is below eps at lo_i
+    and reaches it at hi_i (or hi_i = pi), else [0, pi] is bisected: the
+    distance does not decrease, so both hold the same first crossing.
     """
     n = thetas.size
     X = space.sphere_grid(thetas)
-    phi = _bisect(lambda f: space.norm_cols(X - space.sphere_grid(thetas + f)),
-                  np.zeros(n), np.full(n, math.pi), eps, np.zeros(n, bool))
+    if lo is None:
+        lo, hi = np.zeros(n), np.full(n, math.pi)
+    else:  # the distance at both ends in one call
+        d = space.norm_cols(np.hstack([X, X]) - space.sphere_grid(np.concatenate([thetas + lo, thetas + hi])))
+        kept = (d[:n] < eps) & ((d[n:] >= eps) | (hi == math.pi))
+        lo, hi = np.where(kept, lo, 0.0), np.where(kept, hi, math.pi)
+    phi = _bisect(lambda f: space.norm_cols(X - space.sphere_grid(thetas + f)), lo, hi, eps, np.zeros(n, bool))
     antipodal = math.pi - phi <= ANTIPODAL_GAP
     Y = np.where(antipodal, -X, space.sphere_grid(thetas + phi))
-    return np.where(antipodal, 1.0, 1.0 - space.norm_cols((X + Y) / 2.0)), X, Y
+    return np.where(antipodal, 1.0, 1.0 - space.norm_cols((X + Y) / 2.0)), X, Y, phi
 
 
 def _delta_chord(space, epsilons, grid, period):
     """The least chord value of each eps over `grid` angles on [0, period),
     then ten levels of 9 angles around the best, spans shrinking 4x per
-    level; every (theta, eps) column of a level in one bisection."""
+    level; every (theta, eps) column of a level in one bisection, bracketed
+    (and checked by `_chords`) by linear interpolation of the level before's
+    chord angles, widened by their second difference plus 1e-14."""
     m = len(epsilons)
     rows = np.arange(m)
     T = np.tile(np.linspace(0.0, period, grid, endpoint=False), (m, 1))
     best_t, best_g, best_x, best_y = np.zeros(m), np.full(m, np.inf), np.zeros((2, m)), np.zeros((2, m))
-    span = period / grid
+    span, lo, hi, w = period / grid, None, None, np.linspace(-1.0, 1.0, 9)
     for _ in range(11):
-        g, X, Y = _chords(space, T.ravel(), np.repeat(epsilons, T.shape[1]))
-        k = g.reshape(T.shape).argmin(axis=1) + T.shape[1] * rows  # the first least angle
+        g, X, Y, phi = _chords(space, T.ravel(), np.repeat(epsilons, T.shape[1]), lo, hi)
+        j, phi = g.reshape(T.shape).argmin(axis=1), phi.reshape(T.shape)  # the first least angle
+        k = j + T.shape[1] * rows
         better = g[k] < best_g
         best_t = np.where(better, T.ravel()[k], best_t)
         best_g = np.where(better, g[k], best_g)
         best_x = np.where(better, X[:, k], best_x)
         best_y = np.where(better, Y[:, k], best_y)
+        # phi one step before, at and after the new centre; phi has period `period`, so the first
+        # grid wraps round exactly, while a later level's wrapped end is only a poor guess
+        P = np.hstack([phi[:, [-1]], phi, phi[:, [0]]])
+        a, c, b = (P[rows, np.where(better, j, T.shape[1] // 2) + i][:, None] for i in range(3))
+        guess, r = c + np.abs(w) * (np.where(w < 0.0, a, b) - c), np.abs(a - 2.0 * c + b) + 1e-14
+        lo, hi = np.clip(guess - r, 0.0, math.pi).ravel(), np.clip(guess + r, 0.0, math.pi).ravel()
         T = best_t[:, None] + np.linspace(-span, span, 9)
         span /= 4.0
     return np.maximum(best_g, 0.0).tolist(), list(zip(best_x.T, best_y.T))

@@ -625,7 +625,7 @@ def _by_rows(T: OperatorPQ) -> bool:
 def _row_norms(ops: list[OperatorPQ]):
     """The row closed form ||T|| = max_i ||r_i||_p' of operators that share their spaces (`_by_rows`), in one
     array pass: the (k, m) dual norms of their rows, and each one's attainers as the columns of an array,
-    +-`dual_attainer` of its maximal rows (ties kept, 16 points at most), normalized as `unit` does."""
+    +-`dual_attainer` of its maximal rows (ties kept, 16 points at most, each once), normalized as `unit` does."""
     dom = ops[0].domain
     R = np.concatenate([T.matrix for T in ops])
     norms = pnorm_cols(R.T, dual_exponent(dom.p), True).reshape(len(ops), -1)
@@ -634,7 +634,8 @@ def _row_norms(ops: list[OperatorPQ]):
     X = dual_attainer(dom, R[top.ravel()].T)
     X /= pnorm_cols(X, dom.p, True)
     X = np.stack([X, -X], axis=2).reshape(dom.dim, -1)  # x_1, -x_1, x_2, -x_2, ...
-    return norms, np.split(X, 2 * np.cumsum(top.sum(axis=1))[:-1], axis=1)
+    W = np.split(X, 2 * np.cumsum(top.sum(axis=1))[:-1], axis=1)
+    return norms, [w[:, ~np.tril((w[:, :, None] == w[:, None]).all(axis=0), -1).any(axis=1)] for w in W]
 
 
 def _norms(ops: list[OperatorPQ], tol: float, grid: int) -> list[NormResult]:

@@ -805,3 +805,14 @@ def test_bisect_stops_at_its_fixed_point_with_the_bits_of_60_halvings(monkeypatc
         nl.sbpb_profile(T, [0.5 * (d[0] + d[1])], grid=8192)
         assert calls[-1][1] == 0.0
     assert len(calls) == 6 and all(steps < 60 for steps, _ in calls)
+
+
+def test_row_attainment_set_builds_no_row_attainers(monkeypatch):
+    """`na_set` by rows takes only the row norms, so a dim-3 scan of 16
+    functionals makes one `dual_attainer` call per functional for its norm
+    and one for its attainment set (48 when the set also built the norm's)."""
+    calls = []
+    real = normcomp.dual_attainer
+    monkeypatch.setattr(normcomp, "dual_attainer", lambda *a: calls.append(1) or real(*a))
+    nl.kim_lee_check(SequenceSpace(3, 3.0), [0.5, 0.9], 16)
+    assert len(calls) == 32

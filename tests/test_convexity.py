@@ -6,7 +6,7 @@ import pytest
 
 import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace
-from normlab import attainment
+from normlab import attainment, convexity
 from normlab.attainment import _profile_parts
 from normlab.convexity import ANTIPODAL_GAP, ETA_NEAR_ZERO_CEIL, ETA_POSITIVE_FLOOR, _delta_chord, lp_handle
 from normlab.normcomp import _bisect
@@ -261,14 +261,20 @@ def test_dim3_batch_climbs_in_one_constrained_ascent(monkeypatch):
 
 def _delta_chord_sequential(space, epsilons, grid=64):
     """Reference: the chord sweep one eps and one refinement level at a time,
-    then the running minimum from the largest eps down."""
+    each level's chords bracketed from the level before's and checked at
+    their ends, then the running minimum from the largest eps down."""
     period = math.pi / 2.0 if isinstance(space, SequenceSpace) else math.pi
 
-    def chords(thetas, eps):
+    def chords(thetas, eps, brackets):
         X = space.sphere_grid(thetas)
         n = thetas.size
+        lo, hi = np.zeros(n), np.full(n, math.pi)
+        for j, (a, b) in enumerate(brackets):
+            fa, fb = (space.norm_cols(X[:, j:j + 1] - space.sphere_grid(thetas[j] + e))[0] for e in (a, b))
+            if fa < eps and (fb >= eps or b == math.pi):
+                lo[j], hi[j] = a, b
         phi = _bisect(lambda f: space.norm_cols(X - space.sphere_grid(thetas + f)),
-                      np.zeros(n), np.full(n, math.pi), np.full(n, eps), np.zeros(n, bool))
+                      lo, hi, np.full(n, eps), np.zeros(n, bool))
         out = []
         for j in range(n):
             x = X[:, j]
@@ -277,20 +283,32 @@ def _delta_chord_sequential(space, epsilons, grid=64):
             else:
                 y = space.sphere_grid(thetas[j] + phi[j])[:, 0]
                 out.append((1.0 - space.norm_cols(((x + y) / 2.0)[:, None])[0], x, y))
+        return out, phi
+
+    def brackets(phi, k):
+        """phi interpolated at the next level's 9 angles, which span one step
+        on each side of angle k; the first grid's neighbours wrap round."""
+        a, c, b = phi[(k - 1) % phi.size], phi[k], phi[(k + 1) % phi.size]
+        r = abs(a - 2.0 * c + b) + 1e-14
+        out = []
+        for w in np.linspace(-1.0, 1.0, 9):
+            guess = c + abs(w) * ((a if w < 0.0 else b) - c)
+            out.append(tuple(min(max(e, 0.0), math.pi) for e in (guess - r, guess + r)))
         return out
 
     deltas, witnesses = [], []
     for eps in epsilons:
         thetas = np.linspace(0.0, period, grid, endpoint=False)
-        vals = chords(thetas, eps)
+        vals, phi = chords(thetas, eps, [])
         k = min(range(grid), key=lambda j: (vals[j][0], j))
         t, (g, x, y), span = thetas[k], vals[k], period / grid
         for _ in range(10):
             level = t + np.linspace(-span, span, 9)
-            vals = chords(level, eps)
+            vals, phi = chords(level, eps, brackets(phi, k))
             i = min(range(9), key=lambda j: (vals[j][0], j))
+            k = 4  # the centre, unless a better angle moves it
             if vals[i][0] < g:
-                t, (g, x, y) = level[i], vals[i]
+                t, (g, x, y), k = level[i], vals[i], i
             span /= 4.0
         deltas.append(max(g, 0.0))
         witnesses.append((x, y))
@@ -312,6 +330,59 @@ def test_delta_batch_matches_sequential_refinement(p):
         assert mod.delta == deltas
         for (x, y), (rx, ry) in zip(mod.witness_pairs, witnesses):
             assert np.array_equal(x, rx) and np.array_equal(y, ry)
+
+
+WARM_PS = [1.0, 1.2, 1.5, 2.0, 3.0, 4.0]
+WARM_SPACES = [SequenceSpace(2, p) for p in WARM_PS + [INF]] + [lp_handle(p) for p in WARM_PS]
+
+
+@pytest.mark.dispatch
+def test_warm_chords_are_crossings_or_the_cold_answer(monkeypatch):
+    """Every (theta, eps) column of every level: the warm chord angle phi is
+    a crossing of the distance f, f(phi) >= eps > f(nextafter(phi, 0)), with
+    f(pi) >= eps taken as known, as the bisection takes it (at eps = 2 the
+    computed f can read 2 - u there), or it is what bisection from [0, pi]
+    returns."""
+    levels, chords = [], convexity._chords
+    monkeypatch.setattr(convexity, "_chords", lambda *a: levels.append(a) or chords(*a))
+    for space in WARM_SPACES:
+        levels.clear()
+        nl.delta_numeric(space, [0.05, 0.5, 1.9, 2.0])
+        assert len(levels) == 11
+        for _, thetas, eps, *bracket in levels:
+            phi = chords(space, thetas, eps, *bracket)[3]
+            X = space.sphere_grid(thetas)
+            f = [space.norm_cols(X - space.sphere_grid(thetas + e)) for e in (phi, np.nextafter(phi, 0.0))]
+            assert np.all((((f[0] >= eps) | (phi == math.pi)) & (f[1] < eps)) | (phi == chords(space, thetas, eps)[3]))
+
+
+@pytest.mark.dispatch
+def test_wrong_chord_brackets_fall_back_to_the_cold_bisection(monkeypatch):
+    """Brackets that fail their end check give the cold sweep's delta and
+    witnesses bit for bit: [0, 1e-3] lies below every crossing here, and
+    [3, 3] fails at one end or the other (f(3) < eps <= f(3) cannot hold)."""
+    eps, chords = [0.05, 0.3, 1.0, 1.9, 2.0], convexity._chords
+
+    def sweep(space, wrong):
+        monkeypatch.setattr(convexity, "_chords", lambda sp, t, e, lo=None, hi=None: chords(sp, t, e, *(
+            (np.resize([0.0, 3.0], t.size), np.resize([1e-3, 3.0], t.size)) if wrong and lo is not None else ())))
+        mod = nl.delta_numeric(space, eps)
+        return mod.delta, [(x.tobytes(), y.tobytes()) for x, y in mod.witness_pairs]
+
+    for space in WARM_SPACES:
+        assert sweep(space, True) == sweep(space, False)
+
+
+def test_warm_chords_bisect_the_functional_scan_sweeps_in_fewer_steps(monkeypatch):
+    """The five seed-0 `functional-scan` sweeps (l_p^2, p in {1, 1.5, 2, 3,
+    inf}, at its five eps) take at most 1,900 bisection steps; from [0, pi]
+    at every level they took 3,180."""
+    steps, bisect = [], convexity._bisect
+    monkeypatch.setattr(convexity, "_bisect", lambda f, *a: bisect(lambda x: steps.append(1) or f(x), *a))
+    eps = [0.284114316166169, 0.5517833500585927, 1.0022549442737219, 1.380986827490083, 1.8567597178069544]
+    for p in EXPONENTS:
+        nl.delta_numeric(SequenceSpace(2, p), eps)
+    assert len(steps) <= 1900
 
 
 def test_kim_lee_rejects_bad_inputs():

@@ -759,6 +759,18 @@ def test_functional_norms_alone_match_their_batch():
             assert [w.coords.tobytes() for w in nr.witnesses] == [w.tobytes() for w in ws.T]
 
 
+@pytest.mark.parametrize("rows, distinct", [(np.zeros((5, 3)), [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+                                             ([[1, 2, 3], [1, 2, 3], [-1, -2, -3]], [[1, 2, 3], [-1, -2, -3]])])
+def test_parallel_rows_give_each_witness_once(rows, distinct):
+    """An attainer of several maximal rows (the zero operator's e1, or x and
+    -x of parallel rows) is one witness, in first-seen order."""
+    T = OperatorPQ(np.asarray(rows, dtype=float), SequenceSpace(3, 2.0), SequenceSpace(len(rows), INF))
+    W = [w.coords for w in nl.opnorm(T).witnesses]
+    assert len(W) == 2
+    for w, d in zip(W, distinct):
+        assert np.allclose(w, np.divide(d, np.linalg.norm(d)), rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.dispatch
 def test_cluster_representatives_order_ties_by_column():
     """Tied values are taken lowest column first, whatever the sort kernel:
