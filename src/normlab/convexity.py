@@ -193,8 +193,8 @@ def _delta_chord(space, epsilons, grid, period):
         best_g = np.where(better, g[k], best_g)
         best_x = np.where(better, X[:, k], best_x)
         best_y = np.where(better, Y[:, k], best_y)
-        # phi one step before, at and after the new centre; phi has period `period`, so the first
-        # grid wraps round exactly, while a later level's wrapped end is only a poor guess
+        # phi one step before, at and after the new centre (the old one where nothing improved); phi has
+        # period `period`, so the first grid wraps round exactly, a later level's wrapped end is a poor guess
         P = np.hstack([phi[:, [-1]], phi, phi[:, [0]]])
         a, c, b = (P[rows, np.where(better, j, T.shape[1] // 2) + i][:, None] for i in range(3))
         guess, r = c + np.abs(w) * (np.where(w < 0.0, a, b) - c), np.abs(a - 2.0 * c + b) + 1e-14
