@@ -49,10 +49,43 @@ def _gallery_params(args) -> dict:
 def _operator_from_args(args) -> OperatorPQ:
     if args.tag:
         return from_gallery(args.tag, **_gallery_params(args))
-    M = _parse_matrix(getattr(args, "matrix", None), getattr(args, "matrix_file", None))
+    M = _parse_matrix(args.matrix, args.matrix_file)
     p = args.p if args.p is not None else 2.0
     q = args.q if args.q is not None else 2.0
     return OperatorPQ(M, SequenceSpace(M.shape[1], p), SequenceSpace(M.shape[0], q))
+
+
+def _analysis_kw(args) -> dict:
+    return {"tol": args.tol, "seed": args.seed, "grid": args.grid or DEFAULT_GRID}
+
+
+def _eta(args):
+    T = _operator_from_args(args)
+    eps = args.eps if args.eps else default_epsilons(T.domain)
+    return sbpb_profile(T, eps, **_analysis_kw(args))
+
+
+def _delta(args):
+    space = SequenceSpace(args.dim, args.p)
+    eps = args.eps if args.eps else [0.25, 0.5, 1.0, 1.5, 2.0]
+    return delta_numeric(space, eps, **({"grid": args.grid} if args.grid else {}))
+
+
+def _repro(args) -> list:
+    """The reports of the chosen mode, written to the report directory if asked, whatever the mode."""
+    if args.all:
+        reports = repro_mod.run_all(seed=args.seed)
+    elif args.tag == "F-CERT":
+        reports = [repro_mod.monotonicity_certificate(args.q if args.q is not None else 1.5)]
+    elif args.tag == "POSITIVE-BATCH":
+        reports = [repro_mod.positive_side_batch(seed=args.seed)]
+    elif args.tag:
+        reports = [repro_mod.reproduce(args.tag, _gallery_params(args), seed=args.seed)]
+    else:
+        raise HypothesisError("repro requires --tag or --all")
+    if args.write_reports:
+        repro_mod.write_reports(reports, args.report_dir or os.environ.get("NORMLAB_REPORT_DIR", "reports"))
+    return reports
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -69,6 +102,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _write(result, args) -> int:
+    """Write a command's result to --output in its --format; exit 1 if it lists a failing report."""
+    if args.format == "csv":
+        text = result.to_csv_text()
+    elif isinstance(result, list):
+        text = _json_text([r.to_json_dict() for r in result])
+    elif isinstance(result, dict):
+        text = _json_text(result)
+    else:
+        text = _json_text(result.to_json_dict())
+    _emit(text, args.output)
+    return 1 if isinstance(result, list) and not all(r.overall for r in result) else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="normlab",
@@ -77,154 +124,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, formats=("json", "csv")):
-        sp.add_argument("--p", type=_parse_exponent, default=None, help="domain exponent (accepts 'inf')")
-        sp.add_argument("--q", type=_parse_exponent, default=None, help="range exponent (accepts 'inf')")
-        sp.add_argument("--tag", choices=GALLERY_TAGS, default=None, help="gallery construction tag")
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--dim", type=int, default=None)
-        sp.add_argument("--blocks", type=int, default=None)
-        sp.add_argument("--matrix", default=None, help='row-semicolon string, e.g. "0.5,0;0,1"')
-        sp.add_argument("--matrix-file", default=None, help="path to a JSON array of rows")
-        sp.add_argument("--tol", type=float, default=1e-4)
-        sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=formats, default="json")
+    def command(name, help, run, *, tags=None, analysis=False, formats=("json",), default="json"):
+        """The subcommand `name` running `run`: with the gallery options if `tags` (the --tag
+        choices) is given, the operator-analysis options if `analysis`, and --format/--output."""
+        sp = sub.add_parser(name, help=help)
+        if tags is not None:
+            sp.add_argument("--p", type=_parse_exponent, default=None, help="domain exponent (accepts 'inf')")
+            sp.add_argument("--q", type=_parse_exponent, default=None, help="range exponent (accepts 'inf')")
+            sp.add_argument("--tag", choices=tags, default=None, help="gallery construction tag")
+            sp.add_argument("--beta", type=float, default=None)
+            sp.add_argument("--dim", type=int, default=None)
+            sp.add_argument("--blocks", type=int, default=None)
+            sp.add_argument("--seed", type=int, default=0)
+        if analysis:
+            sp.add_argument("--matrix", default=None, help='row-semicolon string, e.g. "0.5,0;0,1"')
+            sp.add_argument("--matrix-file", default=None, help="path to a JSON array of rows")
+            sp.add_argument("--tol", type=float, default=1e-4)
+            sp.add_argument("--grid", type=int, default=None)
+        sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--output", default=None, help="output path (default: stdout)")
+        sp.set_defaults(run=run)
+        return sp
 
-    add_common(sub.add_parser("opnorm", help="certified operator norm with witnesses"), ("json",))
-    add_common(sub.add_parser("na", help="norm-attaining set representatives"), ("json",))
+    command("opnorm", "certified operator norm with witnesses",
+            lambda args: opnorm(_operator_from_args(args), **_analysis_kw(args)), tags=GALLERY_TAGS, analysis=True)
+    command("na", "norm-attaining set representatives",
+            lambda args: na_set(_operator_from_args(args), **_analysis_kw(args)), tags=GALLERY_TAGS, analysis=True)
 
-    sp = sub.add_parser("eta", help="modulus profile (epsilon, rho, eta)")
-    add_common(sp)
+    sp = command("eta", "modulus profile (epsilon, rho, eta)", _eta, tags=GALLERY_TAGS, analysis=True,
+                 formats=("json", "csv"))
     sp.add_argument("--eps", type=float, action="append", default=None,
                     help="profile epsilon (repeatable; default: log grid)")
 
-    sp = sub.add_parser("delta", help="modulus of uniform convexity")
+    sp = command("delta", "modulus of uniform convexity", _delta, formats=("json", "csv"), default="csv")
     sp.add_argument("--p", type=_parse_exponent, required=True)
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--eps", type=float, action="append", default=None)
     sp.add_argument("--grid", type=int, default=None,
                     help="coarse angle count on the fundamental domain (default: the library's)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-    sp.add_argument("--output", default=None)
 
-    sp = sub.add_parser("auerbach", help="Auerbach system for l_p^2")
+    sp = command("auerbach", "Auerbach system for l_p^2", lambda args: auerbach_2d(SequenceSpace(2, args.p)))
     sp.add_argument("--p", type=_parse_exponent, required=True)
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--output", default=None)
 
-    sp = sub.add_parser("repro", help="run a construction's claim checklist")
-    sp.add_argument("--tag", choices=GALLERY_TAGS + ("F-CERT", "POSITIVE-BATCH"), default=None)
+    sp = command("repro", "run a construction's claim checklist", _repro,
+                 tags=GALLERY_TAGS + ("F-CERT", "POSITIVE-BATCH"))
     sp.add_argument("--all", action="store_true", help="run the whole default bundle")
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--p", type=_parse_exponent, default=None)
-    sp.add_argument("--q", type=_parse_exponent, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--blocks", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--write-reports", action="store_true",
                     help="write reports/<tag>.json and reports/index.csv")
     sp.add_argument("--report-dir", default=None,
                     help="report directory (default: $NORMLAB_REPORT_DIR or ./reports)")
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--output", default=None)
 
-    sp = sub.add_parser("gallery", help="list construction tags, parameters, and claims")
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--output", default=None)
+    command("gallery", "list construction tags, parameters, and claims", lambda args: repro_mod.GALLERY_INFO)
     return ap
 
 
-def _analysis_kw(args) -> dict:
-    return {"tol": args.tol, "seed": args.seed, "grid": args.grid or DEFAULT_GRID}
-
-
-def _cmd_opnorm(args) -> int:
-    T = _operator_from_args(args)
-    res = opnorm(T, **_analysis_kw(args))
-    _emit(_json_text(res.to_json_dict()), args.output)
-    return 0
-
-
-def _cmd_na(args) -> int:
-    T = _operator_from_args(args)
-    res = na_set(T, **_analysis_kw(args))
-    _emit(_json_text(res.to_json_dict()), args.output)
-    return 0
-
-
-def _cmd_eta(args) -> int:
-    T = _operator_from_args(args)
-    eps = args.eps if args.eps else default_epsilons(T.domain)
-    prof = sbpb_profile(T, eps, **_analysis_kw(args))
-    if args.format == "csv":
-        _emit(prof.to_csv_text(), args.output)
-    else:
-        _emit(_json_text(prof.to_json_dict()), args.output)
-    return 0
-
-
-def _cmd_delta(args) -> int:
-    space = SequenceSpace(args.dim, args.p)
-    eps = args.eps if args.eps else [0.25, 0.5, 1.0, 1.5, 2.0]
-    mod = delta_numeric(space, eps, **({"grid": args.grid} if args.grid else {}))
-    if args.format == "csv":
-        _emit(mod.to_csv_text(), args.output)
-    else:
-        _emit(_json_text(mod.to_json_dict()), args.output)
-    return 0
-
-
-def _cmd_auerbach(args) -> int:
-    system = auerbach_2d(SequenceSpace(2, args.p))
-    _emit(_json_text(system.to_json_dict()), args.output)
-    return 0
-
-
-def _cmd_repro(args) -> int:
-    if args.all:
-        out_dir = None
-        if args.write_reports:
-            out_dir = args.report_dir or os.environ.get("NORMLAB_REPORT_DIR", "reports")
-        reports = repro_mod.run_all(seed=args.seed, out_dir=out_dir)
-    elif args.tag == "F-CERT":
-        reports = [repro_mod.monotonicity_certificate(args.q if args.q is not None else 1.5)]
-    elif args.tag == "POSITIVE-BATCH":
-        reports = [repro_mod.positive_side_batch(seed=args.seed)]
-    elif args.tag:
-        reports = [repro_mod.reproduce(args.tag, _gallery_params(args), seed=args.seed)]
-        if args.write_reports:
-            out_dir = args.report_dir or os.environ.get("NORMLAB_REPORT_DIR", "reports")
-            repro_mod.write_reports(reports, out_dir)
-    else:
-        raise HypothesisError("repro requires --tag or --all")
-    _emit(_json_text([r.to_json_dict() for r in reports]), args.output)
-    return 0 if all(r.overall for r in reports) else 1
-
-
-def _cmd_gallery(args) -> int:
-    _emit(_json_text(repro_mod.GALLERY_INFO), args.output)
-    return 0
-
-
-_COMMANDS = {
-    "opnorm": _cmd_opnorm,
-    "na": _cmd_na,
-    "eta": _cmd_eta,
-    "delta": _cmd_delta,
-    "auerbach": _cmd_auerbach,
-    "repro": _cmd_repro,
-    "gallery": _cmd_gallery,
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _write(args.run(args), args)
     except (HypothesisError, UncertifiedNormError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

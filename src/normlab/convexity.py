@@ -357,6 +357,8 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
     permutations, isometries that keep eta(eps, x*), so only j <= n/8, one
     functional per orbit, is profiled (`n_profiled`); otherwise all n are.
     """
+    if isinstance(space, Norm2D):
+        raise ValueError("functional scan samples functionals on the dual sphere, which a general 2D norm lacks")
     if space.dim not in (2, 3):
         raise ValueError("functional scan supports dimensions 2 and 3")
     epsilons = sorted(float(e) for e in epsilons)

@@ -213,7 +213,7 @@ def _base_pool(T: OperatorPQ, seed: int, base: EvalPool | None = None) -> EvalPo
     """T's pool in dimension >= 3: samples + starts, or the points of `base` (same domain and seed)."""
     if base is None:
         samples = sample_sphere_coords(T.domain, 1024, seed + 7)
-        base = EvalPool(np.hstack([samples, _start_coords(T, 16, seed + 11)]), None)
+        base = EvalPool(np.hstack([samples, _start_coords(T, seed + 11)]), None)
     return replace(base, values=T.range_values(base.coords))
 
 
@@ -494,7 +494,7 @@ def polish(T: OperatorPQ, x0, steps: int = 120, alpha0: float = 1e-3):
     return x, f
 
 
-def _start_coords(T: OperatorPQ, n_starts: int, seed: int) -> np.ndarray:
+def _start_coords(T: OperatorPQ, seed: int) -> np.ndarray:
     dim = T.domain.dim
     cols = [np.eye(dim), -np.eye(dim)]
     p = getattr(T.domain, "p", None)
@@ -503,14 +503,13 @@ def _start_coords(T: OperatorPQ, n_starts: int, seed: int) -> np.ndarray:
             [[1.0 if (k >> i) & 1 else -1.0 for k in range(2 ** dim)] for i in range(dim)]
         )
         cols.append(signs)
-    fill = max(n_starts, 64)
-    cols.append(sample_sphere_coords(T.domain, fill, seed))
+    cols.append(sample_sphere_coords(T.domain, 64, seed))
     X = np.hstack(cols)
     return X / T.domain.norm_cols(X)
 
 
-def _multistart(T: OperatorPQ, seed: int, n_starts: int = 64):
-    finals, values = ascend(T, _start_coords(T, n_starts, seed))
+def _multistart(T: OperatorPQ, seed: int):
+    finals, values = ascend(T, _start_coords(T, seed))
     samples = sample_sphere_coords(T.domain, 512, seed + 1)
     coords = np.hstack([samples, finals])
     vals = np.concatenate([T.range_values(samples), values])

@@ -487,7 +487,8 @@ def gallery_default_cases() -> list[tuple[str, dict]]:
 
 def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[ReproReport]:
     """Every harness at default parameters, plus the derivative certificates
-    and the positive-side batch; failures are recorded, never thrown.  Their
+    and the positive-side batch; failures are recorded, never thrown.  `tags`,
+    if given, keeps the listed gallery tags, F-CERT and POSITIVE-BATCH.  Their
     2D results are shared by operator content for the call (`normcomp._sharing`)."""
     reports: list[ReproReport] = []
     with _sharing():
@@ -495,10 +496,10 @@ def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[Rep
             if tags is not None and tag not in tags:
                 continue
             reports.append(reproduce(tag, params, seed=seed))
-        if tags is None or "F-CERT" in (tags or []):
+        if tags is None or "F-CERT" in tags:
             for q in (1.0, 1.2, 1.5, 1.9):
                 reports.append(monotonicity_certificate(q))
-        if tags is None:
+        if tags is None or "POSITIVE-BATCH" in tags:
             reports.append(positive_side_batch(seed=seed))
     if out_dir is not None:
         write_reports(reports, out_dir)

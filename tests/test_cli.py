@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -188,3 +190,39 @@ def test_json_only_commands_refuse_csv_before_any_work(capsys, monkeypatch, comm
         cli.main([command, "--tag", "BLOCK-N", "--blocks", "5", "--format", "csv"])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ["F-CERT", "POSITIVE-BATCH"])
+def test_repro_writes_reports_in_every_mode(capsys, tmp_path, tag):
+    """`--write-reports` writes the reports printed, whichever way repro picked them
+    (a gallery tag: `test_repro_success_exit_zero`)."""
+    code, out, _ = run_cli(capsys, "repro", "--tag", tag, "--write-reports", "--report-dir", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / f"{tag}.json") as f:
+        written = json.load(f)
+    assert [r["tag"] for r in written] == [r["tag"] for r in json.loads(out)] == [tag]
+    assert (tmp_path / "index.csv").read_text().count("\n") == 2
+
+
+def test_delta_has_no_seed_option(capsys):
+    """delta_numeric draws no random numbers, so delta takes no --seed."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["delta", "--p", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _readme_cli_examples() -> list[str]:
+    """The commands of the README's CLI section, without their comments."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.split("#", 1)[0].strip()]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, line):
+    """Every command the README shows under CLI runs and exits 0."""
+    monkeypatch.setenv("NORMLAB_REPORT_DIR", str(tmp_path))
+    prog, *argv = shlex.split(line)
+    assert prog == "normlab"
+    assert run_cli(capsys, *argv)[0] == 0

@@ -404,6 +404,12 @@ def test_kim_lee_dim3_functionals():
     assert rep.n_profiled == rep.n_samples == 8  # no orbit reduction in dimension 3
 
 
+def test_kim_lee_refuses_a_general_2d_norm():
+    """The scan samples functionals on the dual sphere, which a Norm2D does not provide."""
+    with pytest.raises(ValueError, match="dual sphere"):
+        nl.kim_lee_check(lp_handle(3.0), [0.5], functional_samples=8)
+
+
 def test_kim_lee_rejects_high_dim():
     with pytest.raises(ValueError):
         nl.kim_lee_check(SequenceSpace(4, 2), [0.5])

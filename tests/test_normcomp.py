@@ -376,7 +376,7 @@ def test_ascent_is_column_invariant():
     pairs += [(block, SequenceSpace(3, 1.5)), (SequenceSpace(3, 1.5), block), (SequenceSpace(3, INF), SequenceSpace(3, 2.0))]
     for dom, rng_space in pairs:
         T = OperatorPQ(rng.standard_normal((rng_space.dim, dom.dim)), dom, rng_space)
-        starts = _start_coords(T, 8, seed=3)
+        starts = _start_coords(T, seed=3)
         X, f = ascend(T, starts)
         assert X.shape == starts.shape and np.all(f >= T.range_values(starts) - 1e-15)
         for j in range(0, starts.shape[1], 3):
@@ -419,7 +419,7 @@ def test_batched_ascent_matches_the_scalar_reference():
     for p, q in itertools.product(EXPONENTS, repeat=2):
         n = int(rng.integers(3, 6))
         T = OperatorPQ(rng.standard_normal((n, n)), SequenceSpace(n, p), SequenceSpace(n, q))
-        starts = _start_coords(T, 8, seed=2)
+        starts = _start_coords(T, seed=2)
         _, f = ascend(T, starts)
         for j in range(0, starts.shape[1], 5):
             assert abs(f[j] - _scalar_ascend(T, starts[:, j])) <= 1e-9

@@ -131,6 +131,13 @@ def test_run_all_single_tag_filter():
     assert len(reports) == sum(1 for t, _ in gallery_default_cases() if t == "ROT-2-1")
 
 
+def test_run_all_tag_filter_keeps_the_certificates_and_the_batch():
+    """F-CERT and POSITIVE-BATCH are picked by tag like the gallery tags."""
+    reports = nl.run_all(seed=0, tags=["POSITIVE-BATCH", "F-CERT"])
+    assert [r.tag for r in reports] == ["F-CERT"] * 4 + ["POSITIVE-BATCH"]
+    assert reports[-1].to_json_dict()["checks"] == nl.positive_side_batch(seed=0).to_json_dict()["checks"]
+
+
 def test_report_json_round_trip():
     rep = nl.reproduce("ROT-2-1", {"beta": 0.5})
     back = nl.ReproReport.from_json_dict(rep.to_json_dict())
