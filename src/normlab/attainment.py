@@ -398,7 +398,7 @@ class _ProfilePart:
     repaired: int
     best: list
     cuts: tuple = ()  # (lo, hi, level, lo_in): feasibility-boundary cells
-    peaks: tuple = ()  # (lo, hi, level): top feasible local maxima
+    peaks: tuple = ()  # (lo, hi, level): top feasible grid local maxima (at least both neighbours)
     starts: tuple = ()  # (coords, eps): the top feasible evaluations of each eps
 
     def profile(self) -> SbpbProfile:
@@ -469,7 +469,8 @@ def _repair(space, coords, values, dists, value, na):
 
 def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
     """Each pass operator's share of the profile, row by row: distances, repair, the best feasible
-    evaluations, and per eps the brackets `_refine_2d` refines (boundary cells, top-10 local maxima)."""
+    evaluations, and per eps the brackets `_refine_2d` refines (boundary cells, the top 10 peaks: feasible
+    grid points at least as high as both neighbours, feasible or not)."""
     G, space, V, k = P.thetas.size, P.ops[0].domain, P.V, len(nas)
     reps, repaired = [[p.coords for p in na.points] for na in nas], [0] * k
     D = _min_dists(space, P.C, reps)
@@ -479,13 +480,13 @@ def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
     best = _best_feasible(P.C, V, D, epsilons)
 
     lv = [eps - FEAS_SLACK for eps in epsilons]
-    cuts, peaks = [], []  # per eps, each row's boundary cells and top-10 feasible local maxima
+    cuts, peaks = [], []  # per eps, each row's boundary cells and top-10 peaks
     for level in lv:
         feas, v = D[:, :G] >= level, V[:, :G]
         r, i = np.divmod(np.flatnonzero(feas[:, 1:] != feas[:, :-1]), G - 1)
         cuts.append(np.split(i, np.searchsorted(r, np.arange(1, k))))
-        c = v[:, 1:-1]  # feasible and at least its feasible neighbours
-        local = feas[:, 1:-1] & (~feas[:, :-2] | (c >= v[:, :-2])) & (~feas[:, 2:] | (c >= v[:, 2:]))
+        c = v[:, 1:-1]  # feasible and at least both neighbours: a boundary point's zoom climbs out of feasibility
+        local = feas[:, 1:-1] & (c >= v[:, :-2]) & (c >= v[:, 2:])
         r, i = np.divmod(np.flatnonzero(local), G - 2)
         o = np.lexsort((i, -c[r, i], r))  # each row's by value, ties to the lower index
         o = o[np.arange(o.size) - np.searchsorted(r[o], r[o]) < 10]
@@ -502,8 +503,9 @@ def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
 
 def _refine_2d(parts: list[_ProfilePart]) -> None:
     """Refine the brackets of operators sharing a 2D domain and range, in one
-    bisection and one zoom call, and fold each operator's refined
-    points into its `best` as they would enter its evaluation pool."""
+    bisection and one zoom call (each distinct (operator, peak bracket) zoomed
+    once, its result given to every eps that lists it), and fold each operator's
+    refined points into its `best` as they would enter its evaluation pool."""
     parts = [p for p in parts if p.cuts]  # higher dimensions and empty NA have none
     if not parts:
         return
@@ -519,8 +521,11 @@ def _refine_2d(parts: list[_ProfilePart]) -> None:
 
     mats = np.stack([p.T.matrix for p in parts])
     a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
-    t_peak, _ = _zoom_max(
-        lambda t, idx: rng.norm_cols(apply_cols(mats[p_own[idx]], space.sphere_grid(t))), a, b)
+    # a peak is listed again at every eps it stays feasible for: zoom each distinct bracket once
+    _, j, inv = np.unique(np.column_stack([p_own, a.view(np.int64), b.view(np.int64)]), axis=0,
+                          return_index=True, return_inverse=True)
+    t_peak = _zoom_max(
+        lambda t, idx: rng.norm_cols(apply_cols(mats[p_own[j[idx]]], space.sphere_grid(t))), a[j], b[j])[0][inv]
 
     # each operator's refined cuts, then its peaks, as one pool extension
     own = np.concatenate([c_own, p_own])

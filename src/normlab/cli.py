@@ -48,6 +48,8 @@ def _gallery_params(args) -> dict:
 
 def _operator_from_args(args) -> OperatorPQ:
     if args.tag:
+        if args.matrix is not None or args.matrix_file is not None:
+            raise HypothesisError("--tag takes no --matrix or --matrix-file")
         return from_gallery(args.tag, **_gallery_params(args))
     M = _parse_matrix(args.matrix, args.matrix_file)
     p = args.p if args.p is not None else 2.0
@@ -74,6 +76,8 @@ def _delta(args):
 def _repro(args) -> list:
     """The reports of the chosen mode, written to the report directory if asked, whatever the mode."""
     if args.all:
+        if args.tag or _gallery_params(args):
+            raise HypothesisError("--all runs the default bundle: it takes no --tag or gallery parameter")
         reports = repro_mod.run_all(seed=args.seed)
     elif args.tag == "F-CERT":
         reports = [repro_mod.monotonicity_certificate(args.q if args.q is not None else 1.5)]

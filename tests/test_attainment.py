@@ -615,6 +615,15 @@ def _ref_na_from_pool(T, pool, nr, value_tol, cluster_tol):
     return nl.AttainmentSet([nl.unit(x, T.domain) for x in points], value_tol, cluster_tol, continuum, nr.value)
 
 
+def _ref_peaks(v, feas, interior=True):
+    """The grid indices of the top 10 peaks: feasible points at least as high as
+    both neighbours, or with `interior=False` only as high as their feasible ones
+    (the wider rule `test_boundary_peaks_never_survive_their_zoom` checks)."""
+    w = v if interior else np.where(feas, v, -np.inf)
+    local = np.nonzero((w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:]) & feas[1:-1])[0] + 1
+    return local[np.argsort(-v[local], kind="stable")][:10].tolist()
+
+
 def _ref_profile_part(T, na, nr, epsilons, pool):
     if na.na_empty:
         return attainment._ProfilePart(T, nr.value, na, epsilons, [], 0, [])
@@ -639,9 +648,7 @@ def _ref_profile_part(T, na, nr, epsilons, pool):
         feas = base_d >= eps - slack
         i = np.nonzero(feas[:-1] != feas[1:])[0].tolist()
         cut, cut_lv = cut + i, cut_lv + [eps - slack] * len(i)
-        vmask = np.where(feas, base_v, -np.inf)
-        local = np.nonzero((vmask[1:-1] >= vmask[:-2]) & (vmask[1:-1] >= vmask[2:]) & feas[1:-1])[0] + 1
-        top = local[np.argsort(-base_v[local], kind="stable")][:10].tolist()
+        top = _ref_peaks(base_v, feas)
         peak, peak_lv = peak + top, peak_lv + [eps - slack] * len(top)
     cut, peak = np.array(cut, dtype=int), np.array(peak, dtype=int)
     cut_lv, peak_lv = np.array(cut_lv, dtype=float), np.array(peak_lv, dtype=float)
@@ -697,8 +704,10 @@ def _bits(x):
     return None if x is None else (np.asarray(x).dtype.str, np.asarray(x).tobytes())
 
 
-@pytest.mark.parametrize("case", ["1.0", "1.5", "2.0", "3.0", "inf", "continuum", "positive-batch", "gallery",
-                                  "handle"])
+_REFERENCE_CASES = ["1.0", "1.5", "2.0", "3.0", "inf", "continuum", "positive-batch", "gallery", "handle"]
+
+
+@pytest.mark.parametrize("case", _REFERENCE_CASES)
 @pytest.mark.dispatch
 def test_2d_profile_passes_match_per_operator_reference(case):
     """A 2D group profiled in passes gives every operator the representatives,
@@ -709,6 +718,23 @@ def test_2d_profile_passes_match_per_operator_reference(case):
     (among them an edge of attainers on each), one POSITIVE-BATCH group on
     its sweeps' grids, gallery operators, and a general-norm domain (sweeps
     below its grid's floor)."""
+    groups, eps, norms, grid = _reference_groups(case)
+    for ops in groups:
+        parts = attainment._profile_parts(ops, eps, norms, grid=grid)
+        ref = _ref_profile_parts(ops, eps, norms, grid)
+        for part, r in zip(parts, ref):
+            assert _bits([p.coords for p in part.na.points]) == _bits([p.coords for p in r.na.points])
+            assert part.na.continuum_flag == r.na.continuum_flag and part.repaired == r.repaired
+            assert _bits(part.reps) == _bits(r.reps)
+            assert _bits(part.best) == _bits(r.best)
+            assert _bits(part.cuts) == _bits(r.cuts) and _bits(part.peaks) == _bits(r.peaks)
+            assert part.profile().to_json_dict() == r.profile().to_json_dict()
+        if case == "continuum":
+            assert any(r.na.continuum_flag for r in ref)
+
+
+def _reference_groups(case):
+    """(groups, eps, norms, grid) of `test_2d_profile_passes_match_per_operator_reference`'s case."""
     scalar, eps, norms, grid = SequenceSpace(1, 2.0), [0.3, 0.5, 0.9], None, 8192
     if case == "continuum":
         groups = []
@@ -740,18 +766,86 @@ def test_2d_profile_passes_match_per_operator_reference(case):
         space = SequenceSpace(2, float(case))
         F = nl.spaces.sample_sphere_coords(space.dual(), 256, 0)[:, 2::7]  # 37 of kim_lee_check's
         groups = [[OperatorPQ(f[None], space, scalar) for f in F.T]]
-    for ops in groups:
-        parts = attainment._profile_parts(ops, eps, norms, grid=grid)
-        ref = _ref_profile_parts(ops, eps, norms, grid)
-        for part, r in zip(parts, ref):
-            assert _bits([p.coords for p in part.na.points]) == _bits([p.coords for p in r.na.points])
-            assert part.na.continuum_flag == r.na.continuum_flag and part.repaired == r.repaired
-            assert _bits(part.reps) == _bits(r.reps)
-            assert _bits(part.best) == _bits(r.best)
-            assert _bits(part.cuts) == _bits(r.cuts) and _bits(part.peaks) == _bits(r.peaks)
-            assert part.profile().to_json_dict() == r.profile().to_json_dict()
-        if case == "continuum":
-            assert any(r.na.continuum_flag for r in ref)
+    return groups, eps, norms, grid
+
+
+def _seeded_2x2(seed):
+    """A Gaussian 2x2 operator for each (p, q) of the 5x5 exponent grid, drawn from `seed`."""
+    rng, ps = np.random.default_rng(seed), (1.0, 1.5, 2.0, 3.0, INF)
+    return [OperatorPQ(rng.standard_normal((2, 2)), SequenceSpace(2, p), SequenceSpace(2, q)) for p in ps for q in ps]
+
+
+@pytest.mark.dispatch
+def test_boundary_peaks_never_survive_their_zoom():
+    """The peaks the former rule listed and the current one drops (feasible
+    grid points at least as high as their feasible neighbours only: a higher
+    neighbour is infeasible) would give the profile nothing: zoomed as
+    `_refine_2d` zooms a peak, with no constraint, each climbs to a point
+    nearer the attainment set than its level, which `keep` drops.  On the
+    groups of the per-operator reference, and on seeded 2x2 operators over
+    the 5x5 exponent grid at the 32 default eps: 8,415 peaks."""
+    cases = [_reference_groups(c) for c in _REFERENCE_CASES]
+    cases += [([ops], default_epsilons(ops[0].domain), None, normcomp.DEFAULT_GRID)
+              for ops in (_seeded_2x2(0), _seeded_2x2(1))]
+    dropped = 0
+    for groups, eps, norms, grid in cases:
+        for ops in groups:
+            for k, T in enumerate(ops):
+                nr = nl.opnorm(T, grid=grid) if norms is None else norms[k]
+                pool = _ref_pool(T, nr, grid)
+                part = _ref_profile_part(T, _ref_na_from_pool(T, pool, nr, 1e-6, 0.1), nr, sorted(eps), pool)
+                if not part.reps:
+                    continue
+                thetas, G = pool[2], pool[2].size
+                d, v = _ref_min_dists(T.domain, pool[0][:, :G], part.reps), pool[1][:G]
+                idx, lv = [], []
+                for e in sorted(eps):
+                    feas = d >= e - attainment.FEAS_SLACK
+                    i = [j for j in _ref_peaks(v, feas, interior=False) if j not in _ref_peaks(v, feas)]
+                    idx, lv = idx + i, lv + [e - attainment.FEAS_SLACK] * len(i)
+                if not idx:
+                    continue
+                h = 2.0 * math.pi / (G - 1)
+                t, _ = normcomp._zoom_max(
+                    lambda t, _idx: T.range.norm_cols(apply_cols(T.matrix, T.domain.sphere_grid(t))),
+                    thetas[idx] - h, thetas[idx] + h)
+                R = np.column_stack(part.reps)
+                pairs = attainment._pairing(np.array([R.shape[1]]), np.zeros(t.size, dtype=int))
+                d_new = attainment._paired_dists(T.domain, R, T.domain.sphere_grid(t), pairs)
+                assert not np.any(d_new >= np.array(lv))
+                dropped += len(idx)
+    assert dropped > 1000
+
+
+def test_profile_zooms_each_interior_peak_once(monkeypatch):
+    """The profile's peak refinement zooms each distinct bracket once, and only
+    interior peaks: 25 seeded 2x2 operators, one per exponent pair, profiled
+    at the 32 default eps take 3,564 probes through `_refine_2d` (1,030,590
+    when every peak listed at every eps was zoomed, boundary peaks included),
+    under a bound of 1,000 per operator, and no call passes a bracket twice."""
+    probes, brackets, refining = [], [], []
+    zoom, refine = attainment._zoom_max, attainment._refine_2d
+
+    def counted_zoom(f, a, b):
+        if refining:
+            brackets.append(np.column_stack([a, b]))
+            return zoom(lambda t, idx: probes.append(t.size) or f(t, idx), a, b)
+        return zoom(f, a, b)
+
+    def flagged_refine(parts):
+        refining.append(True)
+        try:
+            refine(parts)
+        finally:
+            refining.clear()
+
+    monkeypatch.setattr(attainment, "_zoom_max", counted_zoom)
+    monkeypatch.setattr(attainment, "_refine_2d", flagged_refine)
+    ops = _seeded_2x2(0)
+    for T in ops:
+        nl.sbpb_profile(T, default_epsilons(T.domain))
+    assert len(brackets) == len(ops) and sum(probes) <= 1000 * len(ops)
+    assert all(np.unique(b, axis=0).shape[0] == b.shape[0] for b in brackets)
 
 
 @pytest.mark.dispatch

@@ -133,6 +133,30 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--tag", "DIAG-2-2"], ["--p", "2"], ["--q", "3"], ["--beta", "0.3"], ["--dim", "3"],
+                                  ["--blocks", "5"]])
+def test_repro_all_refuses_a_tag_and_gallery_parameters(capsys, monkeypatch, argv):
+    """`repro --all` runs the default bundle, so a tag or gallery parameter
+    it would ignore is a usage error, refused before any report runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_all ran")
+
+    monkeypatch.setattr(cli.repro_mod, "run_all", refuse)
+    code, out, err = run_cli(capsys, "repro", "--all", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--all" in err
+
+
+@pytest.mark.parametrize("command", ["opnorm", "na", "eta"])
+@pytest.mark.parametrize("matrix", [["--matrix", "5,0;0,5"], ["--matrix-file", "m.json"]])
+def test_a_tag_refuses_a_matrix(capsys, command, matrix):
+    """A gallery tag names the operator, so a matrix given with it is a usage
+    error, as two matrix options are, not silently ignored."""
+    code, out, err = run_cli(capsys, command, "--tag", "DIAG-2-2", *matrix)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--tag" in err
+
+
 @pytest.mark.parametrize("argv", [["--all"], ["--tag", "DIAG-2-2"]])
 def test_repro_has_no_tol_option(capsys, argv):
     """The gallery's tolerances are pinned, so repro takes no --tol."""
