@@ -470,34 +470,46 @@ def _repair(space, coords, values, dists, value, na):
 def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
     """Each pass operator's share of the profile, row by row: distances, repair, the best feasible
     evaluations, and per eps the brackets `_refine_2d` refines (boundary cells, the top 10 peaks: feasible
-    grid points at least as high as both neighbours, feasible or not)."""
+    grid points at least as high as both neighbours, feasible or not), all from one scan of the grid: each
+    column's count K of the levels eps - FEAS_SLACK it reaches, the cells where K changes and the local
+    maxima.  A row's best at a level lies at a local maximum, a cut end, column 0 or G - 1, or a witness."""
     G, space, V, k = P.thetas.size, P.ops[0].domain, P.V, len(nas)
     reps, repaired = [[p.coords for p in na.points] for na in nas], [0] * k
     D = _min_dists(space, P.C, reps)
     vt, ct = (np.array([getattr(na, a) for na in nas]) for a in ("value_tol", "cluster_tol"))
     for r in np.flatnonzero(((V > (P.value - vt)[:, None]) & (D > ct[:, None])).any(axis=1) & [bool(x) for x in reps]):
         reps[r], repaired[r] = _repair(space, P.C[:, r], V[r], D[r], float(P.value[r]), nas[r])
-    best = _best_feasible(P.C, V, D, epsilons)
-
-    lv = [eps - FEAS_SLACK for eps in epsilons]
-    cuts, peaks = [], []  # per eps, each row's boundary cells and top-10 peaks
-    for level in lv:
-        feas, v = D[:, :G] >= level, V[:, :G]
-        r, i = np.divmod(np.flatnonzero(feas[:, 1:] != feas[:, :-1]), G - 1)
-        cuts.append(np.split(i, np.searchsorted(r, np.arange(1, k))))
-        c = v[:, 1:-1]  # feasible and at least both neighbours: a boundary point's zoom climbs out of feasibility
-        local = feas[:, 1:-1] & (c >= v[:, :-2]) & (c >= v[:, 2:])
-        r, i = np.divmod(np.flatnonzero(local), G - 2)
-        o = np.lexsort((i, -c[r, i], r))  # each row's by value, ties to the lower index
-        o = o[np.arange(o.size) - np.searchsorted(r[o], r[o]) < 10]
-        peaks.append(np.split(i[o] + 1, np.searchsorted(r[o], np.arange(1, k))))
+    lv, W, L, ms = np.array(epsilons) - FEAS_SLACK, V.shape[1], len(epsilons), np.arange(len(epsilons))[:, None]
+    K = (D >= (lv[0] if L else np.nan)).astype(np.min_scalar_type(L))  # D >= lv[m] exactly when m < K
+    if L > 1:  # one comparison serves one level; search only the columns from the second level to the last
+        K[D >= lv[-1]] = L
+        mid = (D >= lv[1]) & (K < L)
+        K[mid] = np.searchsorted(lv, D[mid], "right")
+    r, i = np.divmod(np.flatnonzero(K[:, 1:G] != K[:, :G - 1]), G - 1)  # the cells where K changes
+    m, q = np.nonzero((K[r, i] > ms) != (K[r, i + 1] > ms))  # cut at level m: feasibility differs across it
+    # the local maxima: feasible at the first level and at least both neighbours (feasible or not: the zoom
+    # of a point whose higher neighbour is infeasible climbs out of feasibility)
+    v = V[:, 1:G - 1]
+    lr, li = np.divmod(np.flatnonzero((v >= V[:, :G - 2]) & (v >= V[:, 2:G]) & (K[:, 1:G - 1] > 0)), G - 2)
+    fr = np.concatenate([lr, r, r, np.repeat(np.arange(k), W - G + 2)])
+    fc = np.concatenate([li + 1, i, i + 1, np.tile(np.r_[0, G - 1:W], k)])
+    o = np.lexsort((fc, -(fv := V[fr, fc]), fr))  # each row's candidates by value, ties to the lower column
+    fr, fc, fv, fk, peak = fr[o], fc[o], fv[o], K[fr[o], fc[o]], o < lr.size
+    # the first candidate with K > m is the best at m: prev <= m < K, prev the largest K before it in its row
+    prev = np.maximum(np.r_[0, np.maximum.accumulate(fk + (s := fr * (L + 1)))[:-1]] - s, 0)
+    best = [[None] * L for _ in nas]
+    for p in np.flatnonzero((fk > prev) & (fv > -np.inf)):  # a padded witness's levels stay None
+        best[fr[p]][prev[p]:fk[p]] = [(float(fv[p]), P.C[:, fr[p], fc[p]].copy())] * (fk[p] - prev[p])
+    pr, pc, F = fr[peak], fc[peak], fk[peak] > ms  # each level's first 10 feasible local maxima of each row
+    pm, ps = np.nonzero(F & ((e := F.cumsum(1) - F) - e[:, np.searchsorted(pr, pr)] < 10))
+    cr, ci, pr, pc = r[q], i[q], pr[ps], pc[ps]
     t, h, parts = P.thetas, TWO_PI / (G - 1), []
     for r, (T, val, na) in enumerate(zip(P.ops, P.value, nas)):
-        (ci, clv), (pi, plv) = ((np.concatenate([x[r] for x in f] or [np.zeros(0, dtype=int)]),
-                                 np.repeat(lv, [x[r].size for x in f])) for f in (cuts, peaks))
+        c, p = cr == r, pr == r  # each row's cuts and peaks, by level, then as listed
         parts.append(_ProfilePart(T, float(val), na, epsilons, [], 0, []) if na.na_empty else
                      _ProfilePart(T, float(val), na, epsilons, reps[r], repaired[r], best[r],
-                                  cuts=(t[ci], t[ci + 1], clv, D[r, ci] >= clv), peaks=(t[pi] - h, t[pi] + h, plv)))
+                                  cuts=(t[ci[c]], t[ci[c] + 1], lv[m[c]], K[r, ci[c]] > m[c]),
+                                  peaks=(t[pc[p]] - h, t[pc[p]] + h, lv[pm[p]])))
     return parts
 
 

@@ -356,12 +356,15 @@ def kim_lee_check(space, epsilons, functional_samples: int = 256, seed: int = 0)
     On l_p^2 with n % 8 == 0 the angle grid is closed under the eight signed
     permutations, isometries that keep eta(eps, x*), so only j <= n/8, one
     functional per orbit, is profiled (`n_profiled`); otherwise all n are.
+    Where no uniform convexity is expected (p = 1, inf), the verdict reads only the eps <= 1 (none: False).
     """
     if isinstance(space, Norm2D):
         raise ValueError("functional scan samples functionals on the dual sphere, which a general 2D norm lacks")
     if space.dim not in (2, 3):
         raise ValueError("functional scan supports dimensions 2 and 3")
     epsilons = sorted(float(e) for e in epsilons)
+    if not epsilons:  # an empty all() or any() would give a verdict on nothing
+        raise ValueError("functional scan needs at least one eps")
     F = sample_sphere_coords(space.dual(), functional_samples, seed)
     orbits = isinstance(space, SequenceSpace) and space.dim == 2 and functional_samples % 8 == 0
     n_profiled = functional_samples // 8 + 1 if orbits else functional_samples

@@ -117,6 +117,7 @@ def test_profile_empty_feasible_convention():
     prof = nl.sbpb_profile(T, [4.0])
     assert prof.rho[0] == 0.0
     assert prof.eta[0] == pytest.approx(prof.norm_value)
+    assert nl.sbpb_profile(T, []).eta == []  # no eps, no levels
 
 
 def test_profile_l2_functionals_closed_form():
@@ -687,13 +688,14 @@ def _ref_refine_2d(parts):
             part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
 
 
-def _ref_profile_parts(ops, epsilons, norms=None, grid=normcomp.DEFAULT_GRID):
+def _ref_profile_parts(ops, epsilons, norms=None, grid=normcomp.DEFAULT_GRID, refine=True):
     parts = []
     for k, T in enumerate(ops):
         nr = nl.opnorm(T, grid=grid) if norms is None else norms[k]
         pool = _ref_pool(T, nr, grid)
         parts.append(_ref_profile_part(T, _ref_na_from_pool(T, pool, nr, 1e-6, 0.1), nr, sorted(epsilons), pool))
-    _ref_refine_2d(parts)
+    if refine:
+        _ref_refine_2d(parts)
     return parts
 
 
@@ -731,6 +733,71 @@ def test_2d_profile_passes_match_per_operator_reference(case):
             assert part.profile().to_json_dict() == r.profile().to_json_dict()
         if case == "continuum":
             assert any(r.na.continuum_flag for r in ref)
+
+
+def _at_distances(ops, grid):
+    """Five eps: 1e-3, 2.0, and three whose levels eps - FEAS_SLACK equal, bit for bit, a distance from a grid
+    point of ops[0] to its representatives, between the first level and the last (the searched counts)."""
+    T, slack = ops[0], attainment.FEAS_SLACK
+    nr = nl.opnorm(T, grid=grid)
+    pool = _ref_pool(T, nr, grid)
+    reps = [p.coords for p in _ref_na_from_pool(T, pool, nr, 1e-6, 0.1).points]
+    d = np.unique(_ref_min_dists(T.domain, pool[0], reps))
+    d = [x for x in d[(d > 0.05) & (d < 1.5)].tolist() if (x + slack) - slack == x]
+    return [1e-3, 2.0] + [d[len(d) * k // 4] + slack for k in (1, 2, 3)]
+
+
+_MANY_EPS = {"default": None, "edge": [1e-12, 0.5, 0.5, 0.9, 4.1], "300": list(np.geomspace(1e-3, 2.1, 300)),
+             "at-distances": _at_distances}
+
+
+@pytest.mark.parametrize("eps_set", list(_MANY_EPS))
+@pytest.mark.dispatch
+def test_2d_profile_passes_match_the_per_eps_reference_at_many_eps(eps_set, monkeypatch):
+    """A pass takes every eps from one scan of its grid (each column's count of levels, the cells where it
+    changes, the local maxima), with the per-eps reference's representatives, best points and brackets bit
+    for bit, before refinement: the l_1 and l_inf continuum functionals and the gallery operators at the 32
+    default eps; at eps with a duplicate, a level of 0 and one above every distance; at 300 eps (counts past
+    255); and at levels equal to grid distances (counted inclusively, as `dist >= eps - FEAS_SLACK`)."""
+    monkeypatch.setattr(attainment, "_refine_2d", lambda parts: None)
+    for case in ("continuum", "gallery"):
+        groups, _, norms, grid = _reference_groups(case)
+        for ops in groups:
+            eps = _MANY_EPS[eps_set] or default_epsilons(ops[0].domain)
+            eps = eps(ops, grid) if callable(eps) else eps
+            for part, r in zip(attainment._profile_parts(ops, eps, norms, grid=grid),
+                               _ref_profile_parts(ops, eps, norms, grid, refine=False)):
+                assert _bits(part.reps) == _bits(r.reps) and _bits(part.best) == _bits(r.best)
+                assert _bits(part.cuts) == _bits(r.cuts) and _bits(part.peaks) == _bits(r.peaks)
+
+
+@pytest.mark.dispatch
+def test_2d_profile_best_lies_at_every_kind_of_candidate():
+    """A row's first largest feasible value at a level lies at a feasible interior local maximum, an end
+    of a cut cell, column 0 or G - 1, or a witness column, so the pass takes it from those columns alone.
+    Each kind occurs here, and each time the pass's best is the full scan's bit for bit: the l_1 and l_inf
+    continuum functionals at the 32 default eps give local maxima in some rows and cut ends in others;
+    diag(1, 2) on l_1^2 gives column 0 (e_1, a vertex below the norm, is the best once eps passes 1.2);
+    an l_1.5^2 operator at eps 1e-12, whose level 0 admits its attainers, gives its refined witness."""
+    groups, _, _, grid = _reference_groups("continuum")
+    cases = [(ops, default_epsilons(ops[0].domain)) for ops in groups]
+    cases += [([OperatorPQ(np.diag([1.0, 2.0]), SequenceSpace(2, 1.0), SequenceSpace(2, 2.0))], None),
+              ([OperatorPQ(np.array([[0.3, 0.9], [0.7, -0.2]]), SequenceSpace(2, 1.5), SequenceSpace(2, 3.0))],
+               [1e-12, 0.5])]
+    kinds = set()
+    for ops, eps in cases:
+        eps = sorted(eps or default_epsilons(ops[0].domain))
+        P = attainment._open_pass(ops, None, grid, None, 1e-4)
+        G, lv = P.thetas.size, np.array(eps) - attainment.FEAS_SLACK
+        for r, part in enumerate(attainment._pass_parts(P, attainment._pass_na(P, 1e-6, 0.1), eps)):
+            D = _ref_min_dists(ops[0].domain, P.C[:, r], part.reps)
+            assert _bits(part.best) == _bits(_ref_best_feasible(P.C[:, r], P.V[r], D, eps))
+            for level, b in zip(lv, part.best):
+                feas = D >= level
+                j = int(np.argmax(np.where(feas, P.V[r], -np.inf)))
+                kinds.add("witness" if j >= G else "end" if j in (0, G - 1) else
+                          "local maximum" if feas[j - 1] and feas[j + 1] else "cut end")
+    assert kinds == {"local maximum", "cut end", "end", "witness"}
 
 
 def _reference_groups(case):

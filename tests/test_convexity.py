@@ -392,9 +392,16 @@ def test_kim_lee_rejects_bad_inputs():
             nl.kim_lee_check(space, [0.5, eps], functional_samples=8)
     with pytest.raises(ValueError):
         nl.kim_lee_check(space, [0.5], functional_samples=0)
-    for p, consistent in ((3.0, True), (1.0, False)):
-        rep = nl.kim_lee_check(SequenceSpace(2, p), [], functional_samples=8)
-        assert rep.min_eta == [] and rep.consistent is consistent
+    for p in (3.0, 1.0, INF):  # no eps, no verdict: an empty all() or any() would decide it
+        with pytest.raises(ValueError, match="at least one eps"):
+            nl.kim_lee_check(SequenceSpace(2, p), [], functional_samples=8)
+
+
+def test_kim_lee_non_uniformly_convex_verdict_reads_only_eps_up_to_one():
+    """On l_1^2 the verdict is that min eta nearly vanishes at some eps <= 1: at 0.5 it does (7.8e-3);
+    at 1.5 alone there is no eps to read, and the verdict is False."""
+    assert nl.kim_lee_check(SequenceSpace(2, 1.0), [0.5]).consistent is True
+    assert nl.kim_lee_check(SequenceSpace(2, 1.0), [1.5]).consistent is False
 
 
 def test_kim_lee_dim3_functionals():
