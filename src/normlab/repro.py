@@ -30,8 +30,8 @@ from .operators import (
     params_to_json,
     to_json,
 )
-from .normcomp import DEFAULT_GRID, _sharing, _sweep2d, opnorm, opnorm_oracle
-from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, pass_size, sbpb_profile
+from .normcomp import _sharing, opnorm, opnorm_oracle
+from .attainment import AttainmentSet, _profile_parts, dist_to_set, na_set, sbpb_profile
 
 TOL_NORM = 1e-6
 TOL_DIST = 1e-4
@@ -427,31 +427,25 @@ def monotonicity_certificate(q, grid: int = 10000) -> ReproReport:
     return _report("F-CERT", {"q": q, "grid": grid}, checks, t0, 0, {"pointwise_kink_bound_margin": kink_margin})
 
 
-# operators per group of POSITIVE-BATCH, whose sweeps and profile (one 2D pass) hold one grid of values each
-POSITIVE_GROUP = pass_size(DEFAULT_GRID)
-
-
 def positive_side_batch(
     count: int = 50, eps: float = 0.25, p: float = 3.0, q: float = 2.0, *, seed: int = 0
 ) -> ReproReport:
     """Random unit-norm 2x2 operators with q < p: eta(eps) must be strictly positive.
 
-    Operator k is drawn from seed + k and normalized by its norm.  In each
-    group of POSITIVE_GROUP operators one batched sweep normalizes them, one
-    sweeps the normalized operators, and one batched profile takes their
-    attainment sets and eta from those sweeps' grids: each operator's eta is
-    the same, bit for bit, as its own opnorm -> na_set -> sbpb_profile.
+    Operator k is M_k / ||M_k||, M_k drawn from seed + k.  Its eta is read
+    from M_k's own profile as eta_k = eta(eps, M_k) / ||M_k||: for c > 0,
+    NA(cT) = NA(T) and ||cTx|| = c||Tx||, so ||.|| and rho(eps, .) scale by
+    c, and eta(eps, cT) = c eta(eps, T).  One `_profile_parts` call takes
+    every M_k's norm, attainment set and profile, in passes of `pass_size`
+    operators; each eta_k is the same, bit for bit, as M_k's own opnorm ->
+    na_set -> sbpb_profile divided by that opnorm's value.
     """
     t0 = time.perf_counter()
-    checks = []
     domain, range_ = SequenceSpace(2, p), SequenceSpace(2, q)
-    for start in range(seed, seed + count, POSITIVE_GROUP):
-        seeds = range(start, min(start + POSITIVE_GROUP, seed + count))
-        mats = [np.random.default_rng(s).standard_normal((2, 2)) for s in seeds]
-        scale = [nr.value for nr in _sweep2d([OperatorPQ(M, domain, range_) for M in mats], 1e-4, DEFAULT_GRID)]
-        ops = [OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]
-        for s, part in zip(seeds, _profile_parts(ops, [eps], norms=_sweep2d(ops, 1e-4, DEFAULT_GRID))):
-            checks.append(_ge(f"eta_positive_seed_{s}", 1e-6, part.profile().eta[0], 0.0))
+    ops = [OperatorPQ(np.random.default_rng(s).standard_normal((2, 2)), domain, range_)
+           for s in range(seed, seed + count)]
+    checks = [_ge(f"eta_positive_seed_{s}", 1e-6, part.profile().eta[0] / part.value, 0.0)
+              for s, part in zip(range(seed, seed + count), _profile_parts(ops, [eps]))]
     return _report("POSITIVE-BATCH", {"count": count, "eps": eps, "p": p, "q": q}, checks, t0, seed, {})
 
 

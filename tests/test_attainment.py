@@ -927,7 +927,7 @@ def test_2d_profile_passes_hold_the_pool_budget(monkeypatch):
     ops = [OperatorPQ(f[None], space, SequenceSpace(1, 2.0)) for f in F.T]
     attainment._profile_parts(ops, [0.5], grid=8192)
     assert sizes == [15, 15, 7] and attainment.pass_size(8192) == 15
-    assert attainment.pass_size(normcomp.DEFAULT_GRID) == nl.repro.POSITIVE_GROUP == 5
+    assert attainment.pass_size(normcomp.DEFAULT_GRID) == 5
     sizes.clear()
     nl.sbpb_profile(ops[0], [0.5])
     nl.na_set(nl.make_diag_beta(0.5, 2, 3.0))

@@ -171,17 +171,16 @@ def test_written_reports_are_strict_json(tmp_path):
 
 @pytest.mark.dispatch
 def test_positive_side_batch_matches_one_operator_at_a_time():
-    """The grouped POSITIVE-BATCH report equals, apart from runtime_ms, the
-    report of one opnorm -> na_set -> sbpb_profile chain per operator."""
+    """The batched POSITIVE-BATCH report equals, apart from runtime_ms, the
+    report of one opnorm -> na_set -> sbpb_profile chain per raw draw M_k,
+    its eta divided by that opnorm's value (eta(eps, M/||M||) = eta(eps, M)/||M||)."""
     checks = []
     for k in range(50):
-        M = np.random.default_rng(k).standard_normal((2, 2))
-        T = OperatorPQ(M, SequenceSpace(2, 3.0), SequenceSpace(2, 2.0))
-        T = OperatorPQ(M / nl.opnorm(T, seed=k).value, SequenceSpace(2, 3.0), SequenceSpace(2, 2.0))
+        T = OperatorPQ(np.random.default_rng(k).standard_normal((2, 2)), SequenceSpace(2, 3.0), SequenceSpace(2, 2.0))
         nr = nl.opnorm(T, seed=k)
         na = nl.na_set(T, norm_result=nr, seed=k)
         prof = nl.sbpb_profile(T, [0.25], norm_result=nr, na=na, seed=k)
-        checks.append(_ge(f"eta_positive_seed_{k}", 1e-6, prof.eta[0], 0.0))
+        checks.append(_ge(f"eta_positive_seed_{k}", 1e-6, prof.eta[0] / nr.value, 0.0))
     loop = nl.ReproReport(tag="POSITIVE-BATCH", params={"count": 50, "eps": 0.25, "p": 3.0, "q": 2.0},
                           checks=checks, overall=all(c.passed for c in checks), runtime_ms=0, seed=0)
     assert _strip_runtime(nl.positive_side_batch().to_json_dict()) == _strip_runtime(loop.to_json_dict())
@@ -190,7 +189,8 @@ def test_positive_side_batch_matches_one_operator_at_a_time():
 def test_run_all_shares_2d_results_without_changing_a_report(monkeypatch):
     """Every report of run_all equals, apart from runtime_ms, the same report
     made alone, while the gallery sweeps and oracle-checks each of its 46
-    distinct 2D operators once; made alone, its reports do each 96 times."""
+    distinct 2D operators once, and POSITIVE-BATCH sweeps each of its 50
+    draws once; made alone, the gallery's reports do each 96 times."""
     from normlab import normcomp
 
     counts = dict.fromkeys(("_sweep2d", "_oracle_2d"), 0)
@@ -200,8 +200,90 @@ def test_run_all_shares_2d_results_without_changing_a_report(monkeypatch):
             return _run(ops, *args)
         monkeypatch.setattr(normcomp, name, counted)
     shared = [_strip_runtime(r.to_json_dict()) for r in nl.run_all(seed=0)]
-    assert counts == {"_sweep2d": 46, "_oracle_2d": 46}
+    assert counts == {"_sweep2d": 46 + 50, "_oracle_2d": 46}
     alone = [nl.reproduce(tag, params) for tag, params in gallery_default_cases()]
-    assert counts == {"_sweep2d": 46 + 96, "_oracle_2d": 46 + 96}
+    assert counts == {"_sweep2d": 46 + 50 + 96, "_oracle_2d": 46 + 96}
     alone += [nl.monotonicity_certificate(q) for q in (1.0, 1.2, 1.5, 1.9)] + [nl.positive_side_batch()]
     assert shared == [_strip_runtime(r.to_json_dict()) for r in alone]
+
+
+def test_positive_side_batch_sweeps_each_draw_once(monkeypatch):
+    """POSITIVE-BATCH is one `_profile_parts` call: 10 passes of 5 operators,
+    each swept by one `_sweep2d` call of 5, and one `_refine_2d` for all 50.
+    Every module's binding of `_sweep2d` is counted, wherever it is called from."""
+    import sys
+    from normlab import attainment, normcomp
+
+    sweeps, passes, refines = [], [], []
+    real = normcomp._sweep2d
+    for mod in [m for name, m in sys.modules.items() if name.startswith("normlab")]:
+        if getattr(mod, "_sweep2d", None) is real:
+            monkeypatch.setattr(mod, "_sweep2d", lambda ops, *a: sweeps.append(len(ops)) or real(ops, *a))
+    open_pass, refine = attainment._open_pass, attainment._refine_2d
+    monkeypatch.setattr(attainment, "_open_pass", lambda ops, *a: passes.append(len(ops)) or open_pass(ops, *a))
+    monkeypatch.setattr(attainment, "_refine_2d", lambda parts: refines.append(len(parts)) or refine(parts))
+    nl.positive_side_batch()
+    assert sweeps == [5] * 10 and passes == [5] * 10 and refines == [50]
+
+
+def _normalized_positive_etas(count, eps, p, q, seed):
+    """POSITIVE-BATCH's eta as it was computed before reading it by scale equivariance: each group of 5
+    draws swept once to normalize them, the normalized operators swept again and profiled."""
+    from normlab import attainment, normcomp
+
+    etas, domain, range_ = [], SequenceSpace(2, p), SequenceSpace(2, q)
+    for start in range(seed, seed + count, 5):
+        mats = [np.random.default_rng(s).standard_normal((2, 2)) for s in range(start, min(start + 5, seed + count))]
+        scale = [nr.value for nr in normcomp._sweep2d([OperatorPQ(M, domain, range_) for M in mats], 1e-4,
+                                                      normcomp.DEFAULT_GRID)]
+        ops = [OperatorPQ(M / v, domain, range_) for M, v in zip(mats, scale)]
+        parts = attainment._profile_parts(ops, [eps], norms=normcomp._sweep2d(ops, 1e-4, normcomp.DEFAULT_GRID))
+        etas += [part.profile().eta[0] for part in parts]
+    return etas
+
+
+def test_eta_is_scale_equivariant():
+    """eta(eps, cM) = c eta(eps, M) for c > 0 (NA(cM) = NA(M), so rho scales by c), which
+    POSITIVE-BATCH relies on to read eta(eps, M/||M||) as eta(eps, M)/||M||.  On 4 seeded 2x2 draws
+    at each (p, q) of (3, 2) and (2, 1.5), c in {1/4, 1/2, 2, 3, 10} and eps in {0.25, 0.5}, the
+    largest |eta(eps, cM)/c - eta(eps, M)| measured is 1.7e-8; POSITIVE-BATCH's 50 eta lie within
+    5.3e-9 (1.3e-7 relative) of the normalized operators' (`_normalized_positive_etas`), and keep
+    their 50 flags.  Both are held to value_tol = 1e-6."""
+    value_tol, gaps = 1e-6, []
+    for p, q in ((3.0, 2.0), (2.0, 1.5)):
+        for s in range(4):
+            M = np.random.default_rng(s).standard_normal((2, 2))
+            base = nl.sbpb_profile(OperatorPQ(M, SequenceSpace(2, p), SequenceSpace(2, q)), [0.25, 0.5]).eta
+            for c in (0.25, 0.5, 2.0, 3.0, 10.0):
+                eta = nl.sbpb_profile(OperatorPQ(c * M, SequenceSpace(2, p), SequenceSpace(2, q)), [0.25, 0.5]).eta
+                gaps += [abs(e / c - b) for e, b in zip(eta, base)]
+    batch = [c.computed for c in nl.positive_side_batch().checks]
+    reference = _normalized_positive_etas(50, 0.25, 3.0, 2.0, 0)
+    assert max(gaps) <= value_tol
+    assert all(abs(a - b) <= value_tol and (a >= 1e-6) == (b >= 1e-6) for a, b in zip(batch, reference))
+
+
+def test_compare_reports_counts_the_numbers_that_differ(tmp_path, capsys):
+    """scripts/compare_reports.py exits 0 on two identical report directories, and 1 when one float
+    of one file moved, naming that file with one differing number and its relative difference."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    reports = [nl.monotonicity_certificate(q) for q in (1.2, 1.5)]
+    a, b = tmp_path / "a", tmp_path / "b"
+    nl.repro.write_reports(reports, str(a))
+    nl.repro.write_reports(reports, str(b))
+    assert compare.main(str(a), str(b)) == 0
+    assert capsys.readouterr().out == "2 report files, 0 differ beyond runtime_ms: []\n"
+    data = json.loads((b / "F-CERT.json").read_text())
+    data[1]["checks"][1]["computed"] *= 1.0 + 1e-3
+    (b / "F-CERT.json").write_text(json.dumps(data, indent=2, sort_keys=True))
+    assert compare.main(str(a), str(b)) == 1
+    head, line = capsys.readouterr().out.splitlines()
+    assert head == "2 report files, 1 differ beyond runtime_ms: ['F-CERT.json']"
+    count, rel = line.split(": ")[1].split(", largest relative difference ")
+    assert count == "1 numbers differ" and float(rel) == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-3)
