@@ -224,12 +224,12 @@ def _na(T: OperatorPQ, nr: NormResult, value_tol, cluster_tol, tol, seed, grid) 
         points = list({x.tobytes(): x for pts, _ in sets for x in pts}.values())  # rows may share attainers
         continuum = any(c for _, c in sets)
     else:
-        subs = nr.parts or [opnorm(R, tol=tol, seed=seed, grid=grid) for R in reduced[0]]
+        subs = nr.parts or opnorm(T, tol, grid=grid, seed=seed).parts  # a reloaded result's parts, recomposed
         top = max(sub.value for sub in subs)
         points, slices, continuum, n = [], [], False, T.domain.dim
         for R, off, sub in zip(reduced[0], reduced[1], subs):
-            if sub.value >= top - value_tol:
-                na = na_set(R, value_tol, cluster_tol, tol=tol, seed=seed, grid=grid, norm_result=sub)
+            if sub.value >= top - value_tol:  # certified, as nr is (`normcomp._composed`)
+                na = _na(R, sub, value_tol, cluster_tol, tol, seed, grid)
                 points += [np.pad(x.coords, (off, n - off - x.coords.size)) for x in na.points]
                 slices.append((off, off + R.domain.dim))
                 continuum |= na.continuum_flag

@@ -17,10 +17,11 @@ owner per column, each with the result of its lone sweep.
 
 `opnorm` tries, in order: an exactly reducible structure (block diagonal
 with outer domain exponent <= outer range exponent, or a zero-padded 2D
-block), composing its parts' norms; the row closed form max_i ||r_i||_p'
-(`_row_norms`) of a functional, or of l_p^n (n >= 3) into l_inf^m; the 2D
-sweep; multistart ascent (one batched `ascend`), flagged heuristic.
-`_norms` decides how a group's certified norms are taken: by rows or swept.
+block), composing its parts' norms (`_composed`, which composes the oracle
+too); the row closed form max_i ||r_i||_p' (`_row_norms`) of a functional,
+or of l_p^n (n >= 3) into l_inf^m; the 2D sweep; multistart ascent (one
+batched `ascend`), flagged heuristic.  `_norms` decides how a group's
+certified norms are taken: by rows or swept.
 
 An independent brute-force grid oracle cross-checks every certified value.
 Inside `_sharing` (one `repro.run_all`) 2D results are shared by operator content.
@@ -571,22 +572,19 @@ def _reduce(T: OperatorPQ):
     return None
 
 
-def _max_of(subs: list[NormResult], space) -> NormResult:
-    """The result of a reduced operator on `space` from its parts' results:
-    the largest value and bounds, the combined cost, no witnesses."""
-    k = int(np.argmax([s.value for s in subs]))
-    return NormResult(
-        value=subs[k].value,
-        witnesses=[],
-        method=subs[k].method,
-        grid_size=max(s.grid_size for s in subs),
-        tol=max(s.tol for s in subs),
-        lower_bound=max(s.lower_bound for s in subs),
-        upper_bound=max(s.upper_bound for s in subs),
-        certified=all(s.certified for s in subs),
-        n_evals=sum(s.n_evals for s in subs),
-        space=space,
-    )
+def _composed(T: OperatorPQ, reduced, run, note: str) -> NormResult:
+    """The result of a reduced T from its parts' results, which `run` gives for each group of parts that
+    shares its spaces (`_by_spaces`) and which it keeps: the largest value and bounds, the combined cost,
+    `note`, and the witnesses of every part within its tol of the max, embedded at its offset (16 at most)."""
+    subs, n = _by_spaces(reduced[0], run), T.domain.dim
+    top = subs[int(np.argmax([s.value for s in subs]))]
+    witnesses = [unit(np.pad(w.coords, (off, n - off - w.coords.size)), T.domain)
+                 for s, off in zip(subs, reduced[1]) if s.value >= top.value - s.tol for w in s.witnesses]
+    return NormResult(value=top.value, witnesses=witnesses[:16], method=top.method,
+                      grid_size=max(s.grid_size for s in subs), tol=max(s.tol for s in subs),
+                      lower_bound=max(s.lower_bound for s in subs), upper_bound=max(s.upper_bound for s in subs),
+                      certified=all(s.certified for s in subs), n_evals=sum(s.n_evals for s in subs),
+                      notes=note, space=T.domain, parts=subs)
 
 
 def opnorm(
@@ -608,7 +606,8 @@ def opnorm(
 
     reduced = _reduce(T)
     if reduced is not None:
-        return _opnorm_structured(T, reduced, tol, grid, seed)
+        return _composed(T, reduced, lambda ops: _norms(ops, tol, grid) if ops[0].domain.dim == 2
+                         else [opnorm(R, tol, grid=grid, seed=seed) for R in ops], reduced[2])
     if _by_rows(T) or T.domain.dim == 2:
         return _norms([T], tol, grid)[0]
     return _opnorm_multistart(T, tol, seed)
@@ -695,21 +694,6 @@ def _rank1_attainers(space: SequenceSpace, row, level) -> tuple[list[np.ndarray]
     return list(np.unique(np.vstack([X, -X]), axis=0)), len(X) > 1
 
 
-def _opnorm_structured(T, reduced, tol, grid, seed):
-    parts, offsets, note, _ = reduced
-    subs = _by_spaces(parts, lambda ops: _norms(ops, tol, grid) if ops[0].domain.dim == 2
-                      else [opnorm(R, tol, grid=grid, seed=seed) for R in ops])
-    result = _max_of(subs, T.domain)
-    # the attainers of every part within its tol of the norm, embedded at its offset
-    n = T.domain.dim
-    witnesses = [
-        unit(np.pad(w.coords, (off, n - off - w.coords.size)), T.domain)
-        for s, off in zip(subs, offsets) if s.value >= result.value - s.tol
-        for w in s.witnesses
-    ]
-    return replace(result, witnesses=witnesses[:16], notes=note, parts=subs)
-
-
 def _opnorm_multistart(T, tol, seed):
     value, pool = _multistart(T, seed)
     reps = cluster_representatives(
@@ -734,20 +718,18 @@ def _opnorm_multistart(T, tol, seed):
 def opnorm_oracle(T: OperatorPQ, grid: int = 100000) -> NormResult:
     """Independent pure-evaluation maximum over a dense grid, no refinement.
 
-    2D uses an angle grid; 3D a spherical product grid; exactly reducible
-    structures compose block oracles (the oracle stays evaluation-only on
-    each 2D constituent, and parts that share a domain and a range share
-    one grid).  Unstructured dimensions above 3 are rejected.
+    2D uses an angle grid; 3D a spherical product grid; a reduced T composes
+    its parts' oracles as `opnorm` composes norms (evaluation-only on each 2D
+    part; parts that share a domain and a range share one grid).  Unstructured
+    dimensions above 3 are rejected.
     """
     if grid < 1000:
         raise ValueError(f"oracle grid must be >= 1000; got {grid}")
 
     reduced = _reduce(T)
     if reduced is not None:
-        parts, _, _, note = reduced
-        subs = _by_spaces(parts, lambda ops: _shared("oracle", ops, _oracle_2d, grid) if ops[0].domain.dim == 2
-                          else [opnorm_oracle(R, grid) for R in ops])
-        return replace(_max_of(subs, T.domain), notes=note)
+        return _composed(T, reduced, lambda ops: _shared("oracle", ops, _oracle_2d, grid) if ops[0].domain.dim == 2
+                         else [opnorm_oracle(R, grid) for R in ops], reduced[3])
 
     if T.domain.dim == 2:
         return _shared("oracle", [T], _oracle_2d, grid)[0]

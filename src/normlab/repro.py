@@ -440,6 +440,8 @@ def positive_side_batch(
     operators; each eta_k is the same, bit for bit, as M_k's own opnorm ->
     na_set -> sbpb_profile divided by that opnorm's value.
     """
+    if count < 1:
+        raise ValueError(f"the batch needs at least one operator; got count={count}")
     t0 = time.perf_counter()
     domain, range_ = SequenceSpace(2, p), SequenceSpace(2, q)
     ops = [OperatorPQ(np.random.default_rng(s).standard_normal((2, 2)), domain, range_)
@@ -482,8 +484,13 @@ def gallery_default_cases() -> list[tuple[str, dict]]:
 def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[ReproReport]:
     """Every harness at default parameters, plus the derivative certificates
     and the positive-side batch; failures are recorded, never thrown.  `tags`,
-    if given, keeps the listed gallery tags, F-CERT and POSITIVE-BATCH.  Their
-    2D results are shared by operator content for the call (`normcomp._sharing`)."""
+    if given, keeps the listed gallery tags, F-CERT and POSITIVE-BATCH, and
+    refuses any other name before any work.  The 2D results of the gallery
+    and F-CERT, not of the batch's random draws, are shared by operator
+    content for the call (`normcomp._sharing`)."""
+    unknown = [t for t in tags or () if t not in GALLERY_TAGS + ("F-CERT", "POSITIVE-BATCH")]
+    if unknown:
+        raise HypothesisError(f"unknown construction tag(s) {', '.join(map(repr, unknown))}")
     reports: list[ReproReport] = []
     with _sharing():
         for tag, params in gallery_default_cases():
@@ -493,8 +500,8 @@ def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[Rep
         if tags is None or "F-CERT" in tags:
             for q in (1.0, 1.2, 1.5, 1.9):
                 reports.append(monotonicity_certificate(q))
-        if tags is None or "POSITIVE-BATCH" in tags:
-            reports.append(positive_side_batch(seed=seed))
+    if tags is None or "POSITIVE-BATCH" in tags:
+        reports.append(positive_side_batch(seed=seed))
     if out_dir is not None:
         write_reports(reports, out_dir)
     return reports

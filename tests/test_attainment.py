@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,32 @@ def test_profile_empty_feasible_convention():
     assert prof.rho[0] == 0.0
     assert prof.eta[0] == pytest.approx(prof.norm_value)
     assert nl.sbpb_profile(T, []).eta == []  # no eps, no levels
+
+
+@pytest.mark.parametrize("T", [nl.make_diag_beta(0.5, 2, 2), nl.make_lplq_fail(2, 2, 2)], ids=["2D", "nD"])
+def test_profile_empty_attainment_set_convention(T):
+    """An empty NA, which in finite dimension can only be a numerical artifact, gives eta = 0 and rho = ||T||
+    at every eps, with a diagnostic note."""
+    eps = [0.1, 0.5, 0.9]
+    prof = nl.sbpb_profile(T, eps, na=nl.AttainmentSet([], 1e-6, 0.1, False, 1.0))
+    value = nl.opnorm(T).value
+    assert prof.na_empty and prof.norm_value == value
+    assert prof.eta == [0.0] * 3 and prof.rho == [value] * 3
+    assert prof.notes == "diagnostic: empty attainment set in finite dimension (numerical artifact); eta forced to 0"
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_profile_absorbs_a_missed_attainment_cluster(drop):
+    """A 2D profile given an NA that misses one of +-e2 repairs it from the grid: the eta of the full set, bit
+    for bit, and a note that counts the cluster absorbed."""
+    T = nl.make_diag_beta(0.5, 2, 2)
+    na = nl.na_set(T)
+    eps = default_epsilons(T.domain)
+    assert len(na.points) == 2
+    partial = replace(na, points=[p for i, p in enumerate(na.points) if i != drop])
+    full, repaired = nl.sbpb_profile(T, eps, na=na), nl.sbpb_profile(T, eps, na=partial)
+    assert repaired.eta == full.eta and full.notes == ""
+    assert repaired.notes == "diagnostic: 1 missed attainment cluster(s) absorbed during profiling"
 
 
 def test_profile_l2_functionals_closed_form():
@@ -270,17 +297,19 @@ def test_attainment_set_json_round_trip():
 
 
 def test_block_attainment_computes_each_block_norm_once(monkeypatch):
-    """The block norms come from the norm's result; only a reloaded one, which has none, recomputes them."""
+    """The block norms come from the norm's result; only a reloaded one, which has none, recomposes them:
+    one `opnorm` of T, whose three blocks share their spaces and are swept in one call."""
     T = nl.make_lplq_fail(2, 2, 3)
     nr = nl.opnorm(T)
     reloaded = nl.NormResult.from_json_dict(nr.to_json_dict())
-    calls = []
-    real = attainment.opnorm
+    calls, sweeps = [], []
+    real, sweep = attainment.opnorm, normcomp._sweep2d
     monkeypatch.setattr(attainment, "opnorm", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    monkeypatch.setattr(normcomp, "_sweep2d", lambda ops, *a: sweeps.append(len(ops)) or sweep(ops, *a))
     na = nl.na_set(T, norm_result=nr)
-    assert calls == [] and len(na.points) >= 6
+    assert calls == sweeps == [] and len(na.points) >= 6
     assert nl.na_set(T, norm_result=reloaded).to_json_dict() == na.to_json_dict()
-    assert len(calls) == 3 and [id(R) for R in calls] == [id(R) for R in T.structure[1]]
+    assert [id(R) for R in calls] == [id(T)] and sweeps == [3]
 
 
 @pytest.mark.parametrize("tag, params", [

@@ -616,11 +616,16 @@ def test_padded_operator_is_its_block(T):
         nl.make_block(nl.make_shrinking_blocks(3)),
         nl.make_block(nl.make_shrinking_blocks(2, p=3.0, q=3.0), 2.0, INF),
         nl.make_block(nl.make_shrinking_blocks(3)).adjoint(),
+        nl.make_proj_then(nl.make_diag_beta(0.5, 2, 2), 4),
     ],
-    ids=["flat", "mixed", "adjoint"],
+    ids=["flat", "mixed", "adjoint", "pad"],
 )
 def test_block_diagonal_is_the_max_of_its_blocks(T):
-    blocks = T.structure[1]
+    """A reduced result, the norm's and the oracle's alike, is the max of its parts' results and keeps them;
+    every witness is an attainer of one part, placed on that part's coordinates (a pad's part at offset 0)."""
+    kind, payload = T.structure
+    blocks = [payload] if kind == "pad" else payload
+    starts = np.cumsum([0] + [B.domain.dim for B in blocks])
     for norm in (nl.opnorm, lambda S: nl.opnorm_oracle(S, 5000)):
         r, subs = norm(T), [norm(B) for B in blocks]
         top = subs[int(np.argmax([s.value for s in subs]))]
@@ -631,13 +636,12 @@ def test_block_diagonal_is_the_max_of_its_blocks(T):
         assert r.grid_size == max(s.grid_size for s in subs)
         assert r.n_evals == sum(s.n_evals for s in subs)
         assert r.certified
-    # every witness is an attainer of one block, placed on that block's coordinates
-    r = nl.opnorm(T)
-    assert r.witnesses
-    for w in r.witnesses:
-        i = int(np.argmax(np.abs(w.coords))) // 2
-        assert not np.any(np.delete(w.coords, [2 * i, 2 * i + 1]))
-        assert T.range.norm(T.apply(w.coords)) >= r.value - r.tol
+        assert [_fields(s) for s in r.parts] == [_fields(s) for s in subs]
+        assert r.witnesses
+        for w in r.witnesses:
+            i = int(np.searchsorted(starts, np.argmax(np.abs(w.coords)), "right")) - 1
+            assert not np.any(np.delete(w.coords, np.arange(starts[i], starts[i + 1])))
+            assert T.range.norm(T.apply(w.coords)) >= r.value - r.tol
 
 
 def test_norm_result_json_round_trip():

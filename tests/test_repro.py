@@ -138,6 +138,32 @@ def test_run_all_tag_filter_keeps_the_certificates_and_the_batch():
     assert reports[-1].to_json_dict()["checks"] == nl.positive_side_batch(seed=0).to_json_dict()["checks"]
 
 
+def test_run_all_refuses_unknown_tags_before_any_work(monkeypatch):
+    """A tag that names no report is refused, each unknown one named, before any report is made."""
+    from normlab import repro
+
+    for name in ("reproduce", "monotonicity_certificate", "positive_side_batch"):
+        monkeypatch.setattr(repro, name, lambda *a, **k: pytest.fail("a report was made"))
+    with pytest.raises(HypothesisError, match="'DIAG-2-3', 'F-CRET'"):
+        nl.run_all(seed=0, tags=["DIAG-2-2", "DIAG-2-3", "F-CRET", "POSITIVE-BATCH"])
+
+
+def test_positive_side_batch_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="count=0"):
+        nl.positive_side_batch(count=0)
+
+
+def test_positive_side_batch_runs_outside_the_shared_store(monkeypatch):
+    """run_all shares the 2D results of the gallery and F-CERT, not those of the batch's random draws, which
+    no other report meets."""
+    from normlab import normcomp, repro
+
+    seen, real = [], repro.positive_side_batch
+    monkeypatch.setattr(repro, "positive_side_batch", lambda **kw: seen.append(normcomp._SHARED.get()) or real(**kw))
+    reports = nl.run_all(seed=0, tags=["DIAG-2-2", "POSITIVE-BATCH"])
+    assert seen == [None] and reports[-1].tag == "POSITIVE-BATCH"
+
+
 def test_report_json_round_trip():
     rep = nl.reproduce("ROT-2-1", {"beta": 0.5})
     back = nl.ReproReport.from_json_dict(rep.to_json_dict())
