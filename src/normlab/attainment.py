@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .normcomp import (
     _climb,
     _greedy,
     _norms,
+    _paired_dists,
+    _pairing,
     _rank1_attainers,
     _reduce,
     _rounding_allowance,
@@ -84,13 +87,16 @@ class AttainmentSet:
         space, slices = self.points[0].space, self.slices
         if slices is None:
             return _min_dists(space, X[:, None], [[p.coords for p in self.points]])[0]
-        P = getattr(space, "p", getattr(space, "outer_p", None))
-        atts = [[p.coords[a:b] for p in self.points if not (p.coords[:a].any() or p.coords[b:].any())]
-                for a, b in slices]
+        P, atts = getattr(space, "p", getattr(space, "outer_p", None)), self._atts
         if P == INF:  # off its slice, a unit x already lies in the unit ball
             return np.min([_min_dists(_slice_space(space, a, b), X[a:b, None], [A])[0]
                            for (a, b), A in zip(slices, atts)], axis=0)
         return _sphere_dists(space, X, P, slices, atts)
+
+    @cached_property
+    def _atts(self) -> list:  # each slice's attainers, the points supported on it: built once per set
+        return [[p.coords[a:b] for p in self.points if not (p.coords[:a].any() or p.coords[b:].any())]
+                for a, b in self.slices]
 
     def to_json_dict(self) -> dict:
         """The encoded fields plus "space", the points' space ({"dim": 0, "p": None} if there are none)."""
@@ -545,29 +551,6 @@ def _refine_2d(parts: list[_ProfilePart]) -> None:
     d_new = _paired_dists(space, R, X_new, _pairing(count, own))
     keep = d_new >= np.concatenate([c_lv, p_lv])
     _fold(parts, np.where(keep, own, -1), X_new, rng.norm_cols(apply_cols(mats[own], X_new)), d_new)
-
-
-def _pairing(count, own):
-    """Pair column c of a batch with each representative of its owner
-    own[c], owner o's being columns first[o] : first[o] + count[o] of their
-    stack.  Returns the paired columns and representatives, the columns
-    with any pair, and where their pairs start."""
-    first = np.cumsum(count) - count
-    n = count[own]
-    start = np.cumsum(n) - n
-    col = np.repeat(np.arange(own.size), n)
-    rows = np.flatnonzero(n)
-    return col, first[own][col] + np.arange(col.size) - start[col], rows, start[rows]
-
-
-def _paired_dists(space, R, X, pairs) -> np.ndarray:
-    """Distance from each column of X to the nearest representative (column
-    of R) it is paired with, inf with none."""
-    col, rep, rows, start = pairs
-    d = np.full(X.shape[1], INF)
-    if col.size:
-        d[rows] = np.minimum.reduceat(space.norm_cols(X[:, col] - R[:, rep]), start)
-    return d
 
 
 def _ascend_nd(parts) -> None:

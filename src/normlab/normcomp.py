@@ -61,6 +61,7 @@ METHOD_EXACT = "EXACT"
 DEFAULT_GRID = 24576  # multiple of 8: quadrant and square-corner breakpoints on-grid
 DEFAULT_BUDGET = 40000  # cells one 2D sweep splits at most
 ASCENT_ITERS = 500
+FIRST_RUNGS = 8  # rungs of `_backtrack`'s first call: a failed step usually passes one or two halvings down
 ZOOM_PROBES = 33  # probes per bracket and level of `_zoom_max`
 
 
@@ -186,6 +187,29 @@ def _bisect(f, lo, hi, level, lo_in):
         lo = np.where(to_lo, mid, lo)
         hi = np.where(to_lo, hi, mid)
     return np.where(lo_in, lo, hi)
+
+
+def _pairing(count, own):
+    """Pair column c of a batch with each representative of its owner
+    own[c], owner o's being columns first[o] : first[o] + count[o] of their
+    stack.  Returns the paired columns and representatives, the columns
+    with any pair, and where their pairs start."""
+    first = np.cumsum(count) - count
+    n = count[own]
+    start = np.cumsum(n) - n
+    col = np.repeat(np.arange(own.size), n)
+    rows = np.flatnonzero(n)
+    return col, first[own][col] + np.arange(col.size) - start[col], rows, start[rows]
+
+
+def _paired_dists(space, R, X, pairs) -> np.ndarray:
+    """Distance from each column of X to the nearest representative (column
+    of R) it is paired with, inf with none."""
+    col, rep, rows, start = pairs
+    d = np.full(X.shape[1], INF)
+    if col.size:
+        d[rows] = np.minimum.reduceat(space.norm_cols(X[:, col] - R[:, rep]), start)
+    return d
 
 
 def _column_lipschitz(T: OperatorPQ) -> float:
@@ -383,10 +407,10 @@ def ascend(T: OperatorPQ, X0, iters: int = ASCENT_ITERS):
     Primary step is the dual-map fixed point (exact power iteration for
     p = q = 2); on non-improvement a column falls back to a renormalized
     gradient step with halving, stopping below step 1e-12 (`_backtrack`: a
-    column whose step fails tries all its halvings in one call, with the
-    bits of trying them one at a time).  Each column keeps its own step and
-    stops once it stops improving, and every operation is column-invariant:
-    a column ends with the bits it would reach alone.
+    step and its next seven halvings in one call, the rest in a second,
+    with the bits of trying them one at a time).  Each column keeps its own
+    step and stops once it stops improving, and every operation is
+    column-invariant: a column ends with the bits it would reach alone.
     """
     X = np.array(X0, dtype=float).reshape(T.domain.dim, -1)
     X /= T.domain.norm_cols(X)
@@ -431,20 +455,21 @@ def _backtrack(dom, rng, A, X, Y, f, D, cols, steps, cap, floor, gain, admits=No
     Accepted points go into X, Y and f, and twice their step, capped at
     `cap`, into `steps`; returns which columns were accepted.
 
-    Each column first tries its step alone.  A column that fails evaluates
-    its whole ladder, every halving above the floor, in one call and takes
-    the first rung that passes.  The rungs are exact powers of two apart and
+    The first call evaluates each column's step and its next seven halvings
+    above the floor; a column that none of those pass evaluates the rest of
+    its ladder, every halving above the floor, in a second call.  Each takes
+    its first rung that passes.  The rungs are exact powers of two apart and
     evaluation is column-invariant, so every column gets the bits of halving
     one evaluation at a time."""
     accepted = np.zeros(cols.size, dtype=bool)
     idx, top = np.arange(cols.size), steps[cols]
-    for ladder in (False, True):
-        if ladder:  # the failed columns' next halvings
-            top = 0.5 * top[~hit]
+    for rest in (False, True):
+        if rest:  # the failed columns' later halvings
+            top = np.ldexp(top[~hit], -FIRST_RUNGS)
             idx, top = idx[~hit][top > floor], top[top > floor]
         if not idx.size:
             break
-        rungs = int(np.log2(top.max() / floor)) + 2 if ladder else 1  # every halving above the floor, one spare
+        rungs = int(np.log2(top.max() / floor)) + 2 if rest else FIRST_RUNGS  # the rest: one spare
         S = np.ldexp(top[:, None], -np.arange(rungs))
         on = S > floor
         on[:, 0] = True
@@ -534,8 +559,28 @@ def _greedy(C, own, norm_cols, cluster_tol, limit=None) -> np.ndarray:
     """Greedy clustering of the columns of C, each owner's (own, in runs) in column order: a column is a
     representative unless within cluster_tol of an earlier one of its owner.  One `norm_cols` call per round,
     which takes each owner's next representative, so stopping after `limit` rounds keeps each owner's first
-    `limit` representatives."""
-    alive, reps = np.ones(C.shape[1], dtype=bool), []
+    `limit` representatives.  With one owner and a `SequenceSpace`'s norm_cols, whose value is never below
+    0.99 of a column's largest |coordinate|, a round measures only the live columns within 2 cluster_tol of
+    its representative in every coordinate (cut from the coordinate with the fewest, each sorted once): the
+    norm is column-invariant, so the round removes what the full scan would."""
+    n, h = C.shape[1], 2.0 * cluster_tol
+    if n and own[0] == own[-1] and isinstance(getattr(norm_cols, "__self__", None), SequenceSpace):
+        S = np.argsort(C, axis=1, kind="stable")
+        V = np.take_along_axis(C, S, axis=1)
+        alive, reps, r = np.ones(n + 1, dtype=bool), [], 0  # alive[n]: a sentinel that ends the scan
+        while r < n and (limit is None or len(reps) < limit):
+            reps.append(r)
+            x = C[:, r:r + 1]
+            cut = [(v.searchsorted(xk - h, "left"), v.searchsorted(xk + h, "right")) for v, xk in zip(V, x.flat)]
+            k = min(range(len(cut)), key=lambda i: cut[i][1] - cut[i][0])
+            w = S[k, slice(*cut[k])]
+            w = w[alive[w]]
+            D = C[:, w] - x
+            box = (np.abs(D) <= h).all(axis=0)
+            alive[w[box][norm_cols(D[:, box]) < cluster_tol]] = False
+            r += 1 + int(alive[r + 1:].argmax())
+        return np.array(reps, dtype=int)
+    alive, reps = np.ones(n, dtype=bool), []
     while alive.any() and (limit is None or len(reps) < limit):
         live = np.flatnonzero(alive)
         lo = own[live]

@@ -485,9 +485,11 @@ def run_all(seed: int = 0, *, out_dir: str | None = None, tags=None) -> list[Rep
     """Every harness at default parameters, plus the derivative certificates
     and the positive-side batch; failures are recorded, never thrown.  `tags`,
     if given, keeps the listed gallery tags, F-CERT and POSITIVE-BATCH, and
-    refuses any other name before any work.  The 2D results of the gallery
-    and F-CERT, not of the batch's random draws, are shared by operator
-    content for the call (`normcomp._sharing`)."""
+    refuses any other name, or a bare string, before any work.  The 2D
+    results of the gallery and F-CERT, not of the batch's random draws, are
+    shared by operator content for the call (`normcomp._sharing`)."""
+    if isinstance(tags, str):  # would be read one letter at a time
+        raise TypeError(f"tags must be a collection of tag names, not a {type(tags).__name__}")
     unknown = [t for t in tags or () if t not in GALLERY_TAGS + ("F-CERT", "POSITIVE-BATCH")]
     if unknown:
         raise HypothesisError(f"unknown construction tag(s) {', '.join(map(repr, unknown))}")

@@ -10,7 +10,7 @@ from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormE
 from normlab import attainment, normcomp
 from normlab.attainment import default_epsilons
 from normlab.operators import apply_cols
-from normlab.spaces import pnorm_cols
+from normlab.spaces import pnorm_cols, sample_sphere_coords
 
 
 def test_na_diag_is_plus_minus_e2():
@@ -554,6 +554,38 @@ def test_sphere_attainment_set_json_round_trip():
     assert back.to_json_dict() == na.to_json_dict()
     x = nl.unit(np.arange(1.0, 7.0), T.domain)
     assert nl.dist_to_set(x, back) == nl.dist_to_set(x, na) > 0.0
+
+
+class _CountedIter(list):
+    """A list that counts the times it is iterated."""
+
+    iters = 0
+
+    def __iter__(self):
+        self.iters += 1
+        return super().__iter__()
+
+
+def test_spanned_set_builds_its_slice_attainers_once():
+    """A spanned set takes each slice's attainers from its points on its first
+    `dists` call only, and its distances and JSON form stay those of a freshly
+    built set, bit for bit: spheres spanned by l_2 and l_1.5 blocks, and a
+    hand-made set of l_inf^4 on two slices."""
+    sq = SequenceSpace(4, INF)
+    box = nl.AttainmentSet([nl.UnitVector(c, sq) for c in ([1, 0.5, 0, 0], [0.25, -1, 0, 0], [0, 0, -1, 1])],
+                           1e-6, 0.1, True, 1.0, ((0, 2), (2, 4)))
+    for na in (nl.na_set(nl.make_lplq_fail(2.0, 2.0, 3)), nl.na_set(nl.make_lplq_fail(1.5, 1.5, 2)), box):
+        space = na.points[0].space
+        fresh = nl.AttainmentSet.from_json_dict(na.to_json_dict())
+        X = sample_sphere_coords(space, 64, seed=5)
+        na.points = _CountedIter(na.points)
+        first = na.dists(X)
+        assert na.points.iters == len(na.slices)
+        for _ in range(3):
+            assert np.array_equal(na.dists(X), first)
+        assert na.points.iters == len(na.slices)
+        assert np.array_equal(first, fresh.dists(X))
+        assert na.to_json_dict() == fresh.to_json_dict()
 
 
 def test_profile_below_the_sweep_floor_evaluates_its_grid_once(monkeypatch):

@@ -26,7 +26,7 @@ from normlab.normcomp import (
     ascend,
 )
 from normlab.operators import apply_cols, dual_attainer, norm_dual_vector
-from normlab.spaces import pnorm, pnorm_cols
+from normlab.spaces import pnorm, pnorm_cols, sample_sphere_coords
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
 
@@ -452,19 +452,20 @@ def _serial_backtrack(dom, rng, A, X, Y, f, D, cols, steps, cap, floor, gain, ad
 def test_backtrack_ladder_matches_serial_halving(floor, cap, gain, fenced, stacked):
     """The step ladder gives X, Y, f, the steps and the accepted flags of
     halving one evaluation at a time, bit for bit: for columns accepted on
-    their first step, more than eight halvings down, and never (down to the
-    floor, some from steps just above it), with and without `admits`, and
-    with one matrix or one per column."""
+    their first step, one to seven halvings down (the rest of the first
+    call), more than eight halvings down (the second call), and never (down
+    to the floor, some from steps just above it), with and without `admits`,
+    and with one matrix or one per column."""
     g = np.random.default_rng(23)
     dom, rng = SequenceSpace(4, 1.5), SequenceSpace(3, 3.0)
     n = 96
     A = g.standard_normal((n, 3, 4)) if stacked else g.standard_normal((3, 4))
     X = g.standard_normal((4, n))
-    # every fourth column starts 2^-24 off a maximizer, so its long steps overshoot
+    # every fourth column starts 2^-24 or 2^-10 off a maximizer, so its long steps overshoot, by far or a little
     for j in range(2, n, 4):
         M = A[j] if stacked else A
         x, _ = ascend(OperatorPQ(M, dom, rng), X[:, j])
-        X[:, j] = x[:, 0] + np.ldexp(g.standard_normal(4), -24)
+        X[:, j] = x[:, 0] + np.ldexp(g.standard_normal(4), -24 if j % 8 == 2 else -10)
     X /= dom.norm_cols(X)
     Y = apply_cols(A, X)
     f = rng.norm_cols(Y)
@@ -493,6 +494,7 @@ def test_backtrack_ladder_matches_serial_halving(floor, cap, gain, fenced, stack
     acc = runs[0][-1]
     # the cases it claims to cover all occur
     assert (tries[acc] == 1).any() and (tries[acc] > 9).any()  # first rung, and past the eighth halving
+    assert ((tries[acc] >= 2) & (tries[acc] <= 8)).any()  # a later rung of the first call
     assert (~acc).sum() >= 10
 
 
@@ -810,6 +812,70 @@ def test_cluster_limit_keeps_the_first_representatives():
     reps = normcomp._greedy(C, own, space.norm_cols, 0.1)
     assert np.array_equal(normcomp._greedy(C, own, space.norm_cols, 0.1, limit=5),
                           np.concatenate([reps[own[reps] == o][:5] for o in range(3)]))
+
+
+def _serial_greedy(C, own, norm_cols, cluster_tol, limit=None):
+    """Reference for `_greedy`: each column in turn is a representative unless
+    within cluster_tol of an earlier one of its owner (an owner keeps its first
+    `limit`), measured against them alone in one call."""
+    reps = {}
+    for j in range(C.shape[1]):
+        mine = reps.setdefault(int(own[j]), [])
+        if (limit is None or len(mine) < limit) and (norm_cols(C[:, j:j + 1] - C[:, mine]) >= cluster_tol).all():
+            mine.append(j)
+    return np.array([j for o in sorted(reps) for j in reps[o]], dtype=int)
+
+
+def _by_value(X, values, floor):
+    """The columns of X at or above floor, as `cluster_representatives` orders them."""
+    idx = np.flatnonzero(values >= floor)
+    return X[:, idx[np.argsort(-values[idx], kind="stable")]]
+
+
+@pytest.mark.dispatch
+def test_windowed_greedy_matches_a_serial_reference(monkeypatch):
+    """One-owner `_greedy` calls with a `SequenceSpace` norm measure only each
+    representative's box, and keep the representatives of taking the columns
+    one at a time, bit for bit: on the l_inf square's faces (with and without
+    `limit`), the l_1 diamond's faces, the near-maximal grid points of seeded
+    2x2 operators, l_p^3 samples and multi-owner calls, for three cluster_tol.
+    On the l_inf faces the boxes measure under a quarter of the columns the
+    full scan does.  The margin of the box rests on numpy's ** rounding."""
+    from normlab import spaces
+
+    g = np.random.default_rng(29)
+    grid = np.linspace(0.0, 2.0 * math.pi, 8193)
+    sq, diamond = SequenceSpace(2, INF), SequenceSpace(2, 1.0)
+    X, Xd = sq.sphere_grid(grid), diamond.sphere_grid(grid[::2])
+    faces = _by_value(X, np.abs(X[0]), 1.0 - 1e-9)  # two faces of the square attain
+    cases = [(faces, sq, None), (faces, sq, 16), (_by_value(Xd, np.abs(Xd.sum(axis=0)), 1.0 - 1e-9), diamond, None)]
+    for p in (1.0, 1.5, 2.0, 3.0, INF):
+        dom = SequenceSpace(2, p)
+        T = OperatorPQ(g.standard_normal((2, 2)), dom, SequenceSpace(2, 2.0))
+        Xp = dom.sphere_grid(grid[::4])
+        v = T.range_values(Xp)
+        cases.append((_by_value(Xp, v, 0.95 * v.max()), dom, None))
+    for p in (1.5, 3.0, INF):
+        dom = SequenceSpace(3, p)
+        S = sample_sphere_coords(dom, 500, seed=int(g.integers(100)))
+        cases.append((_by_value(S, g.standard_normal(3) @ S, -np.inf), dom, None))
+    for tol in (0.05, 0.1, 0.3):
+        for C, space, limit in cases:
+            own = np.zeros(C.shape[1], dtype=int)
+            got = normcomp._greedy(C, own, space.norm_cols, tol, limit)
+            assert np.array_equal(got, _serial_greedy(C, own, space.norm_cols, tol, limit))
+        for (C, space, _), (D, _, _) in zip(cases[3:], cases[4:]):  # two owners, in runs, on the first's norm
+            if C.shape[0] == D.shape[0]:
+                CD, own = np.hstack([C, D]), np.repeat([0, 1], [C.shape[1], D.shape[1]])
+                assert np.array_equal(normcomp._greedy(CD, own, space.norm_cols, tol),
+                                      _serial_greedy(CD, own, space.norm_cols, tol))
+    measured, pnorm_cols_of = [], spaces.pnorm_cols
+    monkeypatch.setattr(spaces, "pnorm_cols", lambda X, *a: measured.append(X.shape[1]) or pnorm_cols_of(X, *a))
+    normcomp._greedy(faces, np.zeros(faces.shape[1], dtype=int), sq.norm_cols, 0.1)
+    boxed = sum(measured)
+    measured.clear()
+    normcomp._greedy(faces, np.zeros(faces.shape[1], dtype=int), lambda Y: sq.norm_cols(Y), 0.1)  # the full scan
+    assert 0 < boxed < sum(measured) / 4
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -148,6 +148,16 @@ def test_run_all_refuses_unknown_tags_before_any_work(monkeypatch):
         nl.run_all(seed=0, tags=["DIAG-2-2", "DIAG-2-3", "F-CRET", "POSITIVE-BATCH"])
 
 
+def test_run_all_refuses_a_bare_string_of_tags_before_any_work(monkeypatch):
+    """A lone tag given as a string is refused by its type, not read letter by letter as unknown tags."""
+    from normlab import repro
+
+    for name in ("reproduce", "monotonicity_certificate", "positive_side_batch"):
+        monkeypatch.setattr(repro, name, lambda *a, **k: pytest.fail("a report was made"))
+    with pytest.raises(TypeError, match="not a str"):
+        nl.run_all(seed=0, tags="ROT-2-1")
+
+
 def test_positive_side_batch_refuses_an_empty_batch():
     with pytest.raises(ValueError, match="count=0"):
         nl.positive_side_batch(count=0)
