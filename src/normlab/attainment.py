@@ -187,6 +187,13 @@ def _multiplier_dists(space, X, P, slices, atts, levels: int = 5, grid: int = 65
     return (space.norm_cols(rest) ** P + f(t).sum(axis=0)[0]) ** (1.0 / P)
 
 
+def _check_tols(value_tol, cluster_tol) -> None:
+    """Refuse a value_tol or cluster_tol outside (0, 0.1]."""
+    for name, v in (("value_tol", value_tol), ("cluster_tol", cluster_tol)):
+        if not (0.0 < v <= 0.1):
+            raise ValueError(f"{name} must lie in (0, 0.1]; got {v}")
+
+
 def na_set(
     T: OperatorPQ,
     value_tol: float = 1e-6,
@@ -204,9 +211,7 @@ def na_set(
     norm's grid; in dimension >= 3 built from T's structure or its row, with
     no search, reusing the part norms.  Both give what recomputing gives.
     """
-    for name, v in (("value_tol", value_tol), ("cluster_tol", cluster_tol)):
-        if not (0.0 < v <= 0.1):
-            raise ValueError(f"{name} must lie in (0, 0.1]; got {v}")
+    _check_tols(value_tol, cluster_tol)
     nr = norm_result if norm_result is not None else opnorm(T, tol=tol, seed=seed, grid=grid)
     if not nr.certified:
         raise UncertifiedNormError("norm attainment needs a certified operator norm; got a heuristic one")
@@ -376,20 +381,6 @@ def default_epsilons(space) -> list[float]:
     return list(np.geomspace(1e-3, top, 32))
 
 
-def _constrained_ascend(dom, rng, mats, own, X0, dist_of, eps, iters=200):
-    """Hill climb on ||T x|| from each column of X0 at once, with T =
-    mats[own[j]] for column j, keeping column j at dist_of(x, own[j]) >=
-    eps[j] (`normcomp._climb`).  Returns the final columns, values and
-    owners of the columns that start feasible."""
-    X = X0 / dom.norm_cols(X0)
-    feasible = dist_of(X, own) >= eps - FEAS_SLACK
-    X, eps, own = X[:, feasible], eps[feasible], own[feasible]
-    A = mats[0] if len(mats) == 1 else mats[own]  # a batch of one indexes no per-column stack
-    f = _climb(dom, rng, A, X, np.full(X.shape[1], 0.25), 0.5, 1e-10, 1e-16, iters,
-               lambda XT, j: dist_of(XT, own[j]) >= eps[j] - FEAS_SLACK)
-    return X, f, own
-
-
 @dataclass
 class _ProfilePart:
     """One operator's share of a profile: `best` holds, per eps, (value, point) of the first largest
@@ -420,24 +411,37 @@ class _ProfilePart:
         return SbpbProfile(self.epsilons, rho, eta, self.na.na_empty, value, self.na.continuum_flag, notes)
 
 
+def _levels(D, epsilons) -> np.ndarray:
+    """Each distance's count K of the sorted levels lv = eps - FEAS_SLACK it reaches: D >= lv[m] exactly when m < K."""
+    lv, L = np.array(epsilons) - FEAS_SLACK, len(epsilons)
+    K = (D >= (lv[0] if L else np.nan)).astype(np.min_scalar_type(L))
+    if L > 1:  # one comparison serves one level; search only the entries from the second level to the last
+        K[D >= lv[-1]] = L
+        mid = (D >= lv[1]) & (K < L)
+        K[mid] = np.searchsorted(lv, D[mid], "right")
+    return K
+
+
+def _firsts(own, K, L, n):
+    """(m, s) for each owner's first n entries s with K[s] > m at each level m < L, by level, then entry
+    (the entries sorted by owner)."""
+    F = K > np.arange(L)[:, None]
+    e = F.cumsum(1) - F  # the entries with K > m before s
+    return np.nonzero(F & (e - e[:, np.searchsorted(own, own)] < n))
+
+
 def _fold(parts: list[_ProfilePart], own, X, values, dists) -> None:
-    """Fold into each part's `best` the columns of X it owns (own[j], -1 for none), as they would enter its pool."""
-    order = np.argsort(own, kind="stable")  # -1 first, then each part's columns in order
-    for part, k in zip(parts, np.split(order, np.searchsorted(own[order], np.arange(len(parts))))[1:]):
-        if k.size:
-            (new,) = _best_feasible(X[:, None, k], values[None, k], dists[None, k], part.epsilons)
-            part.best = [n if n is not None and (o is None or n[0] > o[0]) else o for o, n in zip(part.best, new)]
-
-
-def _best_feasible(coords, values, dists, epsilons) -> list[list]:
-    """Per row r (points coords[:, r]) and eps: (value, point) of the first largest value with dist >= eps, or None."""
-    best, r = [[] for _ in values], np.arange(len(values))
-    for eps in epsilons:
-        v = np.where(dists >= eps - FEAS_SLACK, values, -np.inf)
-        j = v.argmax(axis=1)
-        for row, (vr, jr) in enumerate(zip(v[r, j].tolist(), j.tolist())):
-            best[row].append((vr, coords[:, row, jr].copy()) if vr > -np.inf else None)
-    return best
+    """Fold into each part's `best` the columns of X it owns (own[j], -1 for none), as they would enter its pool.
+    Taken by (owner, -value, column), an owner's first column with K > m (`_levels`) is its best at level m: the
+    records of K's running maximum, each from the largest K before it to its own.  It replaces a best held only
+    when higher; a value of -inf (a padded witness) is none."""
+    o = np.lexsort((-values, own))  # stable: ties to the lower column
+    o = o[own[o] >= 0]
+    fo, fk, L = own[o], _levels(dists[o], parts[0].epsilons), len(parts[0].epsilons)
+    prev = np.maximum(np.r_[0, np.maximum.accumulate(fk + (s := fo * (L + 1)))[:-1]] - s, 0)
+    for p in np.flatnonzero((fk > prev) & (values[o] > -np.inf)):
+        part, new, a, b = parts[fo[p]], (float(values[o[p]]), X[:, o[p]].copy()), prev[p], fk[p]
+        part.best[a:b] = [new if old is None or new[0] > old[0] else old for old in part.best[a:b]]
 
 
 def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool) -> _ProfilePart:
@@ -449,13 +453,12 @@ def _profile_part(T, na: AttainmentSet, nr: NormResult, epsilons, pool: EvalPool
     values = np.concatenate([pool.values, T.range_values(E)])
     dists = na.dists(coords)
     reps, repaired = _repair(T.domain, coords, values, dists, nr.value, na)
-
-    (best,) = _best_feasible(coords[:, None], values[None], dists[None], epsilons)
+    part = _ProfilePart(T, nr.value, na, epsilons, reps, repaired, [None] * len(epsilons))
+    _fold([part], own := np.zeros(values.size, int), coords, values, dists)
     order = np.argsort(-values, kind="stable")  # by (value, index): the top 8 feasible evaluations of every eps
-    top = [order[dists[order] >= eps - FEAS_SLACK][:8] for eps in epsilons]
-    n = [t.size for t in top]
-    return _ProfilePart(T, nr.value, na, epsilons, reps, repaired, best,
-                        starts=(coords[:, np.concatenate(top)], np.repeat(epsilons, n)) if sum(n) else ())
+    m, s = _firsts(own, _levels(dists[order], epsilons), len(epsilons), 8)
+    part.starts = (coords[:, order[s]], np.array(epsilons)[m]) if s.size else ()
+    return part
 
 
 def _repair(space, coords, values, dists, value, na):
@@ -477,45 +480,37 @@ def _pass_parts(P: _Pass, nas, epsilons) -> list[_ProfilePart]:
     """Each pass operator's share of the profile, row by row: distances, repair, the best feasible
     evaluations, and per eps the brackets `_refine_2d` refines (boundary cells, the top 10 peaks: feasible
     grid points at least as high as both neighbours, feasible or not), all from one scan of the grid: each
-    column's count K of the levels eps - FEAS_SLACK it reaches, the cells where K changes and the local
-    maxima.  A row's best at a level lies at a local maximum, a cut end, column 0 or G - 1, or a witness."""
+    column's count K of levels (`_levels`), the cells where K changes and the local maxima.  A row's best
+    at a level lies at a local maximum, a cut end, column 0 or G - 1, or a witness: `_fold` reads those."""
     G, space, V, k = P.thetas.size, P.ops[0].domain, P.V, len(nas)
     reps, repaired = [[p.coords for p in na.points] for na in nas], [0] * k
     D = _min_dists(space, P.C, reps)
     vt, ct = (np.array([getattr(na, a) for na in nas]) for a in ("value_tol", "cluster_tol"))
     for r in np.flatnonzero(((V > (P.value - vt)[:, None]) & (D > ct[:, None])).any(axis=1) & [bool(x) for x in reps]):
         reps[r], repaired[r] = _repair(space, P.C[:, r], V[r], D[r], float(P.value[r]), nas[r])
-    lv, W, L, ms = np.array(epsilons) - FEAS_SLACK, V.shape[1], len(epsilons), np.arange(len(epsilons))[:, None]
-    K = (D >= (lv[0] if L else np.nan)).astype(np.min_scalar_type(L))  # D >= lv[m] exactly when m < K
-    if L > 1:  # one comparison serves one level; search only the columns from the second level to the last
-        K[D >= lv[-1]] = L
-        mid = (D >= lv[1]) & (K < L)
-        K[mid] = np.searchsorted(lv, D[mid], "right")
+    lv, W, L, K = np.array(epsilons) - FEAS_SLACK, V.shape[1], len(epsilons), _levels(D, epsilons)
     r, i = np.divmod(np.flatnonzero(K[:, 1:G] != K[:, :G - 1]), G - 1)  # the cells where K changes
-    m, q = np.nonzero((K[r, i] > ms) != (K[r, i + 1] > ms))  # cut at level m: feasibility differs across it
+    # a cut at level m: feasibility differs across it
+    m, q = np.nonzero((K[r, i] > (ms := np.arange(L)[:, None])) != (K[r, i + 1] > ms))
     # the local maxima: feasible at the first level and at least both neighbours (feasible or not: the zoom
     # of a point whose higher neighbour is infeasible climbs out of feasibility)
     v = V[:, 1:G - 1]
     lr, li = np.divmod(np.flatnonzero((v >= V[:, :G - 2]) & (v >= V[:, 2:G]) & (K[:, 1:G - 1] > 0)), G - 2)
-    fr = np.concatenate([lr, r, r, np.repeat(np.arange(k), W - G + 2)])
-    fc = np.concatenate([li + 1, i, i + 1, np.tile(np.r_[0, G - 1:W], k)])
-    o = np.lexsort((fc, -(fv := V[fr, fc]), fr))  # each row's candidates by value, ties to the lower column
-    fr, fc, fv, fk, peak = fr[o], fc[o], fv[o], K[fr[o], fc[o]], o < lr.size
-    # the first candidate with K > m is the best at m: prev <= m < K, prev the largest K before it in its row
-    prev = np.maximum(np.r_[0, np.maximum.accumulate(fk + (s := fr * (L + 1)))[:-1]] - s, 0)
-    best = [[None] * L for _ in nas]
-    for p in np.flatnonzero((fk > prev) & (fv > -np.inf)):  # a padded witness's levels stay None
-        best[fr[p]][prev[p]:fk[p]] = [(float(fv[p]), P.C[:, fr[p], fc[p]].copy())] * (fk[p] - prev[p])
-    pr, pc, F = fr[peak], fc[peak], fk[peak] > ms  # each level's first 10 feasible local maxima of each row
-    pm, ps = np.nonzero(F & ((e := F.cumsum(1) - F) - e[:, np.searchsorted(pr, pr)] < 10))
-    cr, ci, pr, pc = r[q], i[q], pr[ps], pc[ps]
+    o = np.lexsort((-V[lr, li + 1], lr))  # each row's by value, ties to the lower column
+    lr, li = lr[o], li[o] + 1
+    pm, ps = _firsts(lr, K[lr, li], L, 10)  # each level's first 10 feasible local maxima of each row
+    cr, ci, pr, pc = r[q], i[q], lr[ps], li[ps]
     t, h, parts = P.thetas, TWO_PI / (G - 1), []
-    for r, (T, val, na) in enumerate(zip(P.ops, P.value, nas)):
-        c, p = cr == r, pr == r  # each row's cuts and peaks, by level, then as listed
+    for j, (T, val, na) in enumerate(zip(P.ops, P.value, nas)):
+        c, p = cr == j, pr == j  # each row's cuts and peaks, by level, then as listed
         parts.append(_ProfilePart(T, float(val), na, epsilons, [], 0, []) if na.na_empty else
-                     _ProfilePart(T, float(val), na, epsilons, reps[r], repaired[r], best[r],
-                                  cuts=(t[ci[c]], t[ci[c] + 1], lv[m[c]], K[r, ci[c]] > m[c]),
+                     _ProfilePart(T, float(val), na, epsilons, reps[j], repaired[j], [None] * L,
+                                  cuts=(t[ci[c]], t[ci[c] + 1], lv[m[c]], K[j, ci[c]] > m[c]),
                                   peaks=(t[pc[p]] - h, t[pc[p]] + h, lv[pm[p]])))
+    cand = np.zeros(V.shape, bool)  # the candidate columns, in (row, column) order
+    cand[lr, li] = cand[r, i] = cand[r, i + 1] = cand[:, np.r_[0, G - 1:W]] = True
+    rows, cols = np.nonzero(cand)
+    _fold(parts, rows, P.C[:, rows, cols], V[rows, cols], D[rows, cols])  # an empty NA's best, [], has no levels
     return parts
 
 
@@ -537,7 +532,7 @@ def _refine_2d(parts: list[_ProfilePart]) -> None:
     c_pairs = _pairing(count, c_own)
     t_cut = _bisect(lambda t: _paired_dists(space, R, space.sphere_grid(t), c_pairs), lo, hi, c_lv, lo_in)
 
-    mats = np.stack([p.T.matrix for p in parts])
+    mats = np.stack([p.T.matrix for p in parts])  # a batch of one climbs with its matrix, no per-column stack
     a, b, p_lv = (np.concatenate([p.peaks[k] for p in parts]) for k in range(3))
     # a peak is listed again at every eps it stays feasible for: zoom each distinct bracket once
     _, j, inv = np.unique(np.column_stack([p_own, a.view(np.int64), b.view(np.int64)]), axis=0,
@@ -554,8 +549,8 @@ def _refine_2d(parts: list[_ProfilePart]) -> None:
 
 
 def _ascend_nd(parts) -> None:
-    """Climb the starts of operators sharing a domain and a range in dimension >= 3 in one `_constrained_ascend`
-    (distances to each owner's set and repairs), and fold the final points into each one's `best`."""
+    """Climb the feasible starts of operators sharing a domain and a range in dimension >= 3 in one `_climb`, each
+    column kept at its eps from its owner's set and repairs, and fold the final points into each one's `best`."""
     parts = [p for p in parts if p.starts]  # 2D and empty NA have none
     if not parts:
         return
@@ -575,9 +570,13 @@ def _ascend_nd(parts) -> None:
         return d
 
     own = np.repeat(np.arange(len(parts)), [p.starts[1].size for p in parts])
-    X, v, own = _constrained_ascend(dom, rng, np.stack([p.T.matrix for p in parts]), own,
-                                    np.hstack([p.starts[0] for p in parts]),
-                                    dist_of, np.concatenate([p.starts[1] for p in parts]))
+    X, eps = np.hstack([p.starts[0] for p in parts]), np.concatenate([p.starts[1] for p in parts])
+    X /= dom.norm_cols(X)
+    feasible = dist_of(X, own) >= eps - FEAS_SLACK  # climb the columns that start feasible, and keep them so
+    X, eps, own = X[:, feasible], eps[feasible], own[feasible]
+    mats = np.stack([p.T.matrix for p in parts])  # a batch of one climbs with its matrix, no per-column stack
+    v = _climb(dom, rng, mats[0] if len(parts) == 1 else mats[own], X, np.full(X.shape[1], 0.25), 0.5, 1e-10,
+               1e-16, 200, lambda XT, j: dist_of(XT, own[j]) >= eps[j] - FEAS_SLACK)
     _fold(parts, own, X, v, dist_of(X, own))
 
 
@@ -587,6 +586,7 @@ def _profile_parts(ops, epsilons, norms=None, nas=None, *, tol: float = 1e-4, va
     `nas` (computed when not given), bit for bit.  On a 2D domain in passes of `pass_size(grid)` operators
     (`_open_pass`, `_pass_na`, `_pass_parts`), then one refinement; in dimension >= 3 one operator at a
     time, the first pool lending its points to the others, then one constrained ascent."""
+    _check_tols(value_tol, cluster_tol)
     epsilons = sorted(float(e) for e in epsilons)
     for e in epsilons:
         if not (0.0 < e <= 4.2):
@@ -654,8 +654,8 @@ def sbpb_witness(
     holds at this search resolution.  eta = 0 always returns None (the strict
     inequality is unsatisfiable).
     """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
+    if not eta >= 0.0:  # refuses NaN too
+        raise ValueError(f"eta must be nonnegative; got {eta}")
     (part,) = _profile_parts([T], [eps], tol=tol, value_tol=value_tol, cluster_tol=cluster_tol, seed=seed)
     best = part.best[0] if part.best else None  # no best: an empty attainment set
     if best is not None and best[0] > part.value - eta:

@@ -365,6 +365,23 @@ def test_witness_validates_eps(eps):
         nl.sbpb_witness(nl.make_diag_beta(0.5, 2, 2), eps, 0.1)
 
 
+@pytest.mark.parametrize("tols", [{"value_tol": -1.0}, {"value_tol": 0.5}, {"cluster_tol": 0.0},
+                                  {"cluster_tol": 2.0}, {"value_tol": float("nan")}])
+def test_profile_and_witness_refuse_the_tolerances_na_set_refuses(tols):
+    """value_tol and cluster_tol outside (0, 0.1] are refused on the profile path as by `na_set`, before any
+    work, instead of giving eta = 0 through an empty or a too coarse attainment set."""
+    T = nl.make_diag_beta(0.5, 2, 2)
+    for f in (lambda: nl.na_set(T, **tols), lambda: nl.sbpb_profile(T, [0.5], **tols),
+              lambda: nl.sbpb_witness(T, 0.5, 0.1, **tols)):
+        with pytest.raises(ValueError, match="must lie in"):
+            f()
+
+
+def test_witness_refuses_a_nan_eta():
+    with pytest.raises(ValueError, match="nonnegative"):
+        nl.sbpb_witness(nl.make_diag_beta(0.5, 2, 2), 0.5, float("nan"))
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, INF])
 @pytest.mark.dispatch
 def test_evaluation_is_column_invariant(p):
@@ -859,6 +876,71 @@ def test_2d_profile_best_lies_at_every_kind_of_candidate():
                 kinds.add("witness" if j >= G else "end" if j in (0, G - 1) else
                           "local maximum" if feas[j - 1] and feas[j + 1] else "cut end")
     assert kinds == {"local maximum", "cut end", "end", "witness"}
+
+
+def _ref_fold(parts, before, own, X, values, dists):
+    """`_fold` one part at a time: its columns' per-eps bests, each kept unless the new value is higher."""
+    for j, (part, old) in enumerate(zip(parts, before)):
+        k = own == j
+        new = _ref_best_feasible(X[:, k], values[k], dists[k], part.epsilons) if k.any() else [None] * len(old)
+        assert _bits(part.best) == _bits([n if n is not None and (o is None or n[0] > o[0]) else o
+                                          for o, n in zip(old, new)])
+
+
+@pytest.mark.dispatch
+def test_nd_profile_best_and_starts_match_the_per_eps_reference(monkeypatch):
+    """In dimension 3 the pool's best evaluation at each eps, the ascent's starts (each eps's top 8 feasible
+    evaluations by value, then index) and the fold of the climbed points match a per-eps reference bit for
+    bit: functionals on l_p^3 for p in {1, 1.5, 2, 3}, each pool with the negations of every fifth point
+    (values and distances tied exactly with other coordinates), at eps with a duplicate and at 4.1, which no
+    evaluation reaches; then folds into all four parts of columns owned by each and by none (-1), with ties
+    among them and with the bests held, values of -inf, and distances equal to a level."""
+    eps, slack, gen = [1e-3, 0.3, 0.3, 0.8, 1.2, 4.1], attainment.FEAS_SLACK, np.random.default_rng(5)
+    fold, folds, parts = attainment._fold, [], []
+    monkeypatch.setattr(attainment, "_fold", lambda ps, *a: folds.append(([list(p.best) for p in ps], a))
+                        or fold(ps, *a))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        T = OperatorPQ(gen.standard_normal((1, 3)), SequenceSpace(3, p), SequenceSpace(1, 2.0))
+        nr = nl.opnorm(T)
+        na, pool = nl.na_set(T, norm_result=nr), normcomp._base_pool(T, 0)
+        pool = replace(pool, coords=np.hstack([pool.coords, -pool.coords[:, ::5]]),
+                       values=np.concatenate([pool.values, pool.values[::5]]))
+        part = attainment._profile_part(T, na, nr, eps, pool)
+        E = np.column_stack([w.coords for w in nr.witnesses] + [q.coords for q in na.points])
+        coords, values = np.hstack([pool.coords, E]), np.concatenate([pool.values, T.range_values(E)])
+        dists = na.dists(coords)
+        reps, _ = attainment._repair(T.domain, coords, values, dists, nr.value, na)
+        assert _bits(part.reps) == _bits(reps)
+        assert _bits(part.best) == _bits(_ref_best_feasible(coords, values, dists, eps)) and part.best[-1] is None
+        order = np.argsort(-values, kind="stable")
+        top = [order[dists[order] >= e - slack][:8] for e in eps]
+        assert _bits(part.starts) == _bits((coords[:, np.concatenate(top)], np.repeat(eps, [t.size for t in top])))
+        v = values[np.concatenate(top)]
+        assert np.unique(v).size < v.size  # tied values among the starts
+        parts.append(part)
+
+    folds.clear()
+    attainment._ascend_nd(parts)
+    ((before, (own, X, values, dists)),) = folds
+    assert np.unique(own).size == len(parts)
+    _ref_fold(parts, before, own, X, values, dists)
+
+    # columns of every owner and of none (-1), distances drawn or equal to a level, values tied with each
+    # other: first below the bests held, or tied exactly with an owner's best at its first level (at another
+    # point), or -inf (as a padded witness) wherever they reach the last level; then up to above the bests
+    n = 400
+    for vmax in (0.5, 2.5):
+        own, X = gen.integers(-1, len(parts), n), sample_sphere_coords(parts[0].T.domain, n, 3)
+        d = np.where(gen.random(n) < 0.2, np.array(eps)[gen.integers(0, len(eps), n)] - slack, gen.uniform(0, 2, n))
+        values = np.round(gen.uniform(0.0, vmax, n), 1)
+        if vmax < 1.0:
+            tie = (own >= 0) & (gen.random(n) < 0.2)
+            values[tie] = [parts[j].best[0][0] for j in own[tie]]
+            values[d >= eps[-1] - slack] = -np.inf
+        before = [list(p.best) for p in parts]
+        fold(parts, own, X, values, d)
+        _ref_fold(parts, before, own, X, values, d)
+        assert vmax > 1.0 or all(p.best[-1] is None for p in parts)
 
 
 def _reference_groups(case):

@@ -241,22 +241,24 @@ def test_kim_lee_scan_profiles_one_functional_per_orbit(p):
 
 def test_dim3_batch_climbs_in_one_constrained_ascent(monkeypatch):
     """Every (functional, eps, start) column of a dim-3 batch climbs in one
-    `_constrained_ascend` call; a batch of one takes the same path."""
+    `_climb` call, each column by its own functional; a batch of one takes the
+    same path with its one matrix."""
     space = SequenceSpace(3, 3.0)
     F = sample_sphere_coords(space.dual(), 16, 0)
     ops = [OperatorPQ(F[:, j].reshape(1, 3), space, SequenceSpace(1, 2.0)) for j in range(16)]
-    owners = []
-    climb = attainment._constrained_ascend
+    calls = []
+    climb = attainment._climb
 
-    def counted(dom, rng, mats, own, *args, **kwargs):
-        owners.append((len(mats), np.unique(own).size))
-        return climb(dom, rng, mats, own, *args, **kwargs)
+    def counted(dom, rng, A, X, *args, **kwargs):
+        assert A.ndim == 2 or len(A) == X.shape[1]  # one matrix, or one per column
+        calls.append((A.ndim, len({M.tobytes() for M in A.reshape(-1, *A.shape[-2:])})))
+        return climb(dom, rng, A, X, *args, **kwargs)
 
-    monkeypatch.setattr(attainment, "_constrained_ascend", counted)
+    monkeypatch.setattr(attainment, "_climb", counted)
     _profile_parts(ops, [0.5, 0.9], seed=0, grid=8192)
-    assert owners == [(16, 16)]
+    assert calls == [(3, 16)]
     _profile_parts(ops[:1], [0.5, 0.9], seed=0, grid=8192)
-    assert owners[1:] == [(1, 1)]
+    assert calls[1:] == [(2, 1)]
 
 
 def _delta_chord_sequential(space, epsilons, grid=64):
