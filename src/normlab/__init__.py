@@ -31,10 +31,10 @@ from .operators import (
     make_rot_lq,
     make_shrinking_blocks,
 )
+from .ascent import objective_grad
 from .normcomp import (
     NormResult,
     UncertifiedNormError,
-    objective_grad,
     opnorm,
     opnorm_oracle,
 )

@@ -58,7 +58,7 @@ def _operator_from_args(args) -> OperatorPQ:
 
 
 def _analysis_kw(args) -> dict:
-    return {"tol": args.tol, "seed": args.seed, "grid": args.grid or DEFAULT_GRID}
+    return {"tol": args.tol, "seed": args.seed, "grid": DEFAULT_GRID if args.grid is None else args.grid}
 
 
 def _eta(args):
@@ -70,7 +70,7 @@ def _eta(args):
 def _delta(args):
     space = SequenceSpace(args.dim, args.p)
     eps = args.eps if args.eps else [0.25, 0.5, 1.0, 1.5, 2.0]
-    return delta_numeric(space, eps, **({"grid": args.grid} if args.grid else {}))
+    return delta_numeric(space, eps, **({} if args.grid is None else {"grid": args.grid}))
 
 
 def _repro(args) -> list:

@@ -20,11 +20,12 @@ from .spaces import (
     _sphere_grid_3d,
     dual_exponent,
     pnorm,
+    pnorm_cols,
     sample_sphere_coords,
 )
 from .operators import OperatorPQ, space_from_json, to_json
 from .attainment import _profile_parts
-from .normcomp import _bisect, _zoom_max
+from .normcomp import _bisect, _check_grid, _zoom_max
 
 # Thresholds for the functional-case verdicts, at the default sampler
 # resolution (256 functionals on the dual sphere, 33 profiled in 2D, eps <= 1).
@@ -75,8 +76,6 @@ class Norm2D:
 
 def lp_handle(p) -> Norm2D:
     """The l_p^2 norm wrapped as a general handle (mainly for testing)."""
-    from .spaces import pnorm_cols
-
     return Norm2D(lambda X: pnorm_cols(X, p), name=f"l_{p:g}")
 
 
@@ -122,6 +121,7 @@ def delta_numeric(space, epsilons, *, grid: int = 64) -> ConvexityModulus:
     it, so the running minimum from the largest eps down makes delta
     nondecreasing in eps exactly as computed.
     """
+    _check_grid(grid)
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
         if not (0.0 < e <= 2.0 + 1e-9):

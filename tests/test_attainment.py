@@ -7,7 +7,7 @@ import pytest
 
 import normlab as nl
 from normlab import INF, BlockSpace, OperatorPQ, SequenceSpace, UncertifiedNormError
-from normlab import attainment, normcomp
+from normlab import attainment, distances, normcomp
 from normlab.attainment import default_epsilons
 from normlab.operators import apply_cols
 from normlab.spaces import pnorm_cols, sample_sphere_coords
@@ -377,6 +377,17 @@ def test_profile_and_witness_refuse_the_tolerances_na_set_refuses(tols):
             f()
 
 
+@pytest.mark.parametrize("grid", [0, -8, 2.5])
+def test_na_set_and_profile_refuse_a_grid_that_is_not_a_positive_integer(grid):
+    """A grid that is not a positive integer is refused by name, with or without a norm given."""
+    T = nl.make_diag_beta(0.5, 2, 2)
+    nr = nl.opnorm(T)
+    for run in (nl.na_set, lambda T, **kw: nl.sbpb_profile(T, [0.5], **kw)):
+        for kw in ({}, {"norm_result": nr}):
+            with pytest.raises(ValueError, match="grid must be a positive integer"):
+                run(T, grid=grid, **kw)
+
+
 def test_witness_refuses_a_nan_eta():
     with pytest.raises(ValueError, match="nonnegative"):
         nl.sbpb_witness(nl.make_diag_beta(0.5, 2, 2), 0.5, float("nan"))
@@ -555,12 +566,16 @@ def test_sphere_distance_closed_form_and_multiplier_path(P, axis, monkeypatch):
     atts = [[v, -v] for v in dirs]
     X = rng.standard_normal((7, 5))
     X /= space.norm_cols(X)
-    multiplier = attainment._multiplier_dists(space, X, P, slices, atts)
-    monkeypatch.setattr(attainment, "_multiplier_dists", None)  # the closed form needs no multiplier
-    closed = attainment._sphere_dists(space, X, P, slices, atts)
+    multiplier = distances._multiplier_dists(space, X, P, slices, atts)
+    calls = []
+    monkeypatch.setattr(distances, "_multiplier_dists", lambda *a: calls.append(a) or multiplier)
+    closed = distances._sphere_dists(space, X, P, slices, atts)
+    assert not calls  # the closed form needs no multiplier
     for j in range(X.shape[1]):
         assert closed[j] == pytest.approx(_brute_sphere_dist(space, X[:, j], P, slices, atts), abs=1e-9)
     assert np.max(np.abs(multiplier - closed)) <= 1e-9
+    distances._sphere_dists(space, X, P, slices, [atts[0][:1]] + atts[1:])  # one attainer: no closed form
+    assert len(calls) == 1  # the patch is where `_sphere_dists` looks
 
 
 def test_sphere_attainment_set_json_round_trip():

@@ -202,6 +202,15 @@ def test_grid_option_reaches_the_analysis(capsys, command):
     assert out != cli._json_text(default.to_json_dict()) + "\n"
 
 
+@pytest.mark.parametrize("argv", [["opnorm", "--tag", "DIAG-2-2"], ["na", "--tag", "DIAG-2-2"],
+                                  ["eta", "--tag", "DIAG-2-2", "--eps", "0.5"], ["delta", "--p", "3"]])
+def test_grid_zero_is_refused_not_defaulted(capsys, argv):
+    """`--grid 0` reaches the analysis, which refuses it (exit 2), instead of running at the default grid."""
+    code, out, err = run_cli(capsys, *argv, "--grid", "0")
+    assert code == 2 and not out
+    assert "grid must be a positive integer" in err
+
+
 @pytest.mark.parametrize("command, analysis", [("opnorm", "opnorm"), ("na", "na_set")])
 def test_json_only_commands_refuse_csv_before_any_work(capsys, monkeypatch, command, analysis):
     """opnorm and na offer only JSON, so `--format csv` is refused when the

@@ -107,6 +107,12 @@ def test_delta_dim3_and_rejection():
         nl.delta_numeric(SequenceSpace(4, 2), [1.0])
 
 
+@pytest.mark.parametrize("grid", [0, -8, 2.5])
+def test_delta_refuses_a_grid_that_is_not_a_positive_integer(grid):
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        nl.delta_numeric(SequenceSpace(2, 3.0), [0.5], grid=grid)
+
+
 def test_delta_csv():
     mod = nl.delta_numeric(SequenceSpace(2, 2), [0.5, 1.0])
     lines = mod.to_csv_text().strip().split("\n")

@@ -18,13 +18,11 @@ from normlab.normcomp import (
     METHOD_SWEEP2D,
     DEFAULT_BUDGET,
     DEFAULT_GRID,
-    _backtrack,
     _bisect,
-    _start_coords,
     _sweep2d,
     _zoom_max,
-    ascend,
 )
+from normlab.ascent import _backtrack, _start_coords, ascend
 from normlab.operators import apply_cols, dual_attainer, norm_dual_vector
 from normlab.spaces import pnorm, pnorm_cols, sample_sphere_coords
 
@@ -312,6 +310,17 @@ def test_opnorm_rejects_bad_tol():
         nl.opnorm(T, tol=0.0)
     with pytest.raises(ValueError):
         nl.opnorm(T, tol=0.5)
+
+
+@pytest.mark.parametrize("grid", [0, -8, 2.5])
+def test_opnorm_refuses_a_grid_that_is_not_a_positive_integer(grid):
+    """A grid below the sweep's floor of 20000 runs at the floor, but one that is not a positive integer is refused,
+    by the oracle too."""
+    T = nl.make_diag_beta(0.5, 2, 2)
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        nl.opnorm(T, grid=grid)
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        nl.opnorm_oracle(T, grid=100000.5)
 
 
 def test_duality_invariant():
